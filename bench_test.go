@@ -334,9 +334,9 @@ func benchValidator(b *testing.B) *sensors.Validator {
 // benchShardedProxy measures the engine's steady-state rule-hit path: every
 // iteration advances the virtual clock one heartbeat period and decides one
 // batch carrying a periodic heartbeat per device. With shards=1 ProcessBatch
-// takes the sequential fallback, so the 1-vs-GOMAXPROCS pair is exactly the
-// sequential/sharded comparison; speedup needs real cores (on a single-CPU
-// runner the sharded rows only pay fan-out overhead).
+// runs inline, so the 1-vs-GOMAXPROCS pair is exactly the sequential vs
+// ring-pipeline comparison; speedup needs real cores (on a single-CPU
+// runner the sharded rows only pay the worker handoff).
 func benchShardedProxy(b *testing.B, nDev, shards int) {
 	clock := simclock.NewVirtual()
 	ks, err := keystore.New(rand.New(rand.NewSource(7)))
@@ -346,6 +346,7 @@ func benchShardedProxy(b *testing.B, nDev, shards int) {
 	proxy := core.NewProxy(clock, ks, benchValidator(b), core.Config{
 		Bootstrap: 10 * time.Minute, Shards: shards,
 	})
+	defer proxy.Close()
 	cloud := netip.MustParseAddr("52.1.1.1")
 	names := make([]string, nDev)
 	for i := range names {

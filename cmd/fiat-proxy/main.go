@@ -49,8 +49,7 @@ func main() {
 	codeHex := flag.String("code", "", "pairing code (hex); generated when empty")
 	bootstrap := flag.Duration("bootstrap", 5*time.Second, "rule-learning window (paper: 20m)")
 	nDevices := flag.Int("devices", 4, "simulated plug devices fed to the engine as one batch per tick")
-	shards := flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS)")
-	async := flag.Bool("async", false, "drive the shards through the ring-buffer-fed async worker pipeline (same decisions, zero steady-state allocations)")
+	shards := flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS); 1 decides every batch inline, more run one ring-fed worker per shard (same decisions)")
 	duration := flag.Duration("duration", time.Minute, "how long to run the demo feed")
 	attackEvery := flag.Duration("attack-every", 10*time.Second, "injected command cadence")
 	mudOut := flag.String("mud", "", "export learned rules as an RFC 8520 MUD profile on exit")
@@ -126,7 +125,7 @@ func main() {
 	// views over the mapped snapshot, one per unique arena.
 	buildProxy := func(c simclock.Clock) (*core.Proxy, error) {
 		p := core.NewProxy(c, ks, validator, core.Config{
-			Bootstrap: *bootstrap, Shards: *shards, Async: *async,
+			Bootstrap: *bootstrap, Shards: *shards,
 			Artifacts:     artifact.NewStore(),
 			PendingWindow: *pendingWindow, PendingMax: *pendingMax,
 			Relearn: swap.Options{
@@ -218,7 +217,7 @@ func main() {
 	fmt.Printf("fiat-proxy: listening on %s; bootstrap %s\n", *listen, *bootstrap)
 
 	// Demo feed: every tick each device heartbeats, and the whole tick is
-	// decided as one ProcessBatch fan-out across the shards; an injected
+	// decided as one ProcessBatch across the shard workers; an injected
 	// on/off command every attack-every. Run fiat-app to authorize one.
 	cloud := netip.MustParseAddr("52.1.1.1")
 	heartbeat := func() flows.Record {

@@ -7,7 +7,6 @@
 //	fiatbench -rulebench [-rulebench-out BENCH_4.json] [-devices N] [-shards N] [-seed N]
 //	fiatbench -clfbench [-clfbench-out BENCH_5.json] [-events N] [-shards N] [-seed N]
 //	fiatbench -recoverybench [-recoverybench-out BENCH_7.json] [-seed N]
-//	fiatbench -soak [-soak-out BENCH_6.json] [-soak-ticks N] [-devices N] [-shards N] [-seed N]
 //	fiatbench -coldstart [-coldstart-out BENCH_10.json] [-coldstart-devices 64,256,1024] [-seed N]
 //
 // Any invocation also accepts -cpuprofile FILE and -memprofile FILE, which
@@ -40,15 +39,6 @@
 // heap, snapshot dedup savings, and the allocation-free warm acquisition
 // gate, writing BENCH_10.json. Exits non-zero when a hard gate fails
 // (acquisition allocates, arms diverge, or dedup is vacuous).
-//
-// -soak runs the sustained-load soak of the end-to-end batched engines: a
-// randomized three-way differential (sequential vs goroutine-fan-out sharded
-// vs ring-fed async pipeline) proving byte-identical decisions, stats,
-// metrics, and encoded state across seeds, then a timed phase on a live
-// clock measuring sustained throughput, p50/p99/p999 batch latency, alloc/op,
-// and the steady-state heap ceiling for the sharded and async engines,
-// writing BENCH_6.json. Exits non-zero if the differential diverges or the
-// async engine allocates in steady state.
 //
 // Experiment ids: fig1a fig1b fig1c inspector fig2 ncomplete table2 table3
 // table4 table5 table6 table7 delay, plus the ablations
@@ -135,9 +125,6 @@ func main() {
 	benchEvents := flag.Int("events", 512, "probe-event count for -clfbench")
 	recoveryBench := flag.Bool("recoverybench", false, "run the durable-state recovery benchmark instead of the experiments")
 	recoveryBenchOut := flag.String("recoverybench-out", "BENCH_7.json", "where -recoverybench writes its JSON result")
-	soak := flag.Bool("soak", false, "run the sustained-load async-pipeline soak instead of the experiments")
-	soakOut := flag.String("soak-out", "BENCH_6.json", "where -soak writes its JSON result")
-	soakTicks := flag.Int("soak-ticks", 20000, "measured steady-state batches per engine for -soak")
 	coldStart := flag.Bool("coldstart", false, "run the copied-vs-zero-copy cold-restart benchmark instead of the experiments")
 	coldStartOut := flag.String("coldstart-out", "BENCH_10.json", "where -coldstart writes its JSON result")
 	coldStartDevices := flag.String("coldstart-devices", "64,256,1024", "comma-separated fleet sizes for -coldstart")
@@ -163,9 +150,6 @@ func main() {
 	}
 	if *recoveryBench {
 		exit(runRecoveryBench(*seed, *recoveryBenchOut))
-	}
-	if *soak {
-		exit(runSoakBench(*benchDevices, *benchShards, *soakTicks, *seed, *soakOut))
 	}
 	if *coldStart {
 		exit(runColdStartBench(*coldStartDevices, *seed, *coldStartOut))
@@ -346,56 +330,6 @@ func runRecoveryBench(seed int64, out string) int {
 		return 1
 	}
 	fmt.Printf("fiatbench: recovery benchmark -> %s\n", out)
-	return 0
-}
-
-// runSoakBench runs the end-to-end sustained-load soak and writes the
-// BENCH_6.json comparison. It enforces the two hard gates at the CLI: the
-// three-way differential must be identical, and the async engine must
-// sustain zero allocations per steady-state batch.
-func runSoakBench(devices, shards, ticks int, seed int64, out string) int {
-	mlDevices := devices / 16
-	if mlDevices < 1 {
-		mlDevices = 1
-	}
-	ruleDevices := devices - mlDevices
-	fmt.Printf("fiatbench: sustained-load soak, %d devices (%d rule + %d ml) x %d shards, %d ticks, seed=%d\n",
-		devices, ruleDevices, mlDevices, shards, ticks, seed)
-	res, err := experiments.SoakBench(experiments.SoakConfig{
-		Seed: seed, Shards: shards, RuleDevices: ruleDevices, MLDevices: mlDevices, Ticks: ticks,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fiatbench:", err)
-		return 1
-	}
-	res.Meta = experiments.NewBenchMeta(map[string]string{
-		"devices": strconv.Itoa(devices), "shards": strconv.Itoa(shards),
-		"soak-ticks": strconv.Itoa(ticks), "seed": strconv.FormatInt(seed, 10),
-	})
-	fmt.Printf("  differential: %d seeds x %d steps, %d packets/seed, identical=%v\n",
-		len(res.Differential.Seeds), res.Differential.Steps, res.Differential.Packets, res.Differential.Identical)
-	for _, arm := range []experiments.SoakArm{res.Sharded, res.Async} {
-		fmt.Printf("  %-8s %10.1f ns/batch  %12.0f pkts/sec  p99 %8d ns  p999 %8d ns  %5.2f allocs/pkt  steady %g allocs/batch  heap %d KiB\n",
-			arm.Engine, arm.NsPerBatch, arm.PktsPerSec, arm.P99BatchNs, arm.P999BatchNs,
-			arm.AllocsPerPkt, arm.SteadyStateAllocs, arm.HeapMaxBytes/1024)
-		fmt.Printf("  %-8s %10.1f ns/event-batch  %5.2f allocs/event-batch\n",
-			arm.Engine, arm.EventNsPerBatch, arm.EventAllocsPerBatch)
-	}
-	fmt.Printf("  speedup  %.2fx\n", res.Speedup)
-	if err := os.WriteFile(out, res.JSON(), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "fiatbench:", err)
-		return 1
-	}
-	if !res.Differential.Identical {
-		fmt.Fprintln(os.Stderr, "fiatbench: soak differential FAILED")
-		return 1
-	}
-	if res.Async.SteadyStateAllocs != 0 {
-		fmt.Fprintf(os.Stderr, "fiatbench: async steady state allocates (%g allocs/batch, want 0)\n",
-			res.Async.SteadyStateAllocs)
-		return 1
-	}
-	fmt.Printf("fiatbench: soak benchmark -> %s\n", out)
 	return 0
 }
 

@@ -45,12 +45,9 @@ type Scenario struct {
 	// Seed drives every random stream of the run (default 1).
 	Seed int64
 	// Shards selects the proxy engine width (default 1, the sequential
-	// reference).
+	// reference; more shards run batches on the ring pipeline). Decisions
+	// are shard-invariant, so every oracle in this package applies unchanged.
 	Shards int
-	// Async runs the proxy on the ring-fed asynchronous shard pipeline
-	// instead of the per-batch goroutine fan-out. Decisions are
-	// engine-invariant, so every oracle in this package applies unchanged.
-	Async bool
 	// Bootstrap is the proxy learning window (default 2 minutes).
 	Bootstrap time.Duration
 	// Duration is the post-bootstrap phase length (default 90 s).
@@ -376,7 +373,6 @@ func run(s Scenario, wrap func(engine, *simclock.VirtualClock) engine) (*Result,
 	proxy := core.NewProxy(clock, proxyKS, validator, core.Config{
 		Bootstrap:     s.Bootstrap,
 		Shards:        s.Shards,
-		Async:         s.Async,
 		PendingWindow: s.PendingWindow,
 		Relearn:       s.Relearn,
 		Obs:           reg,

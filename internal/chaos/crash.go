@@ -119,7 +119,6 @@ func buildReplayProxy(s Scenario) durable.BuildProxy {
 		proxy := core.NewProxy(clock, ks, validator, core.Config{
 			Bootstrap:     s.Bootstrap,
 			Shards:        s.Shards,
-			Async:         s.Async,
 			PendingWindow: s.PendingWindow,
 			Relearn:       s.Relearn,
 			Obs:           obs.NewRegistry(),
@@ -286,7 +285,6 @@ func ReplayOpsDurable(s Scenario, ops []RecordedOp, dir string, kill *durable.Ki
 	}
 	res.State = mgr.Proxy().EncodeState()
 	mgr.Abort()
-	mgr.Proxy().Close()
 	for i := range ops {
 		res.Decisions = append(res.Decisions, decs[i]...)
 	}

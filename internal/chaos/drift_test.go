@@ -74,11 +74,11 @@ func requirePromoted(t *testing.T, label string, res *Result) {
 }
 
 // TestDriftDetectionPromotesAcrossEngines runs the drift-injection corpus on
-// the sequential, sharded, and async engines: every arm must complete the
-// drift → relearn → shadow → promote lifecycle, and because the detector
-// feeds on engine-invariant counters and advances only at housekeeping
-// ticks, the decision streams, audit logs, obs snapshots, and swap registries
-// must be byte-identical across all three.
+// the sequential and the multi-shard engine: both must complete the drift →
+// relearn → shadow → promote lifecycle, and because the detector feeds on
+// engine-invariant counters and advances only at housekeeping ticks, the
+// decision streams, audit logs, obs snapshots, and swap registries must be
+// byte-identical.
 func TestDriftDetectionPromotesAcrossEngines(t *testing.T) {
 	for _, seed := range []int64{5, 19} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -87,30 +87,22 @@ func TestDriftDetectionPromotesAcrossEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 			requirePromoted(t, "seq", ref)
-			for _, arm := range []struct {
-				name   string
-				shards int
-				async  bool
-			}{{"sharded", 4, false}, {"async", 4, true}} {
-				s := driftScenario(seed, arm.shards)
-				s.Async = arm.async
-				got, err := Run(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requirePromoted(t, arm.name, got)
-				if got.DecisionTrace() != ref.DecisionTrace() {
-					t.Fatalf("%s: decision trace diverges from sequential", arm.name)
-				}
-				if got.LogTrace() != ref.LogTrace() {
-					t.Fatalf("%s: audit log diverges from sequential", arm.name)
-				}
-				if got.Metrics != ref.Metrics {
-					t.Fatalf("%s: obs snapshot diverges from sequential", arm.name)
-				}
-				if got.SwapMetrics != ref.SwapMetrics {
-					t.Fatalf("%s: swap registry diverges from sequential:\n%s\nvs\n%s", arm.name, got.SwapMetrics, ref.SwapMetrics)
-				}
+			got, err := Run(driftScenario(seed, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requirePromoted(t, "sharded", got)
+			if got.DecisionTrace() != ref.DecisionTrace() {
+				t.Fatal("sharded: decision trace diverges from sequential")
+			}
+			if got.LogTrace() != ref.LogTrace() {
+				t.Fatal("sharded: audit log diverges from sequential")
+			}
+			if got.Metrics != ref.Metrics {
+				t.Fatal("sharded: obs snapshot diverges from sequential")
+			}
+			if got.SwapMetrics != ref.SwapMetrics {
+				t.Fatalf("sharded: swap registry diverges from sequential:\n%s\nvs\n%s", got.SwapMetrics, ref.SwapMetrics)
 			}
 		})
 	}

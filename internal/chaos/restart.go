@@ -129,7 +129,6 @@ func (e *durEngine) restart(time.Time) {
 		return
 	}
 	e.mgr.Abort()
-	e.mgr.Proxy().Close()
 	mgr, err := durable.Open(durable.Config{
 		Dir: e.dir, Sync: durable.SyncAlways, SegmentBytes: replaySegBytes,
 		OnReplay: func(*durable.Op, []core.Decision) { e.rep.Replayed++ },
@@ -177,6 +176,5 @@ func RunDurable(s Scenario, dir string, restartAt []time.Duration, checkpointEve
 	}
 	rep.State = de.mgr.Proxy().EncodeState()
 	de.mgr.Abort()
-	de.mgr.Proxy().Close()
 	return res, rep, nil
 }

@@ -9,42 +9,43 @@ import (
 	"fiat/internal/core"
 )
 
-// TestScenarioAsyncParity: the ring-fed async pipeline driven through the
-// full netsim fabric — gateway batching, courier faults, partitions, pending
-// sweeps — produces a Result identical to the goroutine-fan-out sharded
-// engine on every surface, including the shared metrics snapshot.
-func TestScenarioAsyncParity(t *testing.T) {
+// TestScenarioShardedMatchesSequential: the ring-fed multi-shard engine
+// driven through the full netsim fabric — gateway batching, courier faults,
+// partitions, pending sweeps — produces a Result identical to the
+// sequential engine on every surface, including the shared metrics snapshot.
+func TestScenarioShardedMatchesSequential(t *testing.T) {
 	s := crashScenario()
-	sync, err := Run(s)
+	s.Shards = 1
+	seq, err := Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Async = true
-	async, err := Run(s)
+	s.Shards = 2
+	sharded, err := Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sync.DecisionTrace() != async.DecisionTrace() {
-		t.Errorf("async decision stream diverges:\n--- sync ---\n%s\n--- async ---\n%s",
-			sync.DecisionTrace(), async.DecisionTrace())
+	if seq.DecisionTrace() != sharded.DecisionTrace() {
+		t.Errorf("sharded decision stream diverges:\n--- seq ---\n%s\n--- sharded ---\n%s",
+			seq.DecisionTrace(), sharded.DecisionTrace())
 	}
-	if sync.LogTrace() != async.LogTrace() {
-		t.Error("async audit log diverges from sync")
+	if seq.LogTrace() != sharded.LogTrace() {
+		t.Error("sharded audit log diverges from seq")
 	}
-	if !reflect.DeepEqual(sync.Stats, async.Stats) {
-		t.Errorf("async stats diverge:\nsync:  %+v\nasync: %+v", sync.Stats, async.Stats)
+	if !reflect.DeepEqual(seq.Stats, sharded.Stats) {
+		t.Errorf("sharded stats diverge:\nseq:     %+v\nsharded: %+v", seq.Stats, sharded.Stats)
 	}
-	if !reflect.DeepEqual(sync.Fault, async.Fault) {
-		t.Errorf("fault stats diverge:\nsync:  %+v\nasync: %+v", sync.Fault, async.Fault)
+	if !reflect.DeepEqual(seq.Fault, sharded.Fault) {
+		t.Errorf("fault stats diverge:\nseq:     %+v\nsharded: %+v", seq.Fault, sharded.Fault)
 	}
-	if sync.Metrics != async.Metrics {
-		t.Error("async metrics snapshot diverges from sync")
+	if seq.Metrics != sharded.Metrics {
+		t.Error("sharded metrics snapshot diverges from seq")
 	}
-	if sync.Locked != async.Locked || sync.PendingLeft != async.PendingLeft ||
-		sync.AttestationsSent != async.AttestationsSent ||
-		sync.AttestationsDelivered != async.AttestationsDelivered ||
-		sync.DeviceFramesDelivered != async.DeviceFramesDelivered {
-		t.Errorf("scalar results diverge:\nsync:  %+v\nasync: %+v", sync, async)
+	if seq.Locked != sharded.Locked || seq.PendingLeft != sharded.PendingLeft ||
+		seq.AttestationsSent != sharded.AttestationsSent ||
+		seq.AttestationsDelivered != sharded.AttestationsDelivered ||
+		seq.DeviceFramesDelivered != sharded.DeviceFramesDelivered {
+		t.Errorf("scalar results diverge:\nseq:     %+v\nsharded: %+v", seq, sharded)
 	}
 }
 
@@ -82,66 +83,62 @@ func compareToReference(t *testing.T, arm string, ref, got *Result) {
 // TestRestartUnderLoad is the satellite oracle: a durably-managed gateway
 // killed and reopened mid-scenario — twice, with couriers, faults, and a
 // partition live in the fabric — must be indistinguishable from one that
-// never died. Three arms per engine: the plain reference run, a durable arm
+// never died. Three arms: the plain reference run, a durable arm
 // with no restart, and a durable arm restarted at 30 s and 60 s after
 // bootstrap. The restarted arm's decisions/log/stats must equal the plain
 // reference, and its final encoded state must be byte-identical to the
 // uninterrupted durable arm's.
 func TestRestartUnderLoad(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		async bool
-	}{{"sharded", false}, {"async", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := crashScenario()
-			s.Async = tc.async
-			ref, err := Run(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			restartAt := []time.Duration{30 * time.Second, 60 * time.Second}
+	// crashScenario runs two shards, so the proxy batches on the ring
+	// pipeline.
+	t.Run("sharded", func(t *testing.T) {
+		s := crashScenario()
+		ref, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restartAt := []time.Duration{30 * time.Second, 60 * time.Second}
 
-			uninterrupted, repA, err := RunDurable(s, t.TempDir(), nil, 20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if repA.Restarts != 0 || repA.Replayed != 0 {
-				t.Fatalf("uninterrupted arm reports restarts=%d replayed=%d", repA.Restarts, repA.Replayed)
-			}
-			restarted, repB, err := RunDurable(s, t.TempDir(), restartAt, 20)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if repB.Restarts != len(restartAt) {
-				t.Fatalf("completed %d restarts, want %d", repB.Restarts, len(restartAt))
-			}
-			if repB.Replayed == 0 {
-				t.Fatal("restarts replayed no WAL operations; recovery was vacuous")
-			}
-			if repB.Checkpoints == 0 {
-				t.Fatal("no periodic checkpoints taken; recovery never composed snapshot+suffix")
-			}
+		uninterrupted, repA, err := RunDurable(s, t.TempDir(), nil, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if repA.Restarts != 0 || repA.Replayed != 0 {
+			t.Fatalf("uninterrupted arm reports restarts=%d replayed=%d", repA.Restarts, repA.Replayed)
+		}
+		restarted, repB, err := RunDurable(s, t.TempDir(), restartAt, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if repB.Restarts != len(restartAt) {
+			t.Fatalf("completed %d restarts, want %d", repB.Restarts, len(restartAt))
+		}
+		if repB.Replayed == 0 {
+			t.Fatal("restarts replayed no WAL operations; recovery was vacuous")
+		}
+		if repB.Checkpoints == 0 {
+			t.Fatal("no periodic checkpoints taken; recovery never composed snapshot+suffix")
+		}
 
-			compareToReference(t, "uninterrupted-durable", ref, uninterrupted)
-			compareToReference(t, "restarted-durable", ref, restarted)
-			// The recovered proxy's full image — devices, audit log, stats,
-			// pending queue, replay guard, obs registry — must match the
-			// never-killed managed twin byte for byte.
-			if !bytes.Equal(repA.State, repB.State) {
-				t.Errorf("restarted state image (%d bytes) != uninterrupted state image (%d bytes)",
-					len(repB.State), len(repA.State))
-			}
-			if uninterrupted.Metrics != restarted.Metrics {
-				t.Error("shared fabric metrics diverge between durable arms")
-			}
-			// The scenario still exercised its degraded-mode content across
-			// the restarts.
-			if !restarted.HasReason(core.ReasonLateAttest) && !restarted.HasReason(core.ReasonOutageExcused) &&
-				!restarted.HasReason(core.ReasonPendingHold) {
-				t.Errorf("restarted run shows no degraded-mode reasons; scenario content lost")
-			}
-		})
-	}
+		compareToReference(t, "uninterrupted-durable", ref, uninterrupted)
+		compareToReference(t, "restarted-durable", ref, restarted)
+		// The recovered proxy's full image — devices, audit log, stats,
+		// pending queue, replay guard, obs registry — must match the
+		// never-killed managed twin byte for byte.
+		if !bytes.Equal(repA.State, repB.State) {
+			t.Errorf("restarted state image (%d bytes) != uninterrupted state image (%d bytes)",
+				len(repB.State), len(repA.State))
+		}
+		if uninterrupted.Metrics != restarted.Metrics {
+			t.Error("shared fabric metrics diverge between durable arms")
+		}
+		// The scenario still exercised its degraded-mode content across
+		// the restarts.
+		if !restarted.HasReason(core.ReasonLateAttest) && !restarted.HasReason(core.ReasonOutageExcused) &&
+			!restarted.HasReason(core.ReasonPendingHold) {
+			t.Errorf("restarted run shows no degraded-mode reasons; scenario content lost")
+		}
+	})
 }
 
 // TestRestartUnderLoadZeroCopy is the cross-arm differential under live

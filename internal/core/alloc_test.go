@@ -71,7 +71,7 @@ func TestProcessRuleHitZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPipelineSteadyStateZeroAllocs is the async tentpole's allocation
+// TestPipelineSteadyStateZeroAllocs is the multi-shard engine's allocation
 // guard: a full intercept→verdict batch on the ring-fed pipeline — producer
 // enqueue, worker drain, compiled rule match, outcome arena, idx-ordered
 // merge — performs zero heap allocations per batch in steady state, and the
@@ -88,7 +88,7 @@ func TestPipelineSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewProxy(clock, ks, validator, Config{Bootstrap: 5 * time.Minute, Shards: 4, Async: true})
+	p := NewProxy(clock, ks, validator, Config{Bootstrap: 5 * time.Minute, Shards: 4})
 	defer p.Close()
 	trained := trainDiffClassifier(t, 5)
 	ruleDevs := []string{"rplug0", "rplug1", "rplug2", "rplug3"}
@@ -164,7 +164,7 @@ func TestPipelineSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("%d measured packets were not rule hits; the guard measured the wrong path", misses)
 	}
 	if allocs != 0 {
-		t.Fatalf("async rule-hit batch allocates: measured %v allocs/op, want 0", allocs)
+		t.Fatalf("ring rule-hit batch allocates: measured %v allocs/op, want 0", allocs)
 	}
 
 	// Phase 2: one fresh event per ML device per batch — grouping, deferred

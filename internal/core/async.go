@@ -10,13 +10,19 @@ import (
 	"fiat/internal/obs"
 )
 
-// asyncPipeline is the ring-buffer-fed engine behind Config.Async: one
+// ringCapacity is the per-shard ring size. A full ring backpressures the
+// producer, which yields with runtime.Gosched until the worker drains a slot.
+const ringCapacity = 1024
+
+// asyncPipeline is the multi-shard engine behind ProcessBatch: one
 // persistent worker goroutine per shard, each fed through a fixed-capacity
-// SPSC ring, draining packets into a shared per-batch outcome arena. Batched
-// classifier inference runs through ml.CompiledModel.InferBatch with
-// shard-owned scratch; audit/event records accumulate in arena-reused
-// buffers recycled per batch. In steady state a packet traverses intercept →
-// verdict with zero heap allocations (TestPipelineSteadyStateZeroAllocs).
+// SPSC ring, draining packets into a shared per-batch outcome arena. The
+// workers start on the first multi-shard batch, so building a proxy starts
+// no goroutine. Batched classifier inference runs through
+// ml.CompiledModel.InferBatch with shard-owned scratch; audit/event records
+// accumulate in arena-reused buffers recycled per batch. In steady state a
+// packet traverses intercept → verdict with zero heap allocations
+// (TestPipelineSteadyStateZeroAllocs).
 //
 // Determinism: outcomes land in arena slots indexed by batch position, so
 // the merge — decisions out, audit entries appended, pending holds pushed,
@@ -24,61 +30,84 @@ import (
 // the workers interleaved. Within a shard, a device whose event decision is
 // deferred into an InferBatch round blocks its own later packets (they queue
 // and replay after the round, in order) but never other devices'; devices on
-// different shards share no mutable pipeline state. The three-way
-// differential (async_test.go) holds this byte-identical to the sequential
-// and sharded engines.
+// different shards share no mutable pipeline state. The differential
+// (async_test.go) holds this byte-identical to the sequential engine.
 type asyncPipeline struct {
 	p *Proxy
-	// mu serializes whole batches: concurrent ProcessBatch callers take
-	// turns, because the outcome arena and the rings are single-producer.
+	// mu serializes whole batches against each other and against close:
+	// concurrent ProcessBatch callers take turns, because the outcome arena
+	// and the rings are single-producer.
 	mu      sync.Mutex
-	workers []*asyncWorker
-	wg      sync.WaitGroup
-	out     []outcome // per-batch outcome arena, slot i = batch index i
+	ringCap int            // per-shard ring capacity, read when the workers start
+	workers []*asyncWorker // nil until the first batch, and again after close
+	closed  bool
 	stop    chan struct{}
-	once    sync.Once
+	batch   sync.WaitGroup // workers still draining the current batch
+	exited  sync.WaitGroup // worker goroutines still running
+	out     []outcome      // per-batch outcome arena, slot i = batch index i
 }
 
-func newAsyncPipeline(p *Proxy) *asyncPipeline {
-	a := &asyncPipeline{p: p, stop: make(chan struct{})}
+// start launches one worker per shard. The caller holds a.mu.
+func (a *asyncPipeline) start() {
+	p := a.p
+	a.stop = make(chan struct{})
 	a.workers = make([]*asyncWorker, len(p.shards))
+	a.exited.Add(len(p.shards))
 	for i, sh := range p.shards {
 		w := &asyncWorker{
 			p:    p,
 			a:    a,
 			sh:   sh,
 			si:   i,
-			ring: newPacketRing(p.cfg.AsyncRing),
+			ring: newPacketRing(a.ringCap),
 			wake: make(chan struct{}, 1),
 		}
 		// The worker's tracer view reads the producer's once-per-batch
 		// timestamp instead of the live clock: per-packet stage accounting
-		// then costs no clock reads, which is most of the sync engines'
+		// then costs no clock reads, which is most of the inline path's
 		// per-packet overhead under a real clock. Dwells become 0 — the
 		// same value every engine observes under a virtual clock, so the
-		// three-way snapshot oracle is unaffected.
+		// snapshot oracle is unaffected.
 		w.tracer = p.metrics.tracer.WithNow(w.batchNow)
 		a.workers[i] = w
 		go w.loop()
 	}
-	return a
 }
 
-// close stops the workers after any in-flight batch completes. ProcessBatch
-// must not be called after close.
+// close stops the workers and waits for them to exit. Taking a.mu first
+// means an in-flight batch completes before the stop, so no worker can see
+// a wake and the stop at once. Later batches report false from run and
+// take the inline path. Idempotent.
 func (a *asyncPipeline) close() {
-	a.once.Do(func() { close(a.stop) })
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.closed {
+		return
+	}
+	a.closed = true
+	if a.workers != nil {
+		close(a.stop)
+		a.exited.Wait()
+		a.workers, a.out = nil, nil
+	}
 }
 
 // run executes one batch on the pipeline, writing decisions into dst
-// (len(dst) == len(batch)). The producer wakes every worker, streams the
+// (len(dst) == len(batch)), and reports false without touching anything
+// once the pipeline is closed. The producer wakes every worker, streams the
 // packets into the shard rings in batch order, terminates each ring with a
 // marker, and waits; a full ring backpressures the producer, which yields
 // until the worker drains a slot. Nothing here allocates once the arenas
 // have warmed to the workload's batch size.
-func (a *asyncPipeline) run(batch []PacketIn, dst []Decision, now time.Time) {
+func (a *asyncPipeline) run(batch []PacketIn, dst []Decision, now time.Time) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.closed {
+		return false
+	}
+	if a.workers == nil {
+		a.start()
+	}
 	p := a.p
 	n := len(batch)
 	if cap(a.out) < n {
@@ -86,7 +115,7 @@ func (a *asyncPipeline) run(batch []PacketIn, dst []Decision, now time.Time) {
 	}
 	out := a.out[:n]
 
-	a.wg.Add(len(a.workers))
+	a.batch.Add(len(a.workers))
 	for _, w := range a.workers {
 		w.now = now
 		w.out = out
@@ -105,7 +134,7 @@ func (a *asyncPipeline) run(batch []PacketIn, dst []Decision, now time.Time) {
 			runtime.Gosched()
 		}
 	}
-	a.wg.Wait()
+	a.batch.Wait()
 
 	// Merge in batch order: each arena slot holds at most one decision, one
 	// audit entry, and one pending hold, so walking the slots reproduces the
@@ -127,6 +156,7 @@ func (a *asyncPipeline) run(batch []PacketIn, dst []Decision, now time.Time) {
 	}
 	p.applyDeltaLocked(delta)
 	p.mu.Unlock()
+	return true
 }
 
 // asyncWorker drains one shard's ring. All fields below the ring are either
@@ -177,6 +207,7 @@ type asyncPkt struct {
 }
 
 func (w *asyncWorker) loop() {
+	defer w.a.exited.Done()
 	for {
 		select {
 		case <-w.wake:
@@ -218,7 +249,7 @@ func (w *asyncWorker) runBatch() {
 	sh.mu.Unlock()
 	// Swap boundary: the worker holds no artifact pointer between batches.
 	w.p.epochs.Advance(w.si)
-	w.a.wg.Done()
+	w.a.batch.Done()
 }
 
 // batchNow is the worker's coarse time source: the timestamp the producer

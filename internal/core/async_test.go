@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,9 +14,9 @@ import (
 )
 
 // asyncDiffProxy builds a differential arm: the shared device zoo with half
-// the devices on packet-size rule classifiers (inline even on the async
+// the devices on packet-size rule classifiers (inline even on the ring
 // pipeline) and half wearing the trained compiled model (deferred into
-// InferBatch rounds on the async pipeline), so a trace exercises both worker
+// InferBatch rounds on the ring pipeline), so a trace exercises both worker
 // paths plus the replay queue behind deferred decisions.
 func asyncDiffProxy(t *testing.T, clock *simclock.VirtualClock, ks *keystore.Store, trained *MLClassifier, cfg Config) *Proxy {
 	t.Helper()
@@ -23,6 +25,7 @@ func asyncDiffProxy(t *testing.T, clock *simclock.VirtualClock, ks *keystore.Sto
 		t.Fatal(err)
 	}
 	p := NewProxy(clock, ks, validator, cfg)
+	t.Cleanup(p.Close)
 	for i, d := range diffDevices {
 		dc := DeviceConfig{Name: d.name, GraceN: d.graceN}
 		if i%2 == 0 {
@@ -40,12 +43,12 @@ func asyncDiffProxy(t *testing.T, clock *simclock.VirtualClock, ks *keystore.Sto
 	return p
 }
 
-// TestAsyncPipelineMatchesSequentialAndSharded is the three-way engine
-// differential the async pipeline must pass to be admissible: replaying
-// seeded multi-device traces through the sequential engine (1 shard), the
-// synchronous sharded engine, and the ring-fed async pipeline must produce
-// byte-identical per-packet decisions, flush decisions, audit logs, stats,
-// lockout states, obs snapshots, and serialized proxy state.
+// TestAsyncPipelineMatchesSequentialAndSharded is the engine differential
+// the multi-shard ring pipeline must pass to be admissible: replaying seeded
+// multi-device traces through the sequential engine (1 shard) and the
+// ring-fed pipeline (4 shards) must produce byte-identical per-packet
+// decisions, flush decisions, audit logs, stats, lockout states, obs
+// snapshots, and serialized proxy state.
 func TestAsyncPipelineMatchesSequentialAndSharded(t *testing.T) {
 	for _, seed := range []int64{7, 31, 71} {
 		seed := seed
@@ -76,27 +79,16 @@ func TestAsyncPipelineMatchesSequentialAndSharded(t *testing.T) {
 			}
 			trained := trainDiffClassifier(t, seed)
 
-			base := Config{Bootstrap: 5 * time.Minute}
-			seqCfg, shardCfg, asyncCfg := base, base, base
-			seqCfg.Shards = 1
-			shardCfg.Shards = 4
-			asyncCfg.Shards = 4
-			asyncCfg.Async = true
 			arms := map[string]*Proxy{
-				"seq":     asyncDiffProxy(t, clock, ks, trained, seqCfg),
-				"sharded": asyncDiffProxy(t, clock, ks, trained, shardCfg),
-				"async":   asyncDiffProxy(t, clock, ks, trained, asyncCfg),
-			}
-			defer arms["async"].Close()
-			if arms["async"].async == nil {
-				t.Fatal("async arm did not build the pipeline")
+				"seq":     asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 1}),
+				"sharded": asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 4}),
 			}
 
 			// The arms must actually diverge in classifier engine per device:
 			// even-index devices inline rules, odd-index devices wear the
-			// compiled model the async pipeline defers.
+			// compiled model the ring pipeline defers.
 			for i, d := range diffDevices {
-				ds := arms["async"].shardFor(d.name).devices[d.name]
+				ds := arms["sharded"].shardFor(d.name).devices[d.name]
 				_, compiled := ds.classifier.(*compiledEventClassifier)
 				if wantCompiled := i%2 == 1; compiled != wantCompiled {
 					t.Fatalf("%s: compiled classifier = %v, want %v", d.name, compiled, wantCompiled)
@@ -122,24 +114,22 @@ func TestAsyncPipelineMatchesSequentialAndSharded(t *testing.T) {
 				}
 				for _, dev := range s.Flush {
 					want := arms["seq"].FlushEvent(dev)
-					for _, name := range []string{"sharded", "async"} {
-						if got := arms[name].FlushEvent(dev); !reflect.DeepEqual(got, want) {
-							t.Fatalf("step %d: FlushEvent(%s): %s %+v, seq %+v", si, dev, name, got, want)
-						}
+					if got := arms["sharded"].FlushEvent(dev); !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d: FlushEvent(%s): sharded %+v, seq %+v", si, dev, got, want)
 					}
 				}
 			}
+			if arms["sharded"].async.workers == nil {
+				t.Fatal("sharded arm never started the ring workers")
+			}
 
-			want := decisions["seq"]
-			for _, name := range []string{"sharded", "async"} {
-				got := decisions[name]
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d decisions, seq %d", name, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s: decision %d = %+v, seq %+v", name, i, got[i], want[i])
-					}
+			want, got := decisions["seq"], decisions["sharded"]
+			if len(got) != len(want) {
+				t.Fatalf("sharded: %d decisions, seq %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("sharded: decision %d = %+v, seq %+v", i, got[i], want[i])
 				}
 			}
 
@@ -150,25 +140,23 @@ func TestAsyncPipelineMatchesSequentialAndSharded(t *testing.T) {
 			wantLog := arms["seq"].Log()
 			wantSnap := arms["seq"].Metrics().Snapshot()
 			wantState := arms["seq"].EncodeState()
-			for _, name := range []string{"sharded", "async"} {
-				p := arms[name]
-				if got := p.StatsSnapshot(); got != wantStats {
-					t.Fatalf("%s: stats %+v, seq %+v", name, got, wantStats)
+			p := arms["sharded"]
+			if got := p.StatsSnapshot(); got != wantStats {
+				t.Fatalf("sharded: stats %+v, seq %+v", got, wantStats)
+			}
+			if got := p.Log(); !reflect.DeepEqual(got, wantLog) {
+				t.Fatalf("sharded: audit log diverges (%d entries, seq %d)", len(got), len(wantLog))
+			}
+			for _, d := range diffDevices {
+				if got, want := p.Locked(d.name), arms["seq"].Locked(d.name); got != want {
+					t.Fatalf("sharded: Locked(%s)=%v, seq %v", d.name, got, want)
 				}
-				if got := p.Log(); !reflect.DeepEqual(got, wantLog) {
-					t.Fatalf("%s: audit log diverges (%d entries, seq %d)", name, len(got), len(wantLog))
-				}
-				for _, d := range diffDevices {
-					if got, want := p.Locked(d.name), arms["seq"].Locked(d.name); got != want {
-						t.Fatalf("%s: Locked(%s)=%v, seq %v", name, d.name, got, want)
-					}
-				}
-				if got := p.Metrics().Snapshot(); got != wantSnap {
-					t.Fatalf("%s: obs snapshot diverges:\n%s", name, firstDiffLine(got, wantSnap))
-				}
-				if got := p.EncodeState(); !reflect.DeepEqual(got, wantState) {
-					t.Fatalf("%s: serialized state diverges (%d bytes, seq %d)", name, len(got), len(wantState))
-				}
+			}
+			if got := p.Metrics().Snapshot(); got != wantSnap {
+				t.Fatalf("sharded: obs snapshot diverges:\n%s", firstDiffLine(got, wantSnap))
+			}
+			if got := p.EncodeState(); !reflect.DeepEqual(got, wantState) {
+				t.Fatalf("sharded: serialized state diverges (%d bytes, seq %d)", len(got), len(wantState))
 			}
 		})
 	}
@@ -179,7 +167,8 @@ func TestAsyncPipelineMatchesSequentialAndSharded(t *testing.T) {
 // times over and stalls the producer against a full ring, so the
 // backpressure spin, the wraparound indexing, and the in-band batch marker
 // all sit on the hot path. Decisions, logs, and stats must still match the
-// synchronous sharded engine exactly.
+// sequential engine exactly. The capacity is set before the first batch,
+// which is when the workers start and build their rings.
 func TestAsyncTinyRingBackpressure(t *testing.T) {
 	const seed = 31
 	clock := simclock.NewVirtual()
@@ -188,40 +177,140 @@ func TestAsyncTinyRingBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	trained := trainDiffClassifier(t, seed)
-	base := Config{Bootstrap: 5 * time.Minute, Shards: 4}
-	tiny := base
-	tiny.Async = true
-	tiny.AsyncRing = 2
-	sync := asyncDiffProxy(t, clock, ks, trained, base)
-	async := asyncDiffProxy(t, clock, ks, trained, tiny)
-	defer async.Close()
-	for _, w := range async.async.workers {
-		if got := len(w.ring.slots); got != 2 {
-			t.Fatalf("ring capacity %d, want 2", got)
-		}
-	}
+	seq := asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 1})
+	ring := asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 4})
+	ring.async.ringCap = 2
 
 	for si, s := range buildSeededTrace(clock.Now(), rand.New(rand.NewSource(seed))) {
 		clock.Advance(s.Advance)
-		wantD := sync.ProcessBatch(s.Batch)
-		gotD := async.ProcessBatch(s.Batch)
+		wantD := seq.ProcessBatch(s.Batch)
+		gotD := ring.ProcessBatch(s.Batch)
 		if !reflect.DeepEqual(gotD, wantD) {
 			t.Fatalf("step %d: batch decisions diverge", si)
 		}
 		for _, dev := range s.Flush {
-			want := sync.FlushEvent(dev)
-			if got := async.FlushEvent(dev); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: FlushEvent(%s): async %+v, sync %+v", si, dev, got, want)
+			want := seq.FlushEvent(dev)
+			if got := ring.FlushEvent(dev); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: FlushEvent(%s): ring %+v, seq %+v", si, dev, got, want)
 			}
 		}
 	}
-	if got, want := async.StatsSnapshot(), sync.StatsSnapshot(); got != want {
-		t.Fatalf("stats diverge:\nasync %+v\nsync  %+v", got, want)
+	if got, want := ring.StatsSnapshot(), seq.StatsSnapshot(); got != want {
+		t.Fatalf("stats diverge:\nring %+v\nseq  %+v", got, want)
 	}
-	if got, want := async.Log(), sync.Log(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("audit logs diverge (async %d entries, sync %d)", len(got), len(want))
+	if got, want := ring.Log(), seq.Log(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("audit logs diverge (ring %d entries, seq %d)", len(got), len(want))
 	}
-	if want := sync.StatsSnapshot(); want.Packets < 50 {
+	if want := seq.StatsSnapshot(); want.Packets < 50 {
 		t.Fatalf("trace too small to wrap a 2-slot ring meaningfully: %+v", want)
+	}
+	for _, w := range ring.async.workers {
+		if got := len(w.ring.slots); got != 2 {
+			t.Fatalf("ring capacity %d, want 2", got)
+		}
+	}
+}
+
+// TestProxyCloseDuringBatches races Close against a ProcessBatch loop on a
+// four-shard proxy. Close must wait out the in-flight batch and stop the
+// workers without hanging either side, a second concurrent Close must be a
+// no-op, and every batch — before, during, and after Close, when batches
+// run inline — must decide exactly as a Shards=1 proxy does.
+func TestProxyCloseDuringBatches(t *testing.T) {
+	const seed = 7
+	ks, err := keystore.New(rand.New(rand.NewSource(940)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained := trainDiffClassifier(t, seed)
+	seqClock, ringClock := simclock.NewVirtual(), simclock.NewVirtual()
+	seq := asyncDiffProxy(t, seqClock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 1})
+	ring := asyncDiffProxy(t, ringClock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 4})
+	trace := buildSeededTrace(seqClock.Now(), rand.New(rand.NewSource(seed)))
+	if len(trace) < 3 {
+		t.Fatalf("trace of %d steps cannot straddle Close", len(trace))
+	}
+
+	var got []Decision
+	step := func(s diffStep) {
+		ringClock.Advance(s.Advance)
+		got = append(got, ring.ProcessBatch(s.Batch)...)
+		for _, dev := range s.Flush {
+			ring.FlushEvent(dev)
+		}
+	}
+	started := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for si, s := range trace[:len(trace)-1] {
+			step(s)
+			if si == 0 {
+				close(started)
+			}
+		}
+	}()
+	<-started
+	var closers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		closers.Add(1)
+		go func() {
+			defer closers.Done()
+			ring.Close()
+		}()
+	}
+	closers.Wait()
+	if ring.async.workers != nil {
+		t.Fatal("Close returned with the workers still registered")
+	}
+	<-done
+	step(trace[len(trace)-1]) // certainly after Close: runs inline
+
+	var want []Decision
+	for _, s := range trace {
+		seqClock.Advance(s.Advance)
+		want = append(want, seq.ProcessBatch(s.Batch)...)
+		for _, dev := range s.Flush {
+			seq.FlushEvent(dev)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decisions diverge from the Shards=1 proxy (%d vs %d)", len(got), len(want))
+	}
+	if g, w := ring.StatsSnapshot(), seq.StatsSnapshot(); g != w {
+		t.Fatalf("stats diverge:\nring %+v\nseq  %+v", g, w)
+	}
+	if !reflect.DeepEqual(ring.Log(), seq.Log()) {
+		t.Fatal("audit logs diverge from the Shards=1 proxy")
+	}
+}
+
+// TestProxyWorkersStartLazily: building a multi-shard proxy starts no
+// goroutine, the first batch starts one worker per shard, and Close waits
+// until they are gone.
+func TestProxyWorkersStartLazily(t *testing.T) {
+	validator, _, err := sharedValidator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks, err := keystore.New(rand.New(rand.NewSource(950)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	p := NewProxy(simclock.NewVirtual(), ks, validator, Config{Shards: 8})
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("NewProxy started %d goroutines", n-base)
+	}
+	p.ProcessBatch([]PacketIn{{Device: "ghost"}})
+	if n := len(p.async.workers); n != 8 {
+		t.Fatalf("%d workers after the first batch, want 8", n)
+	}
+	p.Close()
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 1000 {
+			t.Fatalf("%d goroutines after Close, want <= %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-	"sync"
 	"time"
 
 	"fiat/internal/flows"
@@ -16,23 +14,11 @@ type PacketIn struct {
 	Peer   string
 }
 
-// indexedEntry tags an audit entry with its packet's batch index so the
-// merged log reproduces the sequential append order exactly.
-type indexedEntry struct {
-	idx   int
-	entry LogEntry
-}
-
-// indexedPending tags a held pending decision with its packet's batch index
-// so the pending queue fills in the sequential push order (its entry order
-// drives overflow eviction and is serialized in EncodeState).
-type indexedPending struct {
-	idx     int
-	pending pendingDecision
-}
-
-// ProcessBatch runs a batch of packets through the pipeline, fanning out to
-// one worker per shard with work and merging the results in input order.
+// ProcessBatch runs a batch of packets through the pipeline. With one shard,
+// or when ExtraVerdictDelay is configured (the §6 delay experiment's serial
+// sleep semantics matter more than throughput), the batch runs inline on
+// the sequential path; otherwise it runs on the ring pipeline's per-shard
+// workers (async.go), which start on the first such batch.
 //
 // Determinism contract: ProcessBatch(batch) returns exactly the decisions —
 // and appends exactly the audit entries, in the same order, with the same
@@ -42,11 +28,7 @@ type indexedPending struct {
 // order by the one shard that owns the device, and devices on different
 // shards share no mutable pipeline state. The differential tests in
 // engine_test.go and async_test.go check this decision-for-decision across
-// shard counts and across the synchronous and async engines.
-//
-// When ExtraVerdictDelay is configured the §6 delay experiment's serial
-// sleep semantics matter more than throughput, so the batch degrades to the
-// sequential path.
+// shard counts.
 func (p *Proxy) ProcessBatch(batch []PacketIn) []Decision {
 	return p.ProcessBatchInto(batch, nil)
 }
@@ -65,119 +47,21 @@ func (p *Proxy) ProcessBatchInto(batch []PacketIn, dst []Decision) []Decision {
 		dst = dst[:len(batch)]
 	}
 	start := p.clock.Now()
-	p.processBatchDispatch(batch, dst, start)
+	if len(p.shards) == 1 || p.cfg.ExtraVerdictDelay > 0 || !p.async.run(batch, dst, start) {
+		p.processBatchSequential(batch, dst)
+	}
 	// Batch-level observability: size and wall latency (0 under a virtual
 	// clock, so snapshots stay deterministic), plus the pending-queue depth
-	// the batch left behind. Observed on every dispatch path so they all
-	// stay snapshot-comparable.
+	// the batch left behind. Observed on both paths so they stay
+	// snapshot-comparable.
 	p.metrics.batchSize.Observe(int64(len(batch)))
 	p.metrics.batchNanos.Observe(p.clock.Now().Sub(start).Nanoseconds())
 	p.metrics.pendingDepth.Set(int64(p.pending.depth()))
 	return dst
 }
 
-func (p *Proxy) processBatchDispatch(batch []PacketIn, dst []Decision, now time.Time) {
-	if p.cfg.ExtraVerdictDelay > 0 {
-		p.processBatchSequential(batch, dst)
-		return
-	}
-	if p.async != nil {
-		p.async.run(batch, dst, now)
-		return
-	}
-	if len(p.shards) == 1 {
-		p.processBatchSequential(batch, dst)
-		return
-	}
-
-	// Partition packet indices by owning shard, preserving input order
-	// within each shard.
-	perShard := make([][]int, len(p.shards))
-	for i, pk := range batch {
-		s := p.shardIndex(pk.Device)
-		perShard[s] = append(perShard[s], i)
-	}
-
-	type shardResult struct {
-		entries  []indexedEntry
-		pendings []indexedPending
-		delta    statDelta
-	}
-	results := make([]shardResult, len(p.shards))
-
-	run := func(si int, idxs []int) {
-		sh := p.shards[si]
-		sh.mu.Lock()
-		res := &results[si]
-		for _, i := range idxs {
-			o := p.processLocked(sh, batch[i].Device, batch[i].Rec, batch[i].Peer, now)
-			dst[i] = o.d
-			if o.hasEntry {
-				res.entries = append(res.entries, indexedEntry{idx: i, entry: o.entry})
-			}
-			if o.hasPending {
-				res.pendings = append(res.pendings, indexedPending{idx: i, pending: o.pending})
-			}
-			res.delta.add(o.delta)
-		}
-		sh.mu.Unlock()
-		// Swap boundary: this worker holds no artifact pointer past here.
-		p.epochs.Advance(si)
-	}
-
-	// Fan out one worker per shard with work; a single busy shard runs
-	// inline to skip the goroutine round trip.
-	busy := 0
-	last := -1
-	for si, idxs := range perShard {
-		if len(idxs) > 0 {
-			busy++
-			last = si
-		}
-	}
-	if busy == 1 {
-		run(last, perShard[last])
-	} else {
-		var wg sync.WaitGroup
-		for si, idxs := range perShard {
-			if len(idxs) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(si int, idxs []int) {
-				defer wg.Done()
-				run(si, idxs)
-			}(si, idxs)
-		}
-		wg.Wait()
-	}
-
-	// Merge: audit entries and pending holds sorted back into packet order
-	// (each packet contributes at most one of each, so this reproduces the
-	// sequential append/push order bit-for-bit), stat deltas summed.
-	var entries []indexedEntry
-	var pendings []indexedPending
-	var delta statDelta
-	for si := range results {
-		entries = append(entries, results[si].entries...)
-		pendings = append(pendings, results[si].pendings...)
-		delta.add(results[si].delta)
-	}
-	sort.Slice(entries, func(a, b int) bool { return entries[a].idx < entries[b].idx })
-	sort.Slice(pendings, func(a, b int) bool { return pendings[a].idx < pendings[b].idx })
-	for _, ip := range pendings {
-		p.pending.push(ip.pending)
-	}
-	p.mu.Lock()
-	for _, ie := range entries {
-		p.appendEntryLocked(ie.entry)
-	}
-	p.applyDeltaLocked(delta)
-	p.mu.Unlock()
-}
-
-// processBatchSequential is the shards=1 / delay-experiment fallback: the
-// plain sequential path with the batch's single timestamp.
+// processBatchSequential is the inline path: one shard, the delay
+// experiment, or a batch after Close.
 func (p *Proxy) processBatchSequential(batch []PacketIn, dst []Decision) {
 	for i, pk := range batch {
 		dst[i] = p.Process(pk.Device, pk.Rec, pk.Peer)

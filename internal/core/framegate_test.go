@@ -144,3 +144,25 @@ func TestFrameGateFeedsGatewayBatches(t *testing.T) {
 		t.Fatalf("pipeline stats missing rule hits or drops: %+v", s)
 	}
 }
+
+// TestFrameGateFailsOpenOnUnresolvedFrames: a frame Resolve cannot map is
+// not FIAT-protected, so it passes without reaching the proxy.
+func TestFrameGateFailsOpenOnUnresolvedFrames(t *testing.T) {
+	r := newRig(t, Config{Shards: 2})
+	gate := &FrameGate{
+		Proxy: r.proxy,
+		Resolve: func(frame []byte, at time.Time) (string, flows.Record, string, bool) {
+			if len(frame) == 0 {
+				return "", flows.Record{}, "", false
+			}
+			return "ghost", mkRec(at, len(frame), flows.CategoryAutomated), "", true
+		},
+	}
+	allow := gate.InspectBatch([][]byte{nil, {1, 2, 3}}, r.clock.Now())
+	if len(allow) != 2 || !allow[0] || !allow[1] {
+		t.Fatalf("InspectBatch = %v, want both frames allowed", allow)
+	}
+	if n := r.proxy.StatsSnapshot().Packets; n != 1 {
+		t.Fatalf("proxy saw %d packets, want only the resolved frame", n)
+	}
+}

@@ -15,13 +15,12 @@ import (
 )
 
 // TestAsyncPendingHoldMergesThroughArena: a degraded-mode hold produced
-// inside an async shard worker must be committed through the outcome arena's
-// merge (the sync engines commit holds on their own paths), and a later
+// inside a ring shard worker must be committed through the outcome arena's
+// merge (the inline path commits holds on its own), and a later
 // attestation must admit only the attested device's holds, keeping the
 // other device's in the queue.
 func TestAsyncPendingHoldMergesThroughArena(t *testing.T) {
-	r := newRig(t, Config{PendingWindow: 20 * time.Second, Shards: 2, Async: true})
-	defer r.proxy.Close()
+	r := newRig(t, Config{PendingWindow: 20 * time.Second, Shards: 2})
 	for _, dev := range []string{"plug", "plug2"} {
 		if err := r.proxy.AddDevice(DeviceConfig{Name: dev, Classifier: RuleClassifier{NotificationSize: 235}, GraceN: 1}); err != nil {
 			t.Fatal(err)
@@ -69,16 +68,20 @@ func TestAsyncPendingHoldMergesThroughArena(t *testing.T) {
 // device with several time-gapped events in one batch defers repeatedly, so
 // packets queued behind it are replayed across rounds (and re-queued while
 // the device is still blocked), while devices wearing two different compiled
-// templates interleave their rows across InferBatch groups. A defensive
-// second pass covers the template-less grouping key.
+// templates interleave their rows across InferBatch groups. The cameras all
+// hash to one shard of a two-shard proxy, so one worker drains them all. A
+// defensive second pass covers the template-less grouping key.
 func TestAsyncDeferredReplayRounds(t *testing.T) {
-	r := newRig(t, Config{Shards: 1, Async: true, AsyncRing: 2})
-	defer r.proxy.Close()
+	r := newRig(t, Config{Shards: 2})
+	r.proxy.async.ringCap = 2
 	t1 := trainDiffClassifier(t, 5)
 	t2 := trainDiffClassifier(t, 6)
-	for dev, clf := range map[string]*MLClassifier{"camA": t1, "camB": t2, "camC": t1} {
+	for dev, clf := range map[string]*MLClassifier{"camA": t1, "camE": t2, "camC": t1} {
 		if err := r.proxy.AddDevice(DeviceConfig{Name: dev, Classifier: clf, GraceN: 1}); err != nil {
 			t.Fatal(err)
+		}
+		if si := r.proxy.shardIndex(dev); si != r.proxy.shardIndex("camA") {
+			t.Fatalf("%s on shard %d, want camA's shard", dev, si)
 		}
 	}
 	// Step past bootstrap so decision points fire.
@@ -94,7 +97,7 @@ func TestAsyncDeferredReplayRounds(t *testing.T) {
 	}
 	batch := []PacketIn{
 		telemetry("camA", now),                  // round 1 row, template t1
-		telemetry("camB", now),                  // round 1 row, template t2
+		telemetry("camE", now),                  // round 1 row, template t2
 		telemetry("camC", now),                  // round 1 row, t1 again — grouped with camA
 		telemetry("camA", now.Add(time.Hour)),   // queued; defers again in round 2
 		telemetry("camA", now.Add(2*time.Hour)), // queued; re-queued behind round 2, decided in round 3

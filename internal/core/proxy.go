@@ -108,24 +108,13 @@ type Config struct {
 	// slow can FIAT afford to be" experiment.
 	ExtraVerdictDelay time.Duration
 	// Shards is the number of per-device state shards the engine runs
-	// (default GOMAXPROCS). Devices are hash-assigned to shards;
-	// ProcessBatch fans a batch out to one worker per shard. Shards = 1
-	// reproduces the fully serialized engine.
+	// (default GOMAXPROCS). Devices are hash-assigned to shards. Shards = 1
+	// runs every batch inline on the sequential path; more shards run
+	// ProcessBatch on one ring-fed worker per shard (see asyncPipeline),
+	// started by the first batch — call Proxy.Close to stop them. Decisions
+	// are identical either way, so Shards is excluded from ConfigChecksum: a
+	// snapshot restores into any shard count.
 	Shards int
-	// Async switches ProcessBatch onto the persistent ring-buffer pipeline:
-	// one long-lived worker goroutine per shard, fed through a fixed-capacity
-	// SPSC ring, draining packets with batched classifier inference
-	// (ml.CompiledModel.InferBatch) and arena-reused result buffers — zero
-	// heap allocations per packet in steady state. Decisions, audit log,
-	// stats, and obs snapshots are byte-identical to the synchronous paths
-	// (the three-way differential in async_test.go enforces it). Call
-	// Proxy.Close when done to stop the workers. Like Shards, Async is
-	// excluded from ConfigChecksum: a snapshot restores into either engine.
-	Async bool
-	// AsyncRing is the per-shard ring capacity (rounded up to a power of
-	// two, default 1024). A full ring backpressures the producer, which
-	// spins with runtime.Gosched until the worker drains a slot.
-	AsyncRing int
 	// PendingWindow, when positive, enables the degraded-mode attestation
 	// path: an unattested manual event is held for this long awaiting a
 	// late attestation instead of being condemned immediately (see
@@ -160,8 +149,8 @@ type Config struct {
 	// detection over the proxy's own counters triggers background relearning
 	// into a fresh table, shadow evaluation against the live artifact, and
 	// an RCU hot swap on promotion. Disabled by default; the manual swap
-	// path (PromoteIdentical) works regardless. Like Shards/Async, the
-	// lifecycle is engine-invariant; unlike them its thresholds ARE part of
+	// path (PromoteIdentical) works regardless. Like Shards, the
+	// lifecycle is engine-invariant; unlike it its thresholds ARE part of
 	// ConfigChecksum, because they change which decisions the pipeline
 	// reaches after a promotion.
 	Relearn swap.Options
@@ -177,7 +166,7 @@ type Config struct {
 	// of decoding its own copy — cold restart skips recompilation entirely.
 	// Nil keeps the legacy copied-load arm (per-device decode plus the
 	// recompile-and-compare identity check), which the differential tests
-	// hold byte-identical to this arm. Like Shards and Async, the choice of
+	// hold byte-identical to this arm. Like Shards, the choice of
 	// arm is engine-invariant and excluded from ConfigChecksum.
 	Artifacts *artifact.Store
 }
@@ -200,9 +189,6 @@ func (c *Config) defaults() {
 	}
 	if c.PendingMax <= 0 {
 		c.PendingMax = 64
-	}
-	if c.AsyncRing <= 0 {
-		c.AsyncRing = 1024
 	}
 	if c.Relearn.Enabled {
 		c.Relearn.Defaults()
@@ -228,7 +214,7 @@ type Proxy struct {
 	channel     *channelHealth
 	metrics     *coreMetrics
 	guard       *sensors.ReplayGuard // nil when Config.AttestWindow == 0
-	async       *asyncPipeline       // nil unless Config.Async
+	async       *asyncPipeline       // multi-shard batch engine (idle until used)
 
 	// Online-relearning machinery (swap.go): per-shard reader epochs, the
 	// retired-artifact graveyard they gate, the drift detector ticked from
@@ -313,19 +299,17 @@ func NewProxy(clock simclock.Clock, ks *keystore.Store, human *sensors.Validator
 		drift:       swap.NewDetector(cfg.Relearn),
 		swapM:       newSwapMetrics(),
 	}
-	if cfg.Async {
-		p.async = newAsyncPipeline(p)
-	}
+	p.async = &asyncPipeline{p: p, ringCap: ringCapacity}
 	return p
 }
 
-// Close stops the async pipeline's worker goroutines, if any. It is
-// idempotent and a no-op for synchronous proxies; in-flight ProcessBatch
-// calls complete before the workers exit.
+// Close stops the multi-shard engine's worker goroutines and waits for them
+// to exit; an in-flight ProcessBatch completes first. The proxy stays
+// usable: later batches run inline on the sequential path, with identical
+// decisions. Close is idempotent and starts nothing on a proxy that never
+// ran a multi-shard batch.
 func (p *Proxy) Close() {
-	if p.async != nil {
-		p.async.close()
-	}
+	p.async.close()
 }
 
 // ShardCount reports how many shards the engine runs.

@@ -151,8 +151,7 @@ func (p *Proxy) shardFor(device string) *shard {
 }
 
 // processLocked runs one packet through the Fig 4 pipeline. The caller holds
-// sh.mu; now is the verdict timestamp (sampled once per batch on the batched
-// path — see ProcessBatch's determinism contract). A trace span follows the
+// sh.mu; now is the verdict timestamp. A trace span follows the
 // packet across the stages; every packet ends in StageVerdict, so the
 // verdict stage counter equals the packet counter by construction. The span
 // is closed here rather than by a deferred closure so the rule-hit path
@@ -167,14 +166,14 @@ func (p *Proxy) processLocked(sh *shard, device string, rec flows.Record, peer s
 	return *o
 }
 
-// processSpanned is the pipeline body shared by the sequential, sharded, and
-// async paths. ds is the pre-resolved device state (nil for unknown devices,
+// processSpanned is the pipeline body shared by the sequential path and the
+// async ring pipeline. ds is the pre-resolved device state (nil for unknown devices,
 // which fail open); the result lands in *o. When w is non-nil the packet
 // runs on the async pipeline: a device reaching its event decision point
 // with a compiled classifier parks the decision in w's batched-inference
 // queue instead of inferring inline, and processSpanned returns true — the
 // caller must leave the span open and let the InferBatch round finish the
-// packet (see async.go). On the inline paths (w == nil) it always returns
+// packet (see async.go). On the inline path (w == nil) it always returns
 // false.
 func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, now time.Time, sp *obs.Span, o *outcome, w *asyncWorker) bool {
 	o.delta.packets++
@@ -227,7 +226,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 	// Stage 1: predictable? The async worker observes the coarse-time
 	// constant 0 for the match latency (the value every engine observes
 	// under a virtual clock) instead of paying two clock reads per packet;
-	// the inline engines keep real per-match timing.
+	// the inline path keeps real per-match timing.
 	sp.Enter(obs.StageRules)
 	o.delta.ruleMatches++
 	var matchStart time.Time

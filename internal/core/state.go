@@ -43,10 +43,9 @@ const (
 )
 
 // ConfigChecksum digests the proxy configuration that decisions depend on:
-// every Config field except Shards, Async, and AsyncRing (decisions are
-// proven engine-invariant by the differential oracles, and recovery may
-// legitimately run with a different shard count or engine — async or
-// synchronous), plus the DAG edges and the registered devices with their
+// every Config field except Shards (decisions are proven shard-invariant by
+// the differential oracles, and recovery may legitimately run with a
+// different shard count), plus the DAG edges and the registered devices with their
 // grace budgets and classifier identities. A snapshot records this digest;
 // restore fails closed when it disagrees, because replaying a WAL against a
 // differently-configured pipeline would silently produce different

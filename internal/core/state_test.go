@@ -140,7 +140,7 @@ func TestProxyStateRoundTrip(t *testing.T) {
 }
 
 // TestProxyStateRoundTripZeroCopy: restoring the same image through the
-// zero-copy artifact arm — on the sequential, sharded, and async engines —
+// zero-copy artifact arm — on the sequential and sharded engines —
 // must be indistinguishable from the copied arm on every oracle: the image
 // re-encodes byte-identically, and an identical post-snapshot trace yields
 // identical decisions, stats, and obs registries. This is the core-level
@@ -163,11 +163,9 @@ func TestProxyStateRoundTripZeroCopy(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		shards int
-		async  bool
-	}{{"seq", 1, false}, {"sharded", 3, false}, {"async", 2, true}} {
+	}{{"seq", 1}, {"sharded", 3}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := stateRigConfig(tc.shards)
-			cfg.Async = tc.async
 			cfg.Artifacts = artifact.NewStore()
 			dst := buildStateRigCfg(t, cfg, clf)
 			if err := dst.proxy.RestoreState(enc); err != nil {

@@ -13,26 +13,28 @@ import (
 )
 
 // TestShardedProxyConcurrencyStress hammers every externally synchronized
-// entry point of the sharded engine from many goroutines at once — the
+// entry point of the multi-shard engine from many goroutines at once — the
 // packet paths (Process, ProcessBatch, FlushEvent), the attestation path
 // mutating the shared freshness window, and the control-plane readers and
 // writers (Locked/Unlock around the lockout counters, Log, StatsSnapshot,
-// Rules, DAG edits). Run under -race it is the safety net the ISSUE asks
-// for; without -race it still checks the merged counters balance.
+// Rules, DAG edits). Concurrent ProcessBatch callers serialize on the ring
+// pipeline's mutex while single-packet Process and FlushEvent interleave
+// with worker-held shard locks. Run under -race it checks the
+// producer/worker handoff and arena reuse publish correctly; without -race
+// it still checks the merged counters balance. This arm keeps the default
+// ring size, so producers rarely wait on a full ring.
 func TestShardedProxyConcurrencyStress(t *testing.T) {
-	runProxyConcurrencyStress(t, false)
+	runProxyConcurrencyStress(t, ringCapacity)
 }
 
-// TestAsyncProxyConcurrencyStress is the same hammer against the ring-fed
-// async pipeline: concurrent ProcessBatch callers serialize on the pipeline
-// mutex, single-packet Process and FlushEvent interleave with worker-held
-// shard locks, and the control plane churns throughout. Under -race it
-// checks the producer/worker handoff and arena reuse publish correctly.
+// TestAsyncProxyConcurrencyStress is the same hammer with a 4-slot ring per
+// shard, so the producer's backpressure spin stays hot and workers drain
+// and reuse arena slots while the control plane churns.
 func TestAsyncProxyConcurrencyStress(t *testing.T) {
-	runProxyConcurrencyStress(t, true)
+	runProxyConcurrencyStress(t, 4)
 }
 
-func runProxyConcurrencyStress(t *testing.T, async bool) {
+func runProxyConcurrencyStress(t *testing.T, ringCap int) {
 	clock := simclock.NewVirtual()
 	ks, err := keystore.New(rand.New(rand.NewSource(300)))
 	if err != nil {
@@ -58,10 +60,9 @@ func runProxyConcurrencyStress(t *testing.T, async bool) {
 		// Tight lockout so the drop/lock/unlock shared state churns.
 		LockoutThreshold: 2, LockoutWindow: time.Hour,
 		Shards: 8,
-		// A tiny ring keeps the async producer's backpressure spin hot.
-		Async: async, AsyncRing: 4,
 	})
 	defer proxy.Close()
+	proxy.async.ringCap = ringCap
 	const devices = 16
 	trained := trainDiffClassifier(t, 11)
 	names := make([]string, devices)
@@ -69,7 +70,7 @@ func runProxyConcurrencyStress(t *testing.T, async bool) {
 		names[i] = fmt.Sprintf("dev%02d", i)
 		dc := DeviceConfig{Name: names[i], Classifier: RuleClassifier{NotificationSize: 235}, GraceN: 1 + i%4}
 		if i%3 == 0 {
-			// A third of the zoo wears the compiled model, so the async
+			// A third of the zoo wears the compiled model, so the ring
 			// pipeline's deferred InferBatch rounds and replay queues run
 			// under the race detector too.
 			dc.Classifier = trained

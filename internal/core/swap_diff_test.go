@@ -12,10 +12,10 @@ import (
 	"fiat/internal/simclock"
 )
 
-// TestIdenticalSwapIsNoOp is the four-way engine differential the hot-swap
-// tentpole must pass to be admissible: the PR 8 three-way (sequential /
-// sharded / async) gains a fourth arm that hot-swaps every device to an
-// identically-compiled artifact after every trace step. A swap that changes
+// TestIdenticalSwapIsNoOp is the engine differential the hot-swap must pass
+// to be admissible: the sequential / sharded pair gains a third arm that
+// hot-swaps every device to an identically-compiled artifact after every
+// trace step. A swap that changes
 // nothing semantic must change nothing observable — per-packet decisions,
 // flush decisions, audit logs, stats, lockout states, and main-registry obs
 // snapshots stay byte-identical to the never-swapped arms across seeds and
@@ -54,16 +54,12 @@ func TestIdenticalSwapIsNoOp(t *testing.T) {
 				trained := trainDiffClassifier(t, seed)
 
 				base := Config{Bootstrap: 5 * time.Minute, Shards: shards}
-				asyncCfg := base
-				asyncCfg.Async = true
 				arms := map[string]*Proxy{
 					"seq":     asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 1}),
 					"sharded": asyncDiffProxy(t, clock, ks, trained, base),
-					"async":   asyncDiffProxy(t, clock, ks, trained, asyncCfg),
 					"swapped": asyncDiffProxy(t, clock, ks, trained, base),
 				}
-				defer arms["async"].Close()
-				others := []string{"sharded", "async", "swapped"}
+				others := []string{"sharded", "swapped"}
 
 				// After every step the swapped arm recompiles and hot-swaps
 				// every device that has a compiled artifact (pre-freeze

@@ -252,6 +252,12 @@ func Open(cfg Config, live simclock.Clock, build BuildProxy) (*Manager, error) {
 		return nil, err
 	}
 	m.proxy = proxy
+	opened := false
+	defer func() {
+		if !opened {
+			proxy.Close() // replay may have started its shard workers
+		}
+	}()
 
 	hadState := snapBody != nil || len(scan.payloads) > 0
 	if snapBody != nil {
@@ -300,6 +306,7 @@ func Open(cfg Config, live simclock.Clock, build BuildProxy) (*Manager, error) {
 			return nil, err
 		}
 	}
+	opened = true
 	return m, nil
 }
 
@@ -493,8 +500,8 @@ func (m *Manager) checkpointLocked() error {
 }
 
 // Close gracefully shuts the manager down: sync the WAL, take a final
-// checkpoint, and release the log. The next Open recovers from the
-// checkpoint alone.
+// checkpoint, release the log, and stop the proxy's shard workers (the proxy
+// stays readable). The next Open recovers from the checkpoint alone.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -508,11 +515,13 @@ func (m *Manager) Close() error {
 		return err
 	}
 	m.closed = true
+	m.proxy.Close()
 	return m.wal.close()
 }
 
-// Abort releases file handles without syncing or checkpointing — the
-// "pulled the plug" shutdown, used by benches and the crash harness.
+// Abort releases file handles and stops the proxy's shard workers without
+// syncing or checkpointing — the "pulled the plug" shutdown, used by benches
+// and the crash harness. The proxy stays readable.
 func (m *Manager) Abort() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -521,6 +530,7 @@ func (m *Manager) Abort() {
 		m.wal.f = nil
 	}
 	m.closed = true
+	m.proxy.Close()
 }
 
 // Proxy exposes the managed proxy for reads (stats, logs, metrics).

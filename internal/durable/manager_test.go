@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -601,4 +602,59 @@ func TestManagerOpenRejectsConfigSkew(t *testing.T) {
 	if _, err := durable.Open(durable.Config{Dir: dir}, simclock.NewVirtual(), skewed); !errors.Is(err, durable.ErrCorrupt) {
 		t.Fatalf("open under skewed config: err = %v, want ErrCorrupt", err)
 	}
+}
+
+// waitGoroutines polls until the goroutine count is back to at most base.
+// Proxy.Close waits for its workers to signal exit, so only the last few
+// instructions of each worker can still be in flight.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 1000 {
+			t.Fatalf("%d goroutines, want <= %d before Open", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestManagerAbortStopsShardWorkers: the managed two-shard proxy starts its
+// ring workers on its first batch, and a recovering Open starts them again
+// while it replays the WAL. Each Abort must stop them, so the goroutine
+// count returns to its pre-Open baseline and no parked worker pins the
+// proxy's device state.
+func TestManagerAbortStopsShardWorkers(t *testing.T) {
+	dir := t.TempDir()
+	steps := mgrScript(t)
+	build := mgrBuild(t)
+	base := runtime.NumGoroutine()
+
+	clock := simclock.NewVirtual()
+	mgr, err := durable.Open(durable.Config{Dir: dir}, clock, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runSteps(t, mgr, clock, steps, 0, map[uint64]string{}); n != len(steps) {
+		t.Fatalf("unexpected crash at step %d", n)
+	}
+	// A batch past the script's last checkpoint, for the recovery to replay.
+	if _, err := mgr.ProcessBatch([]core.PacketIn{heartbeatPkt(clock.Now())}); err != nil {
+		t.Fatal(err)
+	}
+	mgr.Abort()
+	waitGoroutines(t, base)
+
+	replayed := 0
+	mgr2, err := durable.Open(durable.Config{
+		Dir:      dir,
+		OnReplay: func(*durable.Op, []core.Decision) { replayed++ },
+	}, simclock.NewVirtual(), build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed == 0 {
+		t.Fatal("recovery replayed nothing; the replay never ran a batch")
+	}
+	mgr2.Abort()
+	mgr2.Abort() // idempotent
+	waitGoroutines(t, base)
 }

@@ -198,7 +198,6 @@ func coldStartPrime(dir string, seed int64, devices int) error {
 		return err
 	}
 	mgr.Abort()
-	mgr.Proxy().Close()
 	return nil
 }
 
@@ -242,7 +241,6 @@ func coldStartPoint(seed int64, devices int) (ColdStartPoint, error) {
 	}
 	copiedState := copiedMgr.Proxy().EncodeState()
 	copiedMgr.Abort()
-	copiedMgr.Proxy().Close()
 
 	var store *artifact.Store
 	zeroArm, zeroMgr, err := coldStartOpen(dir, coldStartBuild(seed, devices, true, &store))
@@ -255,7 +253,6 @@ func coldStartPoint(seed int64, devices int) (ColdStartPoint, error) {
 		p.UniqueArenas, p.ArenaRefs = st.UniqueRules, st.RuleRefs
 	}
 	zeroMgr.Abort()
-	zeroMgr.Proxy().Close()
 
 	p.Copied, p.ZeroCopy = copiedArm, zeroArm
 	p.StateIdentical = bytes.Equal(copiedState, zeroState)

@@ -41,7 +41,6 @@ func benchColdOpen(b *testing.B, zeroCopy bool) {
 			b.Fatal(err)
 		}
 		mgr.Abort()
-		mgr.Proxy().Close()
 	}
 }
 
