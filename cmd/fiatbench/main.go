@@ -4,8 +4,6 @@
 // Usage:
 //
 //	fiatbench [-scale quick|full] [-seed N] [all|ablations|<id>...]
-//	fiatbench -rulebench [-rulebench-out BENCH_4.json] [-devices N] [-shards N] [-seed N]
-//	fiatbench -clfbench [-clfbench-out BENCH_5.json] [-events N] [-shards N] [-seed N]
 //	fiatbench -recoverybench [-recoverybench-out BENCH_7.json] [-seed N]
 //	fiatbench -coldstart [-coldstart-out BENCH_10.json] [-coldstart-devices 64,256,1024] [-seed N]
 //
@@ -13,18 +11,6 @@
 // write pprof CPU and heap profiles covering the run (view them with
 // `go tool pprof`). The CPU profile spans everything after flag parsing; the
 // heap profile is captured at exit after a final GC.
-//
-// -rulebench skips the experiments and instead runs the rule-match
-// microbenchmark: the legacy mutex-serialized RuleTable.Match path against
-// the compiled lock-free CompiledRules.Match path on the same seeded
-// workload, writing the comparison (ns/op, ops/sec, allocs/op, speedup) to
-// -rulebench-out.
-//
-// -clfbench likewise runs the event-classification microbenchmark: the
-// legacy extract→Transform→Predict path of the trained deployment model
-// (BernoulliNB) against the compiled zero-allocation extract→scale→infer
-// engine, on the same seeded probe-event corpus, writing the comparison to
-// -clfbench-out.
 //
 // -recoverybench measures the durable-state layer: WAL append cost per
 // operation (fsync-batched vs fsync-per-append), cold-restart time against
@@ -116,13 +102,6 @@ func main() {
 	seed := flag.Int64("seed", 7, "random seed for all corpora")
 	htmlOut := flag.String("html", "", "also write the results as a self-contained HTML report")
 	showMetrics := flag.Bool("metrics", true, "after the experiments, print the deterministic metrics snapshot of a seeded end-to-end scenario")
-	ruleBench := flag.Bool("rulebench", false, "run the legacy-vs-compiled rule-match microbenchmark instead of the experiments")
-	ruleBenchOut := flag.String("rulebench-out", "BENCH_4.json", "where -rulebench writes its JSON result")
-	benchDevices := flag.Int("devices", 64, "device count for -rulebench")
-	benchShards := flag.Int("shards", 8, "shard-worker count for -rulebench/-clfbench")
-	clfBench := flag.Bool("clfbench", false, "run the legacy-vs-compiled event-classification microbenchmark instead of the experiments")
-	clfBenchOut := flag.String("clfbench-out", "BENCH_5.json", "where -clfbench writes its JSON result")
-	benchEvents := flag.Int("events", 512, "probe-event count for -clfbench")
 	recoveryBench := flag.Bool("recoverybench", false, "run the durable-state recovery benchmark instead of the experiments")
 	recoveryBenchOut := flag.String("recoverybench-out", "BENCH_7.json", "where -recoverybench writes its JSON result")
 	coldStart := flag.Bool("coldstart", false, "run the copied-vs-zero-copy cold-restart benchmark instead of the experiments")
@@ -142,12 +121,6 @@ func main() {
 		os.Exit(code)
 	}
 
-	if *ruleBench {
-		exit(runRuleBench(*benchDevices, *benchShards, *seed, *ruleBenchOut))
-	}
-	if *clfBench {
-		exit(runClfBench(*benchEvents, *benchShards, *seed, *clfBenchOut))
-	}
 	if *recoveryBench {
 		exit(runRecoveryBench(*seed, *recoveryBenchOut))
 	}
@@ -239,28 +212,6 @@ func main() {
 	stopProfiles()
 }
 
-// runRuleBench measures the frozen-rule match path before and after
-// compilation and writes the BENCH_4.json comparison.
-func runRuleBench(devices, shards int, seed int64, out string) int {
-	fmt.Printf("fiatbench: rule-match microbenchmark, %d devices x %d shards, seed=%d\n", devices, shards, seed)
-	res := experiments.RuleMatchBench(devices, shards, seed)
-	res.Meta = experiments.NewBenchMeta(map[string]string{
-		"devices": strconv.Itoa(devices), "shards": strconv.Itoa(shards),
-		"seed": strconv.FormatInt(seed, 10),
-	})
-	fmt.Printf("  legacy   %8.1f ns/op  %12.0f ops/sec  %5.1f allocs/op\n",
-		res.Legacy.NsPerOp, res.Legacy.OpsPerSec, res.Legacy.AllocsPerOp)
-	fmt.Printf("  compiled %8.1f ns/op  %12.0f ops/sec  %5.1f allocs/op\n",
-		res.Compiled.NsPerOp, res.Compiled.OpsPerSec, res.Compiled.AllocsPerOp)
-	fmt.Printf("  speedup  %.2fx\n", res.Speedup)
-	if err := os.WriteFile(out, res.JSON(), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "fiatbench:", err)
-		return 1
-	}
-	fmt.Printf("fiatbench: rule-match benchmark -> %s\n", out)
-	return 0
-}
-
 // runColdStartBench primes identical fleets at each size and measures both
 // recovery arms, enforcing the hard gates at the CLI.
 func runColdStartBench(deviceList string, seed int64, out string) int {
@@ -330,29 +281,6 @@ func runRecoveryBench(seed int64, out string) int {
 		return 1
 	}
 	fmt.Printf("fiatbench: recovery benchmark -> %s\n", out)
-	return 0
-}
-
-// runClfBench measures the event-classification path of the trained
-// deployment model before and after compilation and writes the BENCH_5.json
-// comparison.
-func runClfBench(eventCount, shards int, seed int64, out string) int {
-	fmt.Printf("fiatbench: event-classification microbenchmark, %d events x %d shards, seed=%d\n", eventCount, shards, seed)
-	res := experiments.ClassifyBench(eventCount, shards, seed)
-	res.Meta = experiments.NewBenchMeta(map[string]string{
-		"events": strconv.Itoa(eventCount), "shards": strconv.Itoa(shards),
-		"seed": strconv.FormatInt(seed, 10),
-	})
-	fmt.Printf("  legacy   %8.1f ns/op  %12.0f ops/sec  %5.1f allocs/op\n",
-		res.Legacy.NsPerOp, res.Legacy.OpsPerSec, res.Legacy.AllocsPerOp)
-	fmt.Printf("  compiled %8.1f ns/op  %12.0f ops/sec  %5.1f allocs/op\n",
-		res.Compiled.NsPerOp, res.Compiled.OpsPerSec, res.Compiled.AllocsPerOp)
-	fmt.Printf("  speedup  %.2fx\n", res.Speedup)
-	if err := os.WriteFile(out, res.JSON(), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "fiatbench:", err)
-		return 1
-	}
-	fmt.Printf("fiatbench: classification benchmark -> %s\n", out)
 	return 0
 }
 

@@ -51,7 +51,7 @@ type MLClassifier struct {
 	// compiled is the frozen inference template built right after Fit: the
 	// estimator flattened into its zero-allocation form with the scaler
 	// folded in (see ml.Compile). It is nil only for classifier families the
-	// compiler does not know, which stay on the legacy path.
+	// compiler does not know, which classify through IsManual.
 	compiled ml.CompiledModel
 }
 
@@ -81,9 +81,10 @@ func TrainMLClassifier(evs []*events.Event, factory func() ml.Classifier) (*MLCl
 	return c, nil
 }
 
-// IsManual implements EventClassifier: the legacy reference arm, kept
-// serialized (extract, scale in place, predict) so the compiled engine has a
-// behavioral oracle to diff against.
+// IsManual implements EventClassifier on the serialized path (extract, scale
+// in place, predict): devices whose model family does not compile classify
+// through it, and it is the behavioral oracle the compiled engine is diffed
+// against.
 func (c *MLClassifier) IsManual(e *events.Event) bool {
 	x := features.Extract(e)
 	c.scaler.TransformInPlace(x)

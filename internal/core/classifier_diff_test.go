@@ -54,69 +54,54 @@ func trainDiffClassifier(t *testing.T, seed int64) *MLClassifier {
 	return clf
 }
 
-// TestCompiledClassifierMatchesLegacyDifferential replays seeded multi-device
-// traces through a proxy on the legacy serialized extract→Transform→Predict
-// classification path (Config.LegacyClassifier) and a proxy on the per-shard
-// compiled inference engines, with every device wearing the trained ML model.
-// Verdicts, flush decisions, stats, audit logs, lockout states, and obs
-// snapshots must be byte-identical — the compiled engine is only admissible
-// as a faithful drop-in.
+// serialModel hides a trained model from AddDevice's compile step: the
+// device classifies through MLClassifier.IsManual, the serialized path that
+// uncompilable model families deploy on.
+type serialModel struct{ *MLClassifier }
+
+// TestCompiledClassifierMatchesLegacyDifferential replays seeded
+// multi-device traces through a reference proxy whose devices classify
+// through the serialized extract→Transform→Predict path (the trained model
+// behind serialModel) and a proxy on the per-shard compiled inference
+// engines. Verdicts, flush decisions, stats, audit logs and lockout states
+// must be identical, and the obs snapshots may differ only in the
+// classifier-compile counter — the compiled engine is only admissible as a
+// faithful drop-in.
 func TestCompiledClassifierMatchesLegacyDifferential(t *testing.T) {
 	for _, seed := range []int64{7, 31, 59} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			clock := simclock.NewVirtual()
-			ks, err := keystore.New(rand.New(rand.NewSource(600 + seed)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			phoneKS, err := keystore.New(rand.New(rand.NewSource(700 + seed)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			offer, err := keystore.NewPairingOffer(ks, rand.New(rand.NewSource(800+seed)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := keystore.AcceptPairing(phoneKS, offer); err != nil {
-				t.Fatal(err)
-			}
+			ks, app := pairedTraceApp(t, clock, 600+seed, 700+seed, 800+seed)
 			validator, gen, err := sharedValidator()
 			if err != nil {
 				t.Fatal(err)
 			}
-			app := NewClientApp(clock, phoneKS)
-			for _, d := range diffDevices {
-				app.BindApp("app."+d.name, d.name)
-			}
 			trained := trainDiffClassifier(t, seed)
 
-			build := func(legacy bool) *Proxy {
-				p := NewProxy(clock, ks, validator, Config{
-					Bootstrap: 5 * time.Minute, Shards: 4, LegacyClassifier: legacy,
-				})
+			build := func(clf EventClassifier) *Proxy {
+				p := NewProxy(clock, ks, validator, Config{Bootstrap: 5 * time.Minute, Shards: 4})
+				t.Cleanup(p.Close)
 				for _, d := range diffDevices {
-					if err := p.AddDevice(DeviceConfig{
-						Name: d.name, Classifier: trained, GraceN: d.graceN,
-					}); err != nil {
+					if err := p.AddDevice(DeviceConfig{Name: d.name, Classifier: clf, GraceN: d.graceN}); err != nil {
 						t.Fatal(err)
 					}
 				}
 				return p
 			}
-			legacy, compiled := build(true), build(false)
+			legacy, compiled := build(serialModel{trained}), build(trained)
 
 			// The arms must actually differ in engine: the compiled arm's
-			// devices carry per-shard compiled classifiers, the legacy arm's
-			// run the MLClassifier itself.
+			// devices carry per-shard compiled classifiers, the reference
+			// arm's run the serialized model.
 			for _, d := range diffDevices {
 				ld := legacy.shardFor(d.name).devices[d.name]
 				cd := compiled.shardFor(d.name).devices[d.name]
 				if _, ok := cd.classifier.(*compiledEventClassifier); !ok {
 					t.Fatalf("%s: compiled arm classifier is %T, want *compiledEventClassifier", d.name, cd.classifier)
 				}
-				if _, ok := ld.classifier.(*compiledEventClassifier); ok {
-					t.Fatalf("%s: legacy arm unexpectedly on the compiled classifier", d.name)
+				if _, ok := ld.classifier.(serialModel); !ok {
+					t.Fatalf("%s: reference arm classifier is %T, want serialModel", d.name, ld.classifier)
 				}
 			}
 
@@ -168,9 +153,23 @@ func TestCompiledClassifierMatchesLegacyDifferential(t *testing.T) {
 					t.Fatalf("Locked(%s): compiled %v, legacy %v", d.name, got, want)
 				}
 			}
-			wantSnap := legacy.Metrics().Snapshot()
-			if gotSnap := compiled.Metrics().Snapshot(); gotSnap != wantSnap {
-				t.Fatalf("obs snapshots diverge:\n%s", firstDiffLine(gotSnap, wantSnap))
+			// Only the compiled arm compiles a classifier, once per device.
+			gotLines := strings.Split(compiled.Metrics().Snapshot(), "\n")
+			wantLines := strings.Split(legacy.Metrics().Snapshot(), "\n")
+			if len(gotLines) != len(wantLines) {
+				t.Fatalf("obs snapshots differ in length: compiled %d lines, legacy %d", len(gotLines), len(wantLines))
+			}
+			var diffs []string
+			for i := range gotLines {
+				if gotLines[i] != wantLines[i] {
+					diffs = append(diffs, fmt.Sprintf("compiled %q, legacy %q", gotLines[i], wantLines[i]))
+				}
+			}
+			wantDiff := fmt.Sprintf("compiled %q, legacy %q",
+				fmt.Sprintf("fiat_core_classifier_compiles_total %d", len(diffDevices)),
+				"fiat_core_classifier_compiles_total 0")
+			if len(diffs) != 1 || diffs[0] != wantDiff {
+				t.Fatalf("obs snapshots differ beyond the classifier-compile counter:\n%s", strings.Join(diffs, "\n"))
 			}
 		})
 	}
@@ -253,8 +252,7 @@ type uncompilable struct{ ml.BernoulliNB }
 
 // TestUncompilableFamilyFallsBackToLegacy: a trained model whose family the
 // compiler rejects deploys with compiled == nil, and AddDevice leaves the
-// device's classifier on the MLClassifier itself even when the proxy is not
-// in the LegacyClassifier reference arm.
+// device's classifier on the MLClassifier itself.
 func TestUncompilableFamilyFallsBackToLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var training []*events.Event

@@ -11,16 +11,6 @@ import (
 	"fiat/internal/simclock"
 )
 
-// diffStep is one instant of the differential trace: optional attestations,
-// then a batch of packets, then optional event flushes. The virtual clock
-// advances by Advance before the step runs.
-type diffStep struct {
-	Advance time.Duration
-	Attest  []string // devices to attest as human just before the batch
-	Batch   []PacketIn
-	Flush   []string // devices to FlushEvent after the batch
-}
-
 // diffDevices is the multi-device zoo the differential trace runs over:
 // varied notification sizes and grace windows so every pipeline branch is
 // exercised on several shard assignments.

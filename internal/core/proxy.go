@@ -131,20 +131,6 @@ type Config struct {
 	// guard, keeping the transport's anti-replay (quicfast packet numbers)
 	// as the only line of defense.
 	AttestWindow time.Duration
-	// LegacyRules keeps stage-1 matching on the serialized mutable
-	// RuleTable.Match path after the freeze instead of the compiled
-	// lock-free engine. It exists as the reference arm of the differential
-	// and benchmark suites, not for production use; both arms freeze,
-	// compile, and count identically, so their obs snapshots stay
-	// byte-comparable.
-	LegacyRules bool
-	// LegacyClassifier keeps manual-event classification on the serialized
-	// Extract + Transform + Predict path instead of the per-device compiled
-	// inference engine. Like LegacyRules it exists as the reference arm of
-	// the differential and benchmark suites, not for production use; both
-	// arms compile and count identically, so their audit logs, stats, and
-	// obs snapshots stay byte-comparable.
-	LegacyClassifier bool
 	// Relearn configures the online-relearning lifecycle (ISSUE 9): drift
 	// detection over the proxy's own counters triggers background relearning
 	// into a fresh table, shadow evaluation against the live artifact, and
@@ -340,15 +326,12 @@ func (p *Proxy) AddDevice(cfg DeviceConfig) error {
 		classifier: cfg.Classifier,
 	}
 	// Devices wearing a trained, compilable model get their own frozen
-	// inference engine (model clone + feature scratch, owned by this shard).
-	// The legacy escape hatch still counts the compile so the two arms stay
-	// snapshot-identical; it just keeps classifying through the serialized
-	// path.
+	// inference engine (model clone + feature scratch, owned by this shard);
+	// every other classifier, including a model whose family does not
+	// compile, classifies through its own IsManual.
 	if mlc, ok := cfg.Classifier.(*MLClassifier); ok && mlc.Compiled() != nil {
 		p.metrics.classifierCompiles.Inc()
-		if !p.cfg.LegacyClassifier {
-			ds.classifier = mlc.CompiledEventClassifier()
-		}
+		ds.classifier = mlc.CompiledEventClassifier()
 	}
 	sh.devices[cfg.Name] = ds
 	return nil
@@ -607,9 +590,8 @@ func (p *Proxy) Rules(device string) (*flows.RuleTable, bool) {
 }
 
 // CompiledRules exposes a device's immutable enforcement-phase rule engine
-// (nil until the device's freeze point, or when Config.LegacyRules keeps the
-// device on the serialized path). After a hot swap it returns the currently
-// live generation.
+// (absent until the device's freeze point). After a hot swap it returns the
+// currently live generation.
 func (p *Proxy) CompiledRules(device string) (*flows.CompiledRules, bool) {
 	sh := p.shardFor(device)
 	sh.mu.Lock()

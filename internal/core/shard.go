@@ -40,8 +40,8 @@ type deviceState struct {
 	// arrival-state block, and the artifact's versioned identity, published
 	// as ONE atomic pointer so the frozen match path takes no lock,
 	// allocates nothing, and a hot swap (see swap.go) can never expose a
-	// mixed-generation view. nil when Config.LegacyRules keeps the
-	// serialized RuleTable.Match path, and before the freeze point.
+	// mixed-generation view. nil before the freeze point; a frozen device
+	// always has one (restore rejects a frozen table without an arena).
 	art atomic.Pointer[ruleArtifact]
 	// rl is the in-flight relearning lifecycle (nil while idle); genCounter
 	// is the device's monotonic artifact generation counter and
@@ -52,9 +52,9 @@ type deviceState struct {
 	// classifier is the enforcement-phase event classifier: the per-device
 	// compiled inference engine (own model clone + feature scratch, see
 	// classifier.go) when the device wears a compilable trained model, or
-	// cfg.Classifier itself (rule classifiers, the Config.LegacyClassifier
-	// reference arm, uncompilable families). Owned by this shard, so the
-	// compiled path's scratch reuse is race-free.
+	// cfg.Classifier itself (rule classifiers, uncompilable families).
+	// Owned by this shard, so the compiled path's scratch reuse is
+	// race-free.
 	classifier EventClassifier
 	// current event decision state: evDecision holds the event verdict once
 	// evDecided is set (a value pair, not a pointer, so reaching a decision
@@ -193,25 +193,21 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 		return false
 	}
 	if !ds.rules.Frozen() {
-		// Freeze point: end learning and install the compiled engine (the
-		// legacy escape hatch still freezes — and the compile still runs and
-		// is counted, so legacy and compiled runs stay snapshot-identical —
-		// it just keeps matching through the mutex path).
+		// Freeze point: end learning and install the compiled engine as
+		// generation 1.
 		ds.rules.Freeze()
 		cr := ds.rules.Compiled()
-		if !p.cfg.LegacyRules {
-			ds.genCounter = 1
-			ds.art.Store(&ruleArtifact{
-				meta: swap.Meta{
-					Generation: 1,
-					ConfigSum:  p.cfgSum,
-					RulesSum:   cr.Checksum(),
-					ModelSum:   ds.modelSum(),
-				},
-				compiled: cr,
-				arrival:  cr.NewArrivalState(),
-			})
-		}
+		ds.genCounter = 1
+		ds.art.Store(&ruleArtifact{
+			meta: swap.Meta{
+				Generation: 1,
+				ConfigSum:  p.cfgSum,
+				RulesSum:   cr.Checksum(),
+				ModelSum:   ds.modelSum(),
+			},
+			compiled: cr,
+			arrival:  cr.NewArrivalState(),
+		})
 		o.delta.ruleCompiles++
 		o.delta.compiledKeys += cr.NumKeys()
 	}
@@ -268,8 +264,8 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 			return false
 		}
 		// Async pipeline: a compiled classifier's inference is deferred into
-		// the worker's batch round; the locked and legacy/rule-classifier
-		// cases stay inline (they do not infer).
+		// the worker's batch round; locked devices and every other classifier
+		// stay inline.
 		if w != nil && !ds.locked {
 			if cec, ok := ds.classifier.(*compiledEventClassifier); ok {
 				sp.Enter(obs.StageClassify)

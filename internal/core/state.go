@@ -66,8 +66,10 @@ func (p *Proxy) appendConfig(b []byte) []byte {
 	b = wire.AppendI64(b, int64(c.PendingWindow))
 	b = wire.AppendI64(b, int64(c.PendingMax))
 	b = wire.AppendI64(b, int64(c.AttestWindow))
-	b = wire.AppendBool(b, c.LegacyRules)
-	b = wire.AppendBool(b, c.LegacyClassifier)
+	// Two retired engine switches, always off, kept as constant bytes so
+	// existing snapshots and their ConfigChecksum stay valid.
+	b = wire.AppendBool(b, false)
+	b = wire.AppendBool(b, false)
 	// Relearn thresholds shape post-promotion decisions, so they are config
 	// identity (defaults are normalized in Config.defaults when Enabled).
 	b = wire.AppendBool(b, c.Relearn.Enabled)
@@ -445,8 +447,8 @@ func appendDeviceState(b []byte, base int, ds *deviceState, arts *devArtifacts) 
 		b = wire.AppendU32(b, arts.modelSum)
 	} else {
 		// The device classifies through the config-provided classifier
-		// (rule classifier, legacy ML path, none); restore re-derives it
-		// from the config, whose identity the config checksum pins.
+		// (rule classifier, uncompilable ML model, none); restore re-derives
+		// it from the config, whose identity the config checksum pins.
 		b = wire.AppendU8(b, 0)
 	}
 	b = wire.AppendI64(b, int64(ds.evPackets))
@@ -798,6 +800,10 @@ func (p *Proxy) restoreDevice(rd *wire.Reader, data []byte, sec *artifactSection
 		if meta.RulesSum != rulesSum {
 			return "", fmt.Errorf("core: device %q artifact meta rules digest %08x does not match arena %08x", name, meta.RulesSum, rulesSum)
 		}
+	} else if rt.Frozen() {
+		// Stage 1 matches only through the compiled arena, which the freeze
+		// point installs; a frozen table without one cannot enforce.
+		return "", fmt.Errorf("core: device %q has a frozen rule table but no compiled arena", name)
 	}
 
 	classifier := ds.classifier

@@ -200,14 +200,13 @@ func TestProxyStateRoundTripZeroCopy(t *testing.T) {
 	}
 }
 
-// TestProxyStateRoundTripLegacyArms: the LegacyRules arm snapshots without a
-// compiled arena; restoring it must leave the device on the mutex match path
-// and still replay identically.
-func TestProxyStateRoundTripLegacyRules(t *testing.T) {
-	cfg := stateRigConfig(1)
-	cfg.LegacyRules = true
+// TestProxyRestoreRejectsFrozenRulesWithoutArena: stage 1 matches only
+// through the compiled arena the freeze point installs, so an image whose
+// device has a frozen rule table but no arena must fail closed instead of
+// restoring a device that cannot enforce.
+func TestProxyRestoreRejectsFrozenRulesWithoutArena(t *testing.T) {
 	mk := func() *testRig {
-		r := newRig(t, cfg)
+		r := newRig(t, stateRigConfig(1))
 		if err := r.proxy.AddDevice(DeviceConfig{Name: "plug", Classifier: RuleClassifier{NotificationSize: 235}, GraceN: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -216,20 +215,16 @@ func TestProxyStateRoundTripLegacyRules(t *testing.T) {
 	src := mk()
 	src.feedHeartbeats(t, "plug", 25, time.Minute)
 	src.proxy.Process("plug", mkRec(src.clock.Now(), 128, flows.CategoryControl), "")
-	enc := src.proxy.EncodeState()
-
-	dst := mk()
-	if err := dst.proxy.RestoreState(enc); err != nil {
-		t.Fatal(err)
+	ds := src.proxy.shardFor("plug").devices["plug"]
+	if !ds.rules.Frozen() || ds.art.Load() == nil {
+		t.Fatal("plug did not reach the freeze point")
 	}
-	if !bytes.Equal(dst.proxy.EncodeState(), enc) {
-		t.Fatal("restored proxy re-encodes differently")
+	if err := mk().proxy.RestoreState(src.proxy.EncodeState()); err != nil {
+		t.Fatalf("intact image rejected: %v", err)
 	}
-	dst.clock.AdvanceTo(src.clock.Now())
-	a := src.proxy.Process("plug", mkRec(src.clock.Now(), 128, flows.CategoryControl), "")
-	b := dst.proxy.Process("plug", mkRec(dst.clock.Now(), 128, flows.CategoryControl), "")
-	if a != b {
-		t.Fatalf("post-restore decisions differ: %+v vs %+v", a, b)
+	ds.art.Store(nil)
+	if err := mk().proxy.RestoreState(src.proxy.EncodeState()); err == nil {
+		t.Fatal("frozen rule table without a compiled arena restored")
 	}
 }
 

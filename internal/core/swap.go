@@ -103,10 +103,11 @@ func (p *Proxy) configSum() uint32 {
 	return p.cfgSum
 }
 
-// matchRules runs the stage-1 predictability check through whichever rule
-// engine the device is on. The caller holds the owning shard's mutex; the
-// artifact pointer load is the only synchronization the compiled path adds,
-// so promotion never blocks readers. While a relearn lifecycle is in flight
+// matchRules runs the stage-1 predictability check through the device's live
+// compiled artifact, which the freeze point installs before the first match.
+// The caller holds the owning shard's mutex; the artifact pointer load is
+// the only synchronization the compiled path adds, so promotion never
+// blocks readers. While a relearn lifecycle is in flight
 // the live verdict is computed first and is never affected: the relearn
 // phase feeds the candidate table (the one allocating phase, excluded from
 // the steady-state alloc pins), and the shadow phase scores the candidate
@@ -114,9 +115,6 @@ func (p *Proxy) configSum() uint32 {
 // live path.
 func (p *Proxy) matchRules(ds *deviceState, rec *flows.Record) bool {
 	art := ds.art.Load()
-	if art == nil {
-		return ds.rules.Match(*rec)
-	}
 	if h := p.swapHook; h != nil {
 		h(ds.cfg.Name, art)
 	}
@@ -183,7 +181,7 @@ func (p *Proxy) deviceSwapTickLocked(ds *deviceState, now time.Time, sig swap.Si
 	if rl == nil {
 		if sig == swap.SignalNone || now.Before(ds.cooldownUntil) || ds.art.Load() == nil {
 			// Nothing to do: no drift, cooling down, or the device has no
-			// compiled artifact yet (pre-freeze, or the legacy reference arm).
+			// compiled artifact yet (pre-freeze).
 			return false
 		}
 		ds.rl = &relearnState{
@@ -346,7 +344,7 @@ func (p *Proxy) PromoteIdentical(device string) (swap.Meta, error) {
 }
 
 // ArtifactMeta reports the live artifact's identity (zero Meta and false
-// before the device's freeze point or on the legacy reference arm).
+// before the device's freeze point).
 func (p *Proxy) ArtifactMeta(device string) (swap.Meta, bool) {
 	sh := p.shardFor(device)
 	sh.mu.Lock()

@@ -83,6 +83,30 @@ type ColdRestart struct {
 	Replayed  int     `json:"replayed_ops"`
 }
 
+// BenchArm is one measured operation of a microbenchmark.
+type BenchArm struct {
+	NsPerOp     float64 `json:"ns_per_op"`
+	OpsPerSec   float64 `json:"ops_per_sec"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	N           int     `json:"iterations"`
+}
+
+func arm(r testing.BenchmarkResult) BenchArm {
+	ns := float64(r.NsPerOp())
+	ops := 0.0
+	if ns > 0 {
+		ops = 1e9 / ns
+	}
+	return BenchArm{
+		NsPerOp:     ns,
+		OpsPerSec:   ops,
+		AllocsPerOp: float64(r.AllocsPerOp()),
+		BytesPerOp:  float64(r.AllocedBytesPerOp()),
+		N:           r.N,
+	}
+}
+
 // RecoveryBenchResult is the BENCH_7.json payload.
 type RecoveryBenchResult struct {
 	Bench string    `json:"bench"`
@@ -91,11 +115,11 @@ type RecoveryBenchResult struct {
 	// AppendBuffered / AppendFsync measure one durably logged packet batch
 	// through the manager (WAL frame + checksum + apply), with the fsync
 	// deferred to the tick versus paid on every append.
-	AppendBuffered RuleBenchArm `json:"append_buffered"`
-	AppendFsync    RuleBenchArm `json:"append_fsync"`
+	AppendBuffered BenchArm `json:"append_buffered"`
+	AppendFsync    BenchArm `json:"append_fsync"`
 	// AppendSweep measures the cheapest durable op (no body), isolating the
 	// logging overhead from packet processing.
-	AppendSweep RuleBenchArm `json:"append_sweep"`
+	AppendSweep BenchArm `json:"append_sweep"`
 	// ColdRestarts measures durable.Open against growing WAL suffixes.
 	ColdRestarts []ColdRestart `json:"cold_restarts"`
 	// CrashMatrix is the chaos kill-point reconciliation (see
@@ -118,10 +142,10 @@ func (r RecoveryBenchResult) Identical() bool {
 	return len(r.CrashMatrix) > 0
 }
 
-func benchAppend(seed int64, sync durable.SyncMode, sweepOnly bool) (RuleBenchArm, error) {
+func benchAppend(seed int64, sync durable.SyncMode, sweepOnly bool) (BenchArm, error) {
 	mgr, clock, cleanup, err := benchManager(seed, sync)
 	if err != nil {
-		return RuleBenchArm{}, err
+		return BenchArm{}, err
 	}
 	defer cleanup()
 	var benchErr error

@@ -58,9 +58,22 @@ func (r *Registry) RestoreState(data []byte) ([]byte, error) {
 	if v := rd.U16(); rd.Err() == nil && v != RegistryStateVersion {
 		return nil, fmt.Errorf("obs: registry state version %d, want %d", v, RegistryStateVersion)
 	}
-	nc := int(rd.U32())
-	if err := rd.Err(); err != nil {
-		return nil, fmt.Errorf("obs: restore registry: %w", err)
+	// Every entry takes at least one byte, so a count above the bytes left
+	// is a truncated (or hostile) image; checking first keeps a forged count
+	// from forcing a huge allocation.
+	count := func() (int, error) {
+		n := int(rd.U32())
+		if err := rd.Err(); err != nil {
+			return 0, fmt.Errorf("obs: restore registry: %w", err)
+		}
+		if n > rd.Len() {
+			return 0, fmt.Errorf("obs: restore registry: %w", wire.ErrTruncated)
+		}
+		return n, nil
+	}
+	nc, err := count()
+	if err != nil {
+		return nil, err
 	}
 	type kv struct {
 		name string
@@ -70,7 +83,10 @@ func (r *Registry) RestoreState(data []byte) ([]byte, error) {
 	for i := 0; i < nc; i++ {
 		counters = append(counters, kv{rd.String(), rd.I64()})
 	}
-	ng := int(rd.U32())
+	ng, err := count()
+	if err != nil {
+		return nil, err
+	}
 	gauges := make([]kv, 0, ng)
 	for i := 0; i < ng; i++ {
 		gauges = append(gauges, kv{rd.String(), rd.I64()})
@@ -81,7 +97,10 @@ func (r *Registry) RestoreState(data []byte) ([]byte, error) {
 		counts []int64
 		sum    int64
 	}
-	nh := int(rd.U32())
+	nh, err := count()
+	if err != nil {
+		return nil, err
+	}
 	hists := make([]hv, 0, nh)
 	for i := 0; i < nh; i++ {
 		hists = append(hists, hv{rd.String(), rd.I64s(), rd.I64s(), rd.I64()})

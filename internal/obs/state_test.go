@@ -81,4 +81,10 @@ func TestRegistryRestoreRejectsCorruption(t *testing.T) {
 	if _, err := NewRegistry().RestoreState(bad); err == nil {
 		t.Fatal("bad version accepted")
 	}
+	// A forged counter count must fail before it sizes any allocation.
+	forged := append([]byte(nil), enc...)
+	copy(forged[2:6], []byte{0xff, 0xff, 0xff, 0xff})
+	if _, err := NewRegistry().RestoreState(forged); err == nil {
+		t.Fatal("forged counter count accepted")
+	}
 }
