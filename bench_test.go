@@ -161,20 +161,6 @@ func BenchmarkAnalyzerObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkRuleTableMatch(b *testing.B) {
-	recs := benchRecords(100000)
-	rt := flows.NewRuleTable(flows.ModePortLess)
-	for _, r := range recs[:50000] {
-		rt.Learn(r)
-	}
-	rt.Freeze()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt.Match(recs[50000+i%50000])
-	}
-}
-
 func BenchmarkEventGrouping(b *testing.B) {
 	recs := benchRecords(b.N)
 	g := events.NewGrouper(0)

@@ -1,0 +1,72 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"time"
+
+	"fiat/internal/artifact"
+	"fiat/internal/flows"
+)
+
+// TestInspectStateArtifactsFleetDedup: a fleet of identically-learning
+// devices freezes one rule template, so the v3 image carries one arena that
+// every device references. The offline inspector must count that dedup
+// exactly, the zero-copy restore must share one store entry across the
+// fleet, and it must re-encode to the same bytes as the copied arm.
+func TestInspectStateArtifactsFleetDedup(t *testing.T) {
+	const n = 8
+	build := func(store *artifact.Store) *testRig {
+		r := newRig(t, Config{Shards: 1, Bootstrap: time.Minute, Artifacts: store})
+		for i := 0; i < n; i++ {
+			if err := r.proxy.AddDevice(DeviceConfig{
+				Name: fmt.Sprintf("plug-%d", i), Classifier: RuleClassifier{NotificationSize: 235}, GraceN: 1,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
+	}
+
+	src := build(nil)
+	for tick := 0; tick < 9; tick++ { // 10 s beats; bootstrap ends at 60 s
+		src.clock.Advance(10 * time.Second)
+		for i := 0; i < n; i++ {
+			src.proxy.Process(fmt.Sprintf("plug-%d", i), mkRec(src.clock.Now(), 128, flows.CategoryControl), "")
+		}
+	}
+	for i := 0; i < n; i++ {
+		if _, ok := src.proxy.CompiledRules(fmt.Sprintf("plug-%d", i)); !ok {
+			t.Fatalf("plug-%d did not freeze a compiled template", i)
+		}
+	}
+	enc := src.proxy.EncodeState()
+
+	info, err := InspectStateArtifacts(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Arenas != 1 || info.ArenaRefs != n || info.Devices != n || info.ArenaBytes <= 0 {
+		t.Fatalf("want 1 arena referenced by %d devices: %s", n, info)
+	}
+	if want := int64(n-1) * info.ArenaBytes; info.SavedBytes != want {
+		t.Fatalf("SavedBytes = %d, want (n-1)*ArenaBytes = %d", info.SavedBytes, want)
+	}
+
+	copied := build(nil)
+	if err := copied.proxy.RestoreState(enc); err != nil {
+		t.Fatal(err)
+	}
+	store := artifact.NewStore()
+	zero := build(store)
+	if err := zero.proxy.RestoreState(enc); err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.UniqueRules != 1 || st.RuleRefs != n {
+		t.Fatalf("store holds %d arenas with %d refs, want 1 with %d", st.UniqueRules, st.RuleRefs, n)
+	}
+	if !bytes.Equal(zero.proxy.EncodeState(), copied.proxy.EncodeState()) {
+		t.Fatal("zero-copy restore re-encodes differently from the copied arm")
+	}
+}

@@ -24,7 +24,10 @@ var (
 // trace's EncodeState image) pass the config checksum and mutations reach
 // the device sections. Properties: restore never panics; an accepted image
 // re-encodes to bytes that restore into a fresh proxy and re-encode
-// identically; and the restored proxy survives a batch.
+// identically; the offline inspector accepts both the image and its
+// re-encoding and walks exactly the proxy's devices (it parses the device
+// sections independently of restoreDevice, so this catches format drift
+// between the two); and the restored proxy survives a batch.
 func FuzzProxyRestoreState(f *testing.F) {
 	f.Fuzz(func(t *testing.T, trace uint8, image []byte) {
 		fuzzKSOnce.Do(func() { fuzzKS, fuzzKSErr = keystore.New(rand.New(rand.NewSource(1))) })
@@ -38,6 +41,19 @@ func FuzzProxyRestoreState(f *testing.F) {
 			return
 		}
 		enc := p.EncodeState()
+		ndev := len(p.deviceStates())
+		for _, c := range []struct {
+			name string
+			img  []byte
+		}{{"image", image}, {"re-encoded image", enc}} {
+			info, err := InspectStateArtifacts(c.img)
+			if err != nil {
+				t.Fatalf("restore accepts the %s but the inspector rejects it: %v", c.name, err)
+			}
+			if info.Devices != ndev {
+				t.Fatalf("inspector walks %d devices in the %s, proxy has %d", info.Devices, c.name, ndev)
+			}
+		}
 		q := goldenProxy(t, g, simclock.NewVirtual(), fuzzKS, 1)
 		if err := q.RestoreState(enc); err != nil {
 			t.Fatalf("re-encoded image does not restore: %v", err)
