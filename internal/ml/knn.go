@@ -58,10 +58,8 @@ func (kn *KNN) Predict(X [][]float64) []int {
 // selection and returns the majority class. The selection window is kept
 // sorted ascending by (distance, training index), so equal distances resolve
 // deterministically toward the earlier training row and the per-class
-// distance sums accumulate in a fixed order — KNN.Predict and the compiled
-// form both call this routine, which is what makes them bit-identical. The
-// caller owns the scratch: selDist/selIdx sized kNeighbors, votes/distSum
-// sized to the class count.
+// distance sums accumulate in a fixed order. The caller owns the scratch:
+// selDist/selIdx sized kNeighbors, votes/distSum sized to the class count.
 func knnVote(row []float64, trainX [][]float64, trainY []int, metric Distance,
 	kNeighbors int, selDist []float64, selIdx []int, votes []int, distSum []float64) int {
 	cnt := 0

@@ -78,15 +78,6 @@ func AppendF64s(b []byte, vs []float64) []byte {
 	return b
 }
 
-// AppendI32s appends a u32 count followed by each element.
-func AppendI32s(b []byte, vs []int32) []byte {
-	b = AppendU32(b, uint32(len(vs)))
-	for _, v := range vs {
-		b = AppendU32(b, uint32(v))
-	}
-	return b
-}
-
 // AppendInts appends a u32 count followed by each element as an int64.
 func AppendInts(b []byte, vs []int) []byte {
 	b = AppendU32(b, uint32(len(vs)))
@@ -251,19 +242,6 @@ func (r *Reader) F64s() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = r.F64()
-	}
-	return out
-}
-
-// I32s reads a u32-counted int32 slice (nil when empty).
-func (r *Reader) I32s() []int32 {
-	n := r.count(4)
-	if n == 0 {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(r.U32())
 	}
 	return out
 }
