@@ -56,7 +56,7 @@ func TestInferBatchMatchesSingleRowAllFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, clf := range compileFamilies(seed) {
+		for name, clf := range compileFamilies() {
 			if err := clf.Fit(Xs, y); err != nil {
 				t.Fatalf("seed %d %s: fit: %v", seed, name, err)
 			}
@@ -128,7 +128,7 @@ func TestInferBatchZeroAllocsWarm(t *testing.T) {
 	}
 	probes := inferBatchProbes(rng, 10)
 	out := make([]int, 0, len(probes))
-	for name, clf := range compileFamilies(11) {
+	for name, clf := range compileFamilies() {
 		if err := clf.Fit(Xs, y); err != nil {
 			t.Fatalf("%s: fit: %v", name, err)
 		}
