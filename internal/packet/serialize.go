@@ -189,11 +189,11 @@ func pseudoChecksum(src, dst netip.Addr, proto uint8, segment []byte) uint16 {
 // VerifyIPv4Checksum reports whether the IPv4 header checksum of a decoded
 // packet is valid.
 func VerifyIPv4Checksum(p *Packet) bool {
-	ip := p.IPv4()
-	if ip == nil {
+	if p.IPv4() == nil {
 		return false
 	}
-	return internetChecksum(ip.LayerContents()) == 0
+	hdr := p.eth.payload
+	return internetChecksum(hdr[:int(hdr[0]&0x0f)*4]) == 0
 }
 
 // VerifyTransportChecksum reports whether the TCP/UDP checksum of a decoded
