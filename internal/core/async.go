@@ -11,7 +11,8 @@ import (
 )
 
 // ringCapacity is the per-shard ring size. A full ring backpressures the
-// producer, which yields with runtime.Gosched until the worker drains a slot.
+// producer, which wakes the worker and yields with runtime.Gosched until the
+// worker drains a slot.
 const ringCapacity = 1024
 
 // asyncPipeline is the multi-shard engine behind ProcessBatch: one
@@ -62,13 +63,16 @@ func (a *asyncPipeline) start() {
 			ring: newPacketRing(a.ringCap),
 			wake: make(chan struct{}, 1),
 		}
-		// The worker's tracer view reads the producer's once-per-batch
-		// timestamp instead of the live clock: per-packet stage accounting
-		// then costs no clock reads, which is most of the inline path's
-		// per-packet overhead under a real clock. Dwells become 0 — the
-		// same value every engine observes under a virtual clock, so the
-		// snapshot oracle is unaffected.
-		w.tracer = p.metrics.tracer.WithNow(w.batchNow)
+		// The worker's metrics are goroutine-private tallies, flushed once
+		// per batch, so its per-packet path writes no cache line another
+		// worker shares. Its tracer reads the producer's once-per-batch
+		// timestamp instead of the live clock, so stage accounting costs no
+		// clock reads either. Dwells become 0 — the same value every engine
+		// observes under a virtual clock, so the snapshot oracle is
+		// unaffected.
+		w.tracer = p.metrics.tracer.Local(w.batchNow)
+		w.matchNanos = p.metrics.matchNanos.Local()
+		w.inferNanos = p.metrics.inferNanos.Local()
 		a.workers[i] = w
 		go w.loop()
 	}
@@ -94,11 +98,13 @@ func (a *asyncPipeline) close() {
 
 // run executes one batch on the pipeline, writing decisions into dst
 // (len(dst) == len(batch)), and reports false without touching anything
-// once the pipeline is closed. The producer wakes every worker, streams the
-// packets into the shard rings in batch order, terminates each ring with a
-// marker, and waits; a full ring backpressures the producer, which yields
-// until the worker drains a slot. Nothing here allocates once the arenas
-// have warmed to the workload's batch size.
+// once the pipeline is closed. The producer streams the packets' batch
+// indices into the shard rings in batch order, terminates each ring with a
+// marker, wakes each worker once its ring holds its whole share, and waits.
+// A full ring wakes its worker at once and backpressures the producer, which
+// yields until the worker drains a slot. The workers read the packets from
+// batch itself, which stays put until run returns. Nothing here allocates
+// once the arenas have warmed to the workload's batch size.
 func (a *asyncPipeline) run(batch []PacketIn, dst []Decision, now time.Time) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -119,22 +125,21 @@ func (a *asyncPipeline) run(batch []PacketIn, dst []Decision, now time.Time) boo
 	for _, w := range a.workers {
 		w.now = now
 		w.out = out
-		w.wake <- struct{}{}
+		w.batch = batch
+		w.woken = false
 	}
 	for i := range batch {
 		w := a.workers[p.shardIndex(batch[i].Device)]
-		s := ringSlot{idx: int32(i), pk: batch[i]}
-		for !w.ring.push(s) {
-			runtime.Gosched()
-		}
+		w.push(int32(i))
 	}
-	marker := ringSlot{idx: ringMarker}
 	for _, w := range a.workers {
-		for !w.ring.push(marker) {
-			runtime.Gosched()
-		}
+		w.push(ringMarker)
+		w.wakeOnce()
 	}
 	a.batch.Wait()
+	for _, w := range a.workers {
+		w.batch = nil // hold no reference to the caller's batch
+	}
 
 	// Merge in batch order: each arena slot holds at most one decision, one
 	// audit entry, and one pending hold, so walking the slots reproduces the
@@ -160,20 +165,27 @@ func (a *asyncPipeline) run(batch []PacketIn, dst []Decision, now time.Time) boo
 }
 
 // asyncWorker drains one shard's ring. All fields below the ring are either
-// producer-published batch context (now, out — written before the wake send,
-// read only after receiving it) or worker-owned arenas reused across
-// batches.
+// producer-owned (woken), producer-published batch context (now, out, batch
+// — written before the wake send, read only after receiving it) or
+// worker-owned tallies and arenas reused across batches.
 type asyncWorker struct {
-	p      *Proxy
-	a      *asyncPipeline
-	sh     *shard
-	si     int // shard index, for the post-batch epoch advance
-	ring   *packetRing
-	wake   chan struct{}
-	tracer *obs.Tracer // coarse-time view of the proxy tracer (see batchNow)
+	p    *Proxy
+	a    *asyncPipeline
+	sh   *shard
+	si   int // shard index, for the post-batch epoch advance
+	ring *packetRing
+	wake chan struct{}
 
-	now time.Time
-	out []outcome
+	woken bool // this batch's wake has been sent
+
+	now   time.Time
+	out   []outcome
+	batch []PacketIn
+
+	// Goroutine-private metric tallies, folded into the proxy's registry
+	// at the end of each runBatch. tracer reads time from batchNow.
+	tracer                 *obs.Tracer
+	matchNanos, inferNanos *obs.HistogramTally
 
 	rows    []asyncRow  // deferred event decisions awaiting an InferBatch round
 	rowBufs [][]float64 // feature-row arena backing rows[i].x
@@ -203,7 +215,7 @@ type asyncRow struct {
 
 type asyncPkt struct {
 	o  *outcome
-	pk PacketIn
+	pk *PacketIn
 }
 
 func (w *asyncWorker) loop() {
@@ -218,35 +230,59 @@ func (w *asyncWorker) loop() {
 	}
 }
 
-// runBatch drains the ring until the batch marker, then resolves the
-// deferred decisions. The shard mutex is held for the whole batch, so
-// concurrent Process/FlushEvent/AddDevice callers serialize at batch
-// granularity and the ring never deadlocks (the producer takes no shard
-// locks).
+// push enqueues one batch index (or the marker) into the worker's ring. A
+// full ring wakes the worker, if this batch has not already, so it can
+// drain; the producer yields until a slot frees. Producer-only.
+func (w *asyncWorker) push(idx int32) {
+	for !w.ring.push(idx) {
+		w.wakeOnce()
+		runtime.Gosched()
+	}
+}
+
+// wakeOnce sends the worker this batch's one wake. Producer-only.
+func (w *asyncWorker) wakeOnce() {
+	if !w.woken {
+		w.woken = true
+		w.wake <- struct{}{}
+	}
+}
+
+// runBatch drains the ring until the batch marker, resolves the deferred
+// decisions, and folds the batch's metric tallies into the registry, so
+// every metric is complete when ProcessBatch returns. The shard mutex is
+// held for the whole batch, so concurrent Process/FlushEvent/AddDevice
+// callers serialize at batch granularity and the ring never deadlocks (the
+// producer takes no shard locks).
 func (w *asyncWorker) runBatch() {
 	w.rows = w.rows[:0]
 	w.replay = w.replay[:0]
 	sh := w.sh
 	sh.mu.Lock()
-	var s ringSlot
 	for {
-		for !w.ring.pop(&s) {
+		idx, ok := w.ring.pop()
+		if !ok {
 			runtime.Gosched()
-		}
-		if s.idx == ringMarker {
-			break
-		}
-		o := &w.out[s.idx]
-		*o = outcome{}
-		ds := sh.devices[s.pk.Device]
-		if ds != nil && ds.deferBlocked {
-			w.replay = append(w.replay, asyncPkt{o: o, pk: s.pk})
 			continue
 		}
-		w.process(ds, s.pk, o)
+		if idx == ringMarker {
+			break
+		}
+		pk := &w.batch[idx]
+		o := &w.out[idx]
+		*o = outcome{}
+		ds := sh.devices[pk.Device]
+		if ds != nil && ds.deferBlocked {
+			w.replay = append(w.replay, asyncPkt{o: o, pk: pk})
+			continue
+		}
+		w.process(ds, pk, o)
 	}
 	w.finishBatch()
 	sh.mu.Unlock()
+	w.tracer.Flush()
+	w.matchNanos.Flush()
+	w.inferNanos.Flush()
 	// Swap boundary: the worker holds no artifact pointer between batches.
 	w.p.epochs.Advance(w.si)
 	w.a.batch.Done()
@@ -260,7 +296,7 @@ func (w *asyncWorker) batchNow() time.Time { return w.now }
 // process runs one packet through the pipeline body. A deferred decision
 // leaves the span open inside the parked row; everything else closes out
 // through StageVerdict exactly like processLocked.
-func (w *asyncWorker) process(ds *deviceState, pk PacketIn, o *outcome) {
+func (w *asyncWorker) process(ds *deviceState, pk *PacketIn, o *outcome) {
 	p := w.p
 	sp := w.tracer.Begin(obs.StageIntercept)
 	if p.processSpanned(ds, pk.Rec, pk.Peer, w.now, &sp, o, w) {
@@ -329,7 +365,6 @@ func (w *asyncWorker) finishBatch() {
 // inference scratch is race-free here — the template itself may be shared
 // with other shards' workers and is only a grouping key, never run.
 func (w *asyncWorker) inferRows() {
-	p := w.p
 	rows := w.rows
 	for i := range rows {
 		rows[i].done = false
@@ -358,7 +393,7 @@ func (w *asyncWorker) inferRows() {
 		for k, j := range w.batchIdx {
 			rows[j].res = w.batchRes[k]
 			rows[j].done = true
-			p.metrics.inferNanos.Observe(0)
+			w.inferNanos.Observe(0)
 		}
 	}
 	for i := range rows {

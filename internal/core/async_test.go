@@ -211,6 +211,73 @@ func TestAsyncTinyRingBackpressure(t *testing.T) {
 	}
 }
 
+// TestAsyncLopsidedBatchWakes feeds the four-shard pipeline, on two-slot
+// rings, batches that hold only the packets of one shard's devices. That
+// shard's ring fills before its marker is queued, so the producer must wake
+// its worker on the full push; every other shard gets only a marker and is
+// woken after it. Decisions, logs, and stats must match the sequential
+// engine fed the same batches.
+func TestAsyncLopsidedBatchWakes(t *testing.T) {
+	const seed = 71
+	clock := simclock.NewVirtual()
+	ks, err := keystore.New(rand.New(rand.NewSource(960)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained := trainDiffClassifier(t, seed)
+	seq := asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 1})
+	ring := asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 4})
+	ring.async.ringCap = 2
+
+	// Load the shard that owns the most devices.
+	var owned [4]int
+	hot := 0
+	for _, d := range diffDevices {
+		si := ring.shardIndex(d.name)
+		if owned[si]++; owned[si] > owned[hot] {
+			hot = si
+		}
+	}
+
+	maxLoad := 0
+	for si, s := range buildSeededTrace(clock.Now(), rand.New(rand.NewSource(seed))) {
+		clock.Advance(s.Advance)
+		var batch []PacketIn
+		for _, pk := range s.Batch {
+			if ring.shardIndex(pk.Device) == hot {
+				batch = append(batch, pk)
+			}
+		}
+		maxLoad = max(maxLoad, len(batch))
+		wantD := seq.ProcessBatch(batch)
+		gotD := ring.ProcessBatch(batch)
+		if !reflect.DeepEqual(gotD, wantD) {
+			t.Fatalf("step %d: batch decisions diverge:\nring %+v\nseq  %+v", si, gotD, wantD)
+		}
+		for _, dev := range s.Flush {
+			want := seq.FlushEvent(dev)
+			if got := ring.FlushEvent(dev); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: FlushEvent(%s): ring %+v, seq %+v", si, dev, got, want)
+			}
+		}
+	}
+	if ring.async.workers == nil {
+		t.Fatal("no batch ran on the ring workers")
+	}
+	if maxLoad <= 2 {
+		t.Fatalf("largest batch holds %d packets, which never overfills a two-slot ring", maxLoad)
+	}
+	if got, want := ring.StatsSnapshot(), seq.StatsSnapshot(); got != want {
+		t.Fatalf("stats diverge:\nring %+v\nseq  %+v", got, want)
+	}
+	if want := seq.StatsSnapshot(); want.RuleHits == 0 || want.EventsManual+want.EventsNonManual == 0 {
+		t.Fatalf("filtered trace misses pipeline branches: %+v", want)
+	}
+	if got, want := ring.Log(), seq.Log(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("audit logs diverge (ring %d entries, seq %d)", len(got), len(want))
+	}
+}
+
 // TestProxyCloseDuringBatches races Close against a ProcessBatch loop on a
 // four-shard proxy. Close must wait out the in-flight batch and stop the
 // workers without hanging either side, a second concurrent Close must be a

@@ -15,10 +15,12 @@ import (
 // TestMetricsSnapshotShardInvariant is the metrics-as-oracle companion to
 // TestProcessBatchMatchesSequential: replaying the same multi-device trace
 // through ProcessBatch at 1, 2, and 8 shards must leave each proxy's registry
-// with a byte-identical text snapshot. Counters are sums, reason counters
-// follow the deterministically merged log, gauges settle at deterministic
-// points, and under the virtual clock every duration observes zero — so any
-// byte of divergence is a determinism bug.
+// with a byte-identical text snapshot after every trace step, not only at the
+// end. Counters are sums, reason counters follow the deterministically merged
+// log, gauges settle at deterministic points, and under the virtual clock
+// every duration observes zero — so any byte of divergence is a determinism
+// bug. The per-step comparison also pins that the ring workers fold their
+// goroutine-private metric tallies in before ProcessBatch returns.
 func TestMetricsSnapshotShardInvariant(t *testing.T) {
 	clock := simclock.NewVirtual()
 	ks, err := keystore.New(rand.New(rand.NewSource(200)))
@@ -72,6 +74,12 @@ func TestMetricsSnapshotShardInvariant(t *testing.T) {
 				p.FlushEvent(dev)
 			}
 		}
+		want := proxies[1].Metrics().Snapshot()
+		for _, n := range []int{2, 8} {
+			if got := proxies[n].Metrics().Snapshot(); got != want {
+				t.Fatalf("step %d: %d-shard snapshot diverges from sequential:\n%s", si, n, firstDiffLine(got, want))
+			}
+		}
 	}
 
 	want := proxies[1].Metrics().Snapshot()
@@ -100,6 +108,81 @@ func TestMetricsSnapshotShardInvariant(t *testing.T) {
 	if vals[`fiat_core_stage_total{stage="verdict"}`] != vals["fiat_core_packets_total"] {
 		t.Errorf("verdict stage count %d != packets %d",
 			vals[`fiat_core_stage_total{stage="verdict"}`], vals["fiat_core_packets_total"])
+	}
+}
+
+// TestRingBatchMetricsCompleteOnReturn: one 2-shard ProcessBatch of N
+// rule-hit packets, read with no other call in between, already shows all N
+// packets in the stage counters and one match-latency observation per rule
+// match. The ring workers tally these privately, so this pins the flush at
+// the end of every batch.
+func TestRingBatchMetricsCompleteOnReturn(t *testing.T) {
+	clock := simclock.NewVirtual()
+	ks, err := keystore.New(rand.New(rand.NewSource(210)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	validator, _, err := sharedValidator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProxy(clock, ks, validator, Config{Bootstrap: 5 * time.Minute, Shards: 2})
+	t.Cleanup(p.Close)
+	var onShard [2]int
+	for _, d := range diffDevices {
+		if err := p.AddDevice(DeviceConfig{Name: d.name, Classifier: RuleClassifier{NotificationSize: d.size}, GraceN: d.graceN}); err != nil {
+			t.Fatal(err)
+		}
+		onShard[p.shardIndex(d.name)]++
+	}
+	if onShard[0] == 0 || onShard[1] == 0 {
+		t.Fatalf("devices per shard %v: both workers must see packets", onShard)
+	}
+
+	// Learn a one-minute heartbeat per device on the inline path.
+	at := clock.Now()
+	for i := 0; i < 4; i++ {
+		for _, d := range diffDevices {
+			p.Process(d.name, diffRec(at, 180, flows.CategoryControl), "")
+		}
+		clock.Advance(time.Minute)
+		at = at.Add(time.Minute)
+	}
+	clock.Advance(time.Minute)
+
+	// Three heartbeat rounds past the bootstrap window, in one batch: the
+	// first freezes each device's rules, and every packet rule-hits.
+	var batch []PacketIn
+	for r := 0; r < 3; r++ {
+		for _, d := range diffDevices {
+			batch = append(batch, PacketIn{Device: d.name, Rec: diffRec(at, 180, flows.CategoryControl)})
+		}
+		at = at.Add(time.Minute)
+	}
+	before := p.Metrics().Values()
+	for i, d := range p.ProcessBatch(batch) {
+		if d.Reason != ReasonRuleHit {
+			t.Fatalf("packet %d: %+v, want a rule hit", i, d)
+		}
+	}
+	if p.async.workers == nil {
+		t.Fatal("the batch did not run on the ring workers")
+	}
+	after := p.Metrics().Values()
+
+	n := int64(len(batch))
+	const verdict = `fiat_core_stage_total{stage="verdict"}`
+	if got := after[verdict] - before[verdict]; got != n {
+		t.Errorf("verdict stage count rose by %d, want %d", got, n)
+	}
+	if got := after["fiat_core_rule_match_total"] - before["fiat_core_rule_match_total"]; got != n {
+		t.Errorf("rule matches rose by %d, want %d", got, n)
+	}
+	if got, want := after["fiat_core_rule_match_ns_count"], after["fiat_core_rule_match_total"]; got != want {
+		t.Errorf("fiat_core_rule_match_ns_count = %d, fiat_core_rule_match_total = %d", got, want)
+	}
+	if got, want := after[verdict], after["fiat_core_packets_total"]; got != want {
+		t.Errorf("verdict stage count %d != packets %d", got, want)
 	}
 }
 

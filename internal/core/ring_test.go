@@ -8,10 +8,15 @@ import (
 	"testing"
 )
 
+// ringIdx is the batch index the ring tests push as the seq-th slot: a
+// scrambled bijection of seq, so a ring that returned its own position
+// counter instead of the stored slot would fail the popped-sequence check.
+func ringIdx(seq int32) int32 { return seq ^ 0x2a2a5 }
+
 // TestPacketRingRandomizedSchedules is the SPSC ring's ordering property
 // test: under randomized single-owner enqueue/drain schedules — including
 // long runs that wrap the indices around the ring many times — every slot
-// pops exactly once, in push order, with push refusing exactly when the ring
+// pops exactly once, in push order, carrying the index pushed into it, with push refusing exactly when the ring
 // is full and pop refusing exactly when it is empty.
 func TestPacketRingRandomizedSchedules(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 4, 8, 64} {
@@ -25,10 +30,9 @@ func TestPacketRingRandomizedSchedules(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + capacity)))
 			var pushed, popped int32
 			queued := 0
-			var s ringSlot
 			for op := 0; op < 20000; op++ {
 				if rng.Intn(2) == 0 {
-					ok := r.push(ringSlot{idx: pushed, pk: PacketIn{Device: fmt.Sprintf("dev%d", pushed%5)}})
+					ok := r.push(ringIdx(pushed))
 					if wantOK := queued < n; ok != wantOK {
 						t.Fatalf("op %d: push ok=%v with %d/%d queued", op, ok, queued, n)
 					}
@@ -37,25 +41,22 @@ func TestPacketRingRandomizedSchedules(t *testing.T) {
 						queued++
 					}
 				} else {
-					ok := r.pop(&s)
+					idx, ok := r.pop()
 					if wantOK := queued > 0; ok != wantOK {
 						t.Fatalf("op %d: pop ok=%v with %d queued", op, ok, queued)
 					}
 					if ok {
-						if s.idx != popped {
-							t.Fatalf("op %d: popped seq %d, want %d (drop/duplicate/reorder)", op, s.idx, popped)
-						}
-						if want := fmt.Sprintf("dev%d", popped%5); s.pk.Device != want {
-							t.Fatalf("op %d: slot %d carries device %q, want %q", op, popped, s.pk.Device, want)
+						if want := ringIdx(popped); idx != want {
+							t.Fatalf("op %d: popped index %d as slot %d, want %d (drop/duplicate/reorder)", op, idx, popped, want)
 						}
 						popped++
 						queued--
 					}
 				}
 			}
-			for r.pop(&s) {
-				if s.idx != popped {
-					t.Fatalf("drain: popped seq %d, want %d", s.idx, popped)
+			for idx, ok := r.pop(); ok; idx, ok = r.pop() {
+				if want := ringIdx(popped); idx != want {
+					t.Fatalf("drain: popped index %d as slot %d, want %d", idx, popped, want)
 				}
 				popped++
 				queued--
@@ -73,7 +74,8 @@ func TestPacketRingRandomizedSchedules(t *testing.T) {
 // TestPacketRingConcurrentSPSC runs the ring under its real protocol — one
 // producer goroutine spinning against backpressure, one consumer goroutine
 // spinning against emptiness, a ring far smaller than the stream — and
-// requires the consumer to observe every slot exactly once in push order.
+// requires the consumer to observe every pushed index exactly once, in push
+// order.
 // Run under -race this also checks the slot handoff is properly published by
 // the head/tail atomics.
 func TestPacketRingConcurrentSPSC(t *testing.T) {
@@ -85,8 +87,7 @@ func TestPacketRingConcurrentSPSC(t *testing.T) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(7))
 		for i := int32(0); i < total; i++ {
-			s := ringSlot{idx: i, pk: PacketIn{Device: fmt.Sprintf("dev%d", i%3)}}
-			for !r.push(s) {
+			for !r.push(ringIdx(i)) {
 				runtime.Gosched()
 			}
 			if rng.Intn(64) == 0 {
@@ -94,20 +95,17 @@ func TestPacketRingConcurrentSPSC(t *testing.T) {
 			}
 		}
 	}()
-	var s ringSlot
-	for want := int32(0); want < total; want++ {
-		for !r.pop(&s) {
+	for seq := int32(0); seq < total; seq++ {
+		idx, ok := r.pop()
+		for ; !ok; idx, ok = r.pop() {
 			runtime.Gosched()
 		}
-		if s.idx != want {
-			t.Fatalf("consumer saw seq %d, want %d", s.idx, want)
-		}
-		if wantDev := fmt.Sprintf("dev%d", want%3); s.pk.Device != wantDev {
-			t.Fatalf("seq %d carries device %q, want %q", want, s.pk.Device, wantDev)
+		if want := ringIdx(seq); idx != want {
+			t.Fatalf("consumer saw index %d as slot %d, want %d", idx, seq, want)
 		}
 	}
-	if r.pop(&s) {
-		t.Fatalf("ring not empty after consuming all %d slots (saw seq %d)", total, s.idx)
+	if idx, ok := r.pop(); ok {
+		t.Fatalf("ring not empty after consuming all %d slots (saw index %d)", total, idx)
 	}
 	wg.Wait()
 }

@@ -192,13 +192,18 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 		o.d = Decision{Verdict: Allow, Reason: ReasonBootstrap}
 		return false
 	}
-	if !ds.rules.Frozen() {
+	// A device has a live artifact exactly when its rule table is frozen:
+	// the freeze point below installs one, promotion swaps in another frozen
+	// table's, and restore rejects a mismatch. Testing the artifact instead
+	// of the table keeps the RuleTable mutex off the per-packet path.
+	art := ds.art.Load()
+	if art == nil {
 		// Freeze point: end learning and install the compiled engine as
 		// generation 1.
 		ds.rules.Freeze()
 		cr := ds.rules.Compiled()
 		ds.genCounter = 1
-		ds.art.Store(&ruleArtifact{
+		art = &ruleArtifact{
 			meta: swap.Meta{
 				Generation: 1,
 				ConfigSum:  p.cfgSum,
@@ -207,7 +212,8 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 			},
 			compiled: cr,
 			arrival:  cr.NewArrivalState(),
-		})
+		}
+		ds.art.Store(art)
 		o.delta.ruleCompiles++
 		o.delta.compiledKeys += cr.NumKeys()
 	}
@@ -219,7 +225,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 		return false
 	}
 
-	// Stage 1: predictable? The async worker observes the coarse-time
+	// Stage 1: predictable? The async worker tallies the coarse-time
 	// constant 0 for the match latency (the value every engine observes
 	// under a virtual clock) instead of paying two clock reads per packet;
 	// the inline path keeps real per-match timing.
@@ -229,11 +235,11 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 	if w == nil {
 		matchStart = p.metrics.matchStart()
 	}
-	hit := p.matchRules(ds, &rec)
+	hit := p.matchRules(ds, art, &rec)
 	if w == nil {
 		p.metrics.matchDone(matchStart)
 	} else {
-		p.metrics.matchNanos.Observe(0)
+		w.matchNanos.Observe(0)
 	}
 	if hit {
 		o.delta.ruleHits++

@@ -103,18 +103,17 @@ func (p *Proxy) configSum() uint32 {
 	return p.cfgSum
 }
 
-// matchRules runs the stage-1 predictability check through the device's live
-// compiled artifact, which the freeze point installs before the first match.
-// The caller holds the owning shard's mutex; the artifact pointer load is
-// the only synchronization the compiled path adds, so promotion never
-// blocks readers. While a relearn lifecycle is in flight
+// matchRules runs the stage-1 predictability check through art, the
+// device's live compiled artifact as the caller loaded it for this packet
+// (the freeze point installs one before the first match). The caller holds
+// the owning shard's mutex; that one artifact pointer load is the only
+// synchronization the compiled path adds, so promotion never blocks readers. While a relearn lifecycle is in flight
 // the live verdict is computed first and is never affected: the relearn
 // phase feeds the candidate table (the one allocating phase, excluded from
 // the steady-state alloc pins), and the shadow phase scores the candidate
 // against its own arrival state and notes agreement — both zero-alloc on the
 // live path.
-func (p *Proxy) matchRules(ds *deviceState, rec *flows.Record) bool {
-	art := ds.art.Load()
+func (p *Proxy) matchRules(ds *deviceState, art *ruleArtifact, rec *flows.Record) bool {
 	if h := p.swapHook; h != nil {
 		h(ds.cfg.Name, art)
 	}

@@ -69,6 +69,55 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
+// HistogramTally is a goroutine-private tally of observations bound for one
+// Histogram: plain int64 bucket counts and sum, folded into the histogram by
+// Flush with one atomic add per non-zero cell. A goroutine observing once per
+// packet tallies locally and flushes once per batch, so its hot path writes
+// no cache line another goroutine shares. Bucket counts and the sum are pure
+// sums, so tallying then flushing leaves the histogram exactly as observing
+// directly would. A nil *HistogramTally is a valid no-op.
+type HistogramTally struct {
+	h      *Histogram
+	counts []int64 // len(h.counts); last is the overflow bucket
+	sum    int64
+}
+
+// Local returns an empty tally that folds into h, bucketed by h's bounds. A
+// nil receiver yields a nil tally.
+func (h *Histogram) Local() *HistogramTally {
+	if h == nil {
+		return nil
+	}
+	return &HistogramTally{h: h, counts: make([]int64, len(h.counts))}
+}
+
+// Observe tallies one value. Only the owning goroutine may call it.
+func (t *HistogramTally) Observe(v int64) {
+	if t == nil {
+		return
+	}
+	t.counts[t.h.bucketFor(v)]++
+	t.sum += v
+}
+
+// Flush adds the tally into its histogram and zeroes it, so a second Flush
+// adds nothing. Only the owning goroutine may call it.
+func (t *HistogramTally) Flush() {
+	if t == nil {
+		return
+	}
+	for i, c := range t.counts {
+		if c != 0 {
+			t.h.counts[i].Add(c)
+			t.counts[i] = 0
+		}
+	}
+	if t.sum != 0 {
+		t.h.sum.Add(t.sum)
+		t.sum = 0
+	}
+}
+
 func (h *Histogram) bucketFor(v int64) int {
 	// Buckets are few (≤ ~32); a linear scan beats binary search overhead
 	// and keeps the hot path branch-predictable.

@@ -194,3 +194,28 @@ func TestExpBounds(t *testing.T) {
 	}
 	NewHistogram(b) // must not panic
 }
+
+// TestHistogramTallyUsesParentBounds: a local tally buckets by its parent's
+// bounds (including the overflow bucket) and folds counts and sum in on
+// Flush, leaving the parent untouched until then.
+func TestHistogramTallyUsesParentBounds(t *testing.T) {
+	h := NewHistogram([]int64{10, 100, 1000})
+	tally := h.Local()
+	for _, v := range []int64{-5, 10, 11, 1000, 1001, 1 << 40} {
+		tally.Observe(v)
+	}
+	if h.Count() != 0 || h.Sum() != 0 {
+		t.Fatalf("parent moved before Flush: count=%d sum=%d", h.Count(), h.Sum())
+	}
+	tally.Flush()
+	want := []int64{2, 1, 1, 2}
+	got := h.BucketCounts()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("bucket counts = %v, want %v", got, want)
+		}
+	}
+	if wantSum := int64(-5 + 10 + 11 + 1000 + 1001 + 1<<40); h.Sum() != wantSum {
+		t.Fatalf("sum = %d, want %d", h.Sum(), wantSum)
+	}
+}

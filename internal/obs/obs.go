@@ -13,9 +13,14 @@
 //     from deterministic pipeline state (gauges). Nothing in this package
 //     reads the wall clock; durations are observed by the caller from
 //     whatever simclock-style source it uses.
-//  2. Shard safety. All mutation is a single atomic add/store; metrics can
-//     be hammered from every engine shard with no locks on the hot path.
-//     The registry lock is taken only on get-or-create and on snapshot.
+//  2. Shard safety. All mutation of shared metrics is a single atomic
+//     add/store; metrics can be hammered from every engine shard with no
+//     locks on the hot path. A goroutine that must not touch shared cache
+//     lines per packet keeps goroutine-private tallies instead
+//     (Tracer.Local, Histogram.Local) and folds them in with atomic adds
+//     once per batch; the folded state equals direct observation because
+//     every tallied quantity is a sum. The registry lock is taken only on
+//     get-or-create and on snapshot.
 //  3. No dependencies. The package imports only the standard library, so
 //     every layer of the system (core, quicfast, netsim, chaos, cmds) can
 //     take a *Registry without import cycles.

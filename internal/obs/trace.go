@@ -50,6 +50,15 @@ type Tracer struct {
 	now    func() time.Time
 	counts [numStages]*Counter
 	nanos  [numStages]*Histogram
+	// local is set only on a view built by Local: spans then tally into it
+	// instead of the shared counters and histograms, until Flush.
+	local *stageTally
+}
+
+// stageTally is one goroutine's unflushed stage counts and dwells.
+type stageTally struct {
+	counts [numStages]int64
+	nanos  [numStages]*HistogramTally
 }
 
 // stageNanoBounds spans 250 ns .. ~4 ms, the plausible per-stage dwell range
@@ -70,20 +79,56 @@ func NewTracer(reg *Registry, prefix string, now func() time.Time) *Tracer {
 	return t
 }
 
-// WithNow returns a tracer sharing this tracer's counters and histograms but
-// reading time from a different source — the async pipeline hands each shard
-// worker a view whose source returns the producer's once-per-batch timestamp,
-// so per-packet stage accounting costs no clock reads. Dwells observed
-// through such a view are 0, exactly what every engine observes under a
-// virtual clock, so traced snapshots stay byte-comparable across engines
-// wherever they are deterministic at all. A nil receiver stays nil.
-func (t *Tracer) WithNow(now func() time.Time) *Tracer {
+// Local returns a goroutine-private view of this tracer that reads time from
+// now and keeps its stage counts and dwells in plain int64 tallies. Spans
+// opened on it touch no shared memory; Flush folds the tallies into this
+// tracer's counters and histograms. The async pipeline gives each shard
+// worker one, timed by the producer's once-per-batch timestamp, and flushes
+// it once per batch. Counts and bucket counts are sums, so the registry ends
+// exactly as if every span had written it directly. A nil receiver yields
+// nil.
+func (t *Tracer) Local(now func() time.Time) *Tracer {
 	if t == nil {
 		return nil
 	}
-	clone := *t
-	clone.now = now
-	return &clone
+	l := &stageTally{}
+	for s := range l.nanos {
+		l.nanos[s] = t.nanos[s].Local()
+	}
+	return &Tracer{now: now, counts: t.counts, nanos: t.nanos, local: l}
+}
+
+// Flush adds a Local view's non-zero tallies into the shared counters and
+// histograms and zeroes them, so a second Flush adds nothing. It is a no-op
+// on a nil or shared tracer. Only the view's owning goroutine may call it.
+func (t *Tracer) Flush() {
+	if t == nil || t.local == nil {
+		return
+	}
+	l := t.local
+	for s, n := range l.counts {
+		if n != 0 {
+			t.counts[s].Add(n)
+			l.counts[s] = 0
+		}
+		l.nanos[s].Flush()
+	}
+}
+
+func (t *Tracer) count(s Stage) {
+	if l := t.local; l != nil {
+		l.counts[s]++
+		return
+	}
+	t.counts[s].Inc()
+}
+
+func (t *Tracer) observe(s Stage, v int64) {
+	if l := t.local; l != nil {
+		l.nanos[s].Observe(v)
+		return
+	}
+	t.nanos[s].Observe(v)
 }
 
 // Span is one packet's walk through the pipeline. It is a small value meant
@@ -105,7 +150,7 @@ func (t *Tracer) Begin(first Stage) Span {
 	if t.now != nil {
 		s.entered = t.now()
 	}
-	t.counts[first].Inc()
+	t.count(first)
 	return s
 }
 
@@ -118,7 +163,7 @@ func (s *Span) Enter(next Stage) {
 	}
 	s.closeCurrent()
 	s.cur = next
-	s.t.counts[next].Inc()
+	s.t.count(next)
 }
 
 // End closes the span's current stage. Ending twice is a no-op.
@@ -132,10 +177,10 @@ func (s *Span) End() {
 
 func (s *Span) closeCurrent() {
 	if s.t.now == nil {
-		s.t.nanos[s.cur].Observe(0)
+		s.t.observe(s.cur, 0)
 		return
 	}
 	now := s.t.now()
-	s.t.nanos[s.cur].Observe(now.Sub(s.entered).Nanoseconds())
+	s.t.observe(s.cur, now.Sub(s.entered).Nanoseconds())
 	s.entered = now
 }

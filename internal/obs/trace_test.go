@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -77,5 +78,144 @@ func TestStageStrings(t *testing.T) {
 	}
 	if Stage(250).String() != "unknown" {
 		t.Fatal("out-of-range stage name")
+	}
+}
+
+// localScenario is one goroutine's share of the Local/Flush tests: spans
+// along several stage paths, timed by a private clock that advances a
+// goroutine-specific step per read (so dwells spread over several buckets),
+// plus a histogram tally, flushed every few spans and once at the end. With
+// direct set, the same observations go straight into the shared metrics,
+// for the reference registry.
+func localScenario(reg *Registry, g int, direct bool) {
+	now := time.Unix(0, 0)
+	step := time.Duration(37*(g+1)) * time.Nanosecond
+	clock := func() time.Time {
+		now = now.Add(step)
+		step *= 2
+		if step > time.Millisecond {
+			step = time.Duration(g+1) * time.Nanosecond
+		}
+		return now
+	}
+	shared := NewTracer(reg, "p", clock)
+	hist := reg.Histogram("p_match_ns", ExpBounds(50, 4, 8))
+	tr, tally := shared, (*HistogramTally)(nil)
+	if !direct {
+		tr, tally = shared.Local(clock), hist.Local()
+	}
+	paths := [][]Stage{
+		{StageIntercept, StageRules, StageVerdict},
+		{StageIntercept, StageRules, StageGrouping, StageClassify, StageAttestCheck, StageVerdict},
+		{StageClassify, StageVerdict},
+	}
+	for i := 0; i < 200; i++ {
+		path := paths[(i+g)%len(paths)]
+		sp := tr.Begin(path[0])
+		for _, s := range path[1:] {
+			sp.Enter(s)
+		}
+		sp.End()
+		v := int64((i * (g + 3) * 97) % 300000)
+		if direct {
+			hist.Observe(v)
+		} else {
+			tally.Observe(v)
+		}
+		if !direct && i%17 == 0 {
+			tr.Flush()
+			tally.Flush()
+		}
+	}
+	tr.Flush()
+	tally.Flush()
+}
+
+// TestTracerLocalFlushMatchesDirect: goroutine-private tallies flushed
+// concurrently into one registry leave it byte-identical to the same
+// observations made directly on the shared metrics, a second Flush adds
+// nothing, and nothing reaches the registry before a Flush.
+func TestTracerLocalFlushMatchesDirect(t *testing.T) {
+	const workers = 6
+	direct := NewRegistry()
+	for g := 0; g < workers; g++ {
+		localScenario(direct, g, true)
+	}
+	want := direct.Snapshot()
+
+	local := NewRegistry()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			localScenario(local, g, false)
+		}(g)
+	}
+	wg.Wait()
+	if got := local.Snapshot(); got != want {
+		t.Fatalf("flushed local tallies diverge from direct observation:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if !strings.Contains(want, `p_stage_total{stage="verdict"} 1200`) {
+		t.Fatalf("reference snapshot lacks the expected verdict count:\n%s", want)
+	}
+
+	// An unflushed view writes nothing shared; a second Flush adds nothing.
+	tr := NewTracer(local, "p", nil).Local(nil)
+	tally := local.Histogram("p_match_ns", nil).Local()
+	sp := tr.Begin(StageIntercept)
+	sp.Enter(StageVerdict)
+	sp.End()
+	tally.Observe(7)
+	if got := local.Snapshot(); got != want {
+		t.Fatalf("unflushed tallies reached the registry:\n%s", firstDiff(got, want))
+	}
+	tr.Flush()
+	tally.Flush()
+	once := local.Snapshot()
+	if once == want {
+		t.Fatal("Flush did not fold the tallies in")
+	}
+	tr.Flush()
+	tally.Flush()
+	if got := local.Snapshot(); got != once {
+		t.Fatalf("second Flush changed the registry:\n%s", firstDiff(got, once))
+	}
+}
+
+// firstDiff renders the first differing line of two snapshots.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return "got:  " + g[i] + "\nwant: " + w[i]
+		}
+	}
+	return "length mismatch"
+}
+
+func TestTracerLocalNilAndShared(t *testing.T) {
+	var nilTracer *Tracer
+	if nilTracer.Local(time.Now) != nil {
+		t.Fatal("nil tracer's Local is not nil")
+	}
+	nilTracer.Flush() // no-op, must not panic
+	var nilHist *Histogram
+	if nilHist.Local() != nil {
+		t.Fatal("nil histogram's Local is not nil")
+	}
+	var nilTally *HistogramTally
+	nilTally.Observe(1)
+	nilTally.Flush()
+
+	// Flush on a shared tracer has nothing to fold.
+	reg := NewRegistry()
+	tr := NewTracer(reg, "p", nil)
+	sp := tr.Begin(StageRules)
+	sp.End()
+	before := reg.Snapshot()
+	tr.Flush()
+	if got := reg.Snapshot(); got != before {
+		t.Fatalf("Flush on a shared tracer changed the registry:\n%s", firstDiff(got, before))
 	}
 }
