@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"time"
@@ -18,6 +16,7 @@ import (
 const (
 	attestMagic   = 0x46417431 // "FAt1"
 	attestVersion = 1
+	attestMACLen  = 32
 )
 
 // Attestation is the client app's proof of interaction: which IoT app was
@@ -38,30 +37,30 @@ var (
 )
 
 // EncodeAttestation serializes and authenticates an attestation with the
-// pairing key held in ks.
+// pairing key held in ks. The wire format is, big-endian:
+//
+//	[magic u32][version u8][name length u8][name][At UnixNano i64]
+//	[sensors.FeatureDim × feature float64 bits][HMAC-SHA256 over all before]
 func EncodeAttestation(a *Attestation, ks *keystore.Store) ([]byte, error) {
 	if len(a.Features) != sensors.FeatureDim {
 		return nil, fmt.Errorf("%w: %d features, want %d", ErrBadAttestation, len(a.Features), sensors.FeatureDim)
 	}
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.BigEndian, uint32(attestMagic))
-	buf.WriteByte(attestVersion)
-	name := []byte(a.Device)
-	if len(name) > 255 {
+	if len(a.Device) > 255 {
 		return nil, fmt.Errorf("%w: device name too long", ErrBadAttestation)
 	}
-	buf.WriteByte(byte(len(name)))
-	buf.Write(name)
-	binary.Write(&buf, binary.BigEndian, a.At.UnixNano())
+	buf := make([]byte, 0, 4+1+1+len(a.Device)+8+8*sensors.FeatureDim+attestMACLen)
+	buf = binary.BigEndian.AppendUint32(buf, attestMagic)
+	buf = append(buf, attestVersion, byte(len(a.Device)))
+	buf = append(buf, a.Device...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(a.At.UnixNano()))
 	for _, f := range a.Features {
-		binary.Write(&buf, binary.BigEndian, math.Float64bits(f))
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
 	}
-	mac, err := ks.MAC(keystore.PairingAlias, buf.Bytes())
+	mac, err := ks.MAC(keystore.PairingAlias, buf)
 	if err != nil {
 		return nil, err
 	}
-	buf.Write(mac)
-	return buf.Bytes(), nil
+	return append(buf, mac...), nil
 }
 
 // DecodeAttestation parses and verifies an attestation against the default
@@ -73,12 +72,11 @@ func DecodeAttestation(payload []byte, ks *keystore.Store) (*Attestation, error)
 // DecodeAttestationAliases verifies against any of the given pairing
 // aliases — a proxy with several enrolled phones holds one key per phone.
 func DecodeAttestationAliases(payload []byte, ks *keystore.Store, aliases ...string) (*Attestation, error) {
-	const macLen = 32
-	minLen := 4 + 1 + 1 + 8 + 8*sensors.FeatureDim + macLen
+	minLen := 4 + 1 + 1 + 8 + 8*sensors.FeatureDim + attestMACLen
 	if len(payload) < minLen {
 		return nil, ErrBadAttestation
 	}
-	body, mac := payload[:len(payload)-macLen], payload[len(payload)-macLen:]
+	body, mac := payload[:len(payload)-attestMACLen], payload[len(payload)-attestMACLen:]
 	ok := false
 	for _, alias := range aliases {
 		if ks.VerifyMAC(alias, body, mac) {
@@ -89,34 +87,21 @@ func DecodeAttestationAliases(payload []byte, ks *keystore.Store, aliases ...str
 	if !ok {
 		return nil, ErrBadMAC
 	}
-	r := bytes.NewReader(body)
-	var magic uint32
-	if err := binary.Read(r, binary.BigEndian, &magic); err != nil || magic != attestMagic {
+	// The body is at least 4+1+1+8+8*FeatureDim bytes, so the header
+	// bytes exist; only the name length can run the fields past its end.
+	// Bytes after the features are ignored.
+	if binary.BigEndian.Uint32(body) != attestMagic || body[4] != attestVersion {
 		return nil, ErrBadAttestation
 	}
-	ver, _ := r.ReadByte()
-	if ver != attestVersion {
+	nameEnd := 6 + int(body[5])
+	if len(body) < nameEnd+8+8*sensors.FeatureDim {
 		return nil, ErrBadAttestation
 	}
-	nameLen, _ := r.ReadByte()
-	name := make([]byte, nameLen)
-	// io.ReadFull, not r.Read: a bytes.Reader may legally return fewer
-	// bytes than asked, and a short read here would silently truncate the
-	// device name and shift every later field.
-	if _, err := io.ReadFull(r, name); err != nil {
-		return nil, ErrBadAttestation
-	}
-	var nanos int64
-	if err := binary.Read(r, binary.BigEndian, &nanos); err != nil {
-		return nil, ErrBadAttestation
-	}
+	name := body[6:nameEnd]
+	nanos := int64(binary.BigEndian.Uint64(body[nameEnd:]))
 	feats := make([]float64, sensors.FeatureDim)
-	for i := range feats {
-		var b uint64
-		if err := binary.Read(r, binary.BigEndian, &b); err != nil {
-			return nil, ErrBadAttestation
-		}
-		feats[i] = math.Float64frombits(b)
+	for i, off := 0, nameEnd+8; i < len(feats); i, off = i+1, off+8 {
+		feats[i] = math.Float64frombits(binary.BigEndian.Uint64(body[off:]))
 	}
 	return &Attestation{Device: string(name), At: time.Unix(0, nanos).UTC(), Features: feats}, nil
 }

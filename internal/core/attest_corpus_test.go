@@ -34,6 +34,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		"flip-feature":     flip(20),
 		"flip-mac":         flip(len(valid) - 1),
 		"doubled-trailing": append(append([]byte(nil), valid...), valid...),
+		"name-overrun":     nameOverrun(valid),
 	}
 
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeAttestation")

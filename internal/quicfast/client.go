@@ -1,6 +1,7 @@
 package quicfast
 
 import (
+	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/rand"
 	"encoding/binary"
@@ -25,7 +26,8 @@ const (
 )
 
 // Client is the phone-side endpoint: one session to the proxy. It is not
-// safe for concurrent Sends (FIAT's app sends one attestation at a time).
+// safe for concurrent Sends (FIAT's app sends one attestation at a time),
+// which lets every exchange share one receive buffer.
 type Client struct {
 	conn   net.PacketConn
 	remote net.Addr
@@ -46,10 +48,14 @@ type Client struct {
 	jitterFrac    float64
 	brng          *mrand.Rand
 
-	// Resumption state enabling 0-RTT on later sessions.
-	ticketID   []byte
-	resumption []byte
-	zeroPkt    uint32
+	// Resumption state enabling 0-RTT on later sessions: the ticket and
+	// the early-data key derived from it once, when the ticket arrived.
+	ticketID []byte
+	zeroAEAD cipher.AEAD
+	zeroIV   [12]byte
+	zeroPkt  uint32
+
+	rbuf []byte // receive buffer shared by every exchange
 
 	mx clientMetrics
 }
@@ -139,6 +145,7 @@ func NewClient(conn net.PacketConn, remote net.Addr, psk []byte, opts ...ClientO
 		backoffFactor: defaultBackoffFactor,
 		timeoutMax:    defaultTimeoutMax,
 		jitterFrac:    defaultJitterFrac,
+		rbuf:          make([]byte, 65535),
 	}
 	for _, o := range opts {
 		o(c)
@@ -186,7 +193,7 @@ func (c *Client) Handshake() error {
 	init = append(init, crandom...)
 	init = append(init, pskMAC(c.psk, []byte("init"), c.connID[:], cpub, crandom)...)
 
-	reply, err := c.exchange(init, ptReply, c.connID[:], nil)
+	reply, err := c.exchange(init, ptReply, c.connID[:], nil, nil)
 	if err != nil {
 		return err
 	}
@@ -220,10 +227,14 @@ func (c *Client) Handshake() error {
 	if len(ticketPlain) != ticketIDLen+secretLen {
 		return ErrMalformed
 	}
+	zeroAEAD, zeroIV, err := zeroRTTKeys(ticketPlain[ticketIDLen:])
+	if err != nil {
+		return err
+	}
 	c.keys = keys
 	c.pktNum = 0
 	c.ticketID = append([]byte(nil), ticketPlain[:ticketIDLen]...)
-	c.resumption = append([]byte(nil), ticketPlain[ticketIDLen:]...)
+	c.zeroAEAD, c.zeroIV = zeroAEAD, zeroIV
 	c.zeroPkt = 0
 	return nil
 }
@@ -235,14 +246,11 @@ func (c *Client) Send(payload []byte) error {
 		return fmt.Errorf("quicfast: Send before Handshake")
 	}
 	c.pktNum++
-	hdr := make([]byte, 0, 16)
-	hdr = append(hdr, ptData)
-	hdr = append(hdr, c.connID[:]...)
-	var num [4]byte
-	binary.BigEndian.PutUint32(num[:], c.pktNum)
-	hdr = append(hdr, num[:]...)
-	pkt := append(hdr, c.keys.clientAEAD.Seal(nil, nonceFor(c.keys.clientIV, c.pktNum), payload, hdr)...)
-	_, err := c.exchange(pkt, ptAck, append(c.connID[:], num[:]...), ErrStaleSession)
+	pkt := seal(ptData, c.connID[:], c.pktNum, c.keys.clientAEAD, c.keys.clientIV, payload)
+	aead, nonce := c.keys.serverAEAD, nonceFor(c.keys.serverIV, c.pktNum)
+	_, err := c.exchange(pkt, ptAck, pkt[1:dataHdrLen], ErrStaleSession, func(ack []byte) bool {
+		return ackOpens(aead, nonce, ack, dataHdrLen)
+	})
 	return err
 }
 
@@ -256,28 +264,38 @@ func (c *Client) SendZeroRTT(payload []byte) error {
 	if !c.CanZeroRTT() {
 		return ErrUnknownTicket
 	}
-	aead, iv, err := zeroRTTKeys(c.resumption)
-	if err != nil {
-		return err
-	}
-	c.zeroPkt++
-	hdr := make([]byte, 0, 32)
-	hdr = append(hdr, ptZeroRTT)
-	hdr = append(hdr, c.ticketID...)
-	var num [4]byte
-	binary.BigEndian.PutUint32(num[:], c.zeroPkt)
-	hdr = append(hdr, num[:]...)
-	pkt := append(hdr, aead.Seal(nil, nonceFor(iv, c.zeroPkt), payload, hdr)...)
-	_, err = c.exchange(pkt, ptZeroAck, append(c.ticketID, num[:]...), ErrUnknownTicket)
+	pkt := c.sealZeroRTT(payload)
+	aead, nonce := c.zeroAEAD, nonceFor(c.zeroIV, c.zeroPkt^zeroRTTAckBit)
+	_, err := c.exchange(pkt, ptZeroAck, pkt[1:zeroHdrLen], ErrUnknownTicket, func(ack []byte) bool {
+		return ackOpens(aead, nonce, ack, zeroHdrLen)
+	})
 	return err
 }
 
-// ForgetSession drops the cached session keys and resumption ticket, so the
-// next Deliver performs a fresh 1-RTT handshake.
+// sealZeroRTT seals payload as early data under the next 0-RTT packet
+// number.
+func (c *Client) sealZeroRTT(payload []byte) []byte {
+	c.zeroPkt++
+	return seal(ptZeroRTT, c.ticketID, c.zeroPkt, c.zeroAEAD, c.zeroIV, payload)
+}
+
+// seal builds [typ][id][pktNum][payload sealed under aead], the header
+// being the additional data, in one allocation.
+func seal(typ byte, id []byte, pktNum uint32, aead cipher.AEAD, iv [12]byte, payload []byte) []byte {
+	hdrLen := 1 + len(id) + 4
+	pkt := make([]byte, hdrLen, hdrLen+len(payload)+aead.Overhead())
+	pkt[0] = typ
+	copy(pkt[1:], id)
+	binary.BigEndian.PutUint32(pkt[1+len(id):], pktNum)
+	return aead.Seal(pkt, nonceFor(iv, pktNum), payload, pkt)
+}
+
+// ForgetSession drops the cached session keys, resumption ticket and
+// early-data key, so the next Deliver performs a fresh 1-RTT handshake.
 func (c *Client) ForgetSession() {
 	c.keys = nil
 	c.ticketID = nil
-	c.resumption = nil
+	c.zeroAEAD = nil
 }
 
 // Deliver sends payload with automatic degradation: it prefers 0-RTT under
@@ -323,18 +341,7 @@ func (c *Client) RawZeroRTTDatagram(payload []byte) ([]byte, error) {
 	if !c.CanZeroRTT() {
 		return nil, ErrUnknownTicket
 	}
-	aead, iv, err := zeroRTTKeys(c.resumption)
-	if err != nil {
-		return nil, err
-	}
-	c.zeroPkt++
-	hdr := make([]byte, 0, 32)
-	hdr = append(hdr, ptZeroRTT)
-	hdr = append(hdr, c.ticketID...)
-	var num [4]byte
-	binary.BigEndian.PutUint32(num[:], c.zeroPkt)
-	hdr = append(hdr, num[:]...)
-	return append(hdr, aead.Seal(nil, nonceFor(iv, c.zeroPkt), payload, hdr)...), nil
+	return c.sealZeroRTT(payload), nil
 }
 
 // Inject writes a pre-built datagram (attack simulation helper).
@@ -344,24 +351,27 @@ func (c *Client) Inject(pkt []byte) error {
 }
 
 // exchange sends pkt and waits for a response of wantType whose header
-// starts with wantPrefix after the type byte, retransmitting on timeout
-// with exponential backoff and jitter. A ptReject response matching the
-// prefix returns rejectErr (nil rejectErr ignores rejects): the server is
-// reachable but has no state for this session/ticket, so retransmitting is
-// pointless and the caller must re-handshake. Rejects are unauthenticated,
-// but can at worst downgrade a 0-RTT send to a fresh 1-RTT handshake —
-// they never bypass authentication.
+// starts with wantPrefix after the type byte and which authentic accepts
+// (nil accepts any), retransmitting on timeout with exponential backoff
+// and jitter. A response failing either check is ignored, as a forgery
+// from an on-path host would be. It returns a copy of the response, so
+// the receive buffer is free for the next exchange. A ptReject response
+// matching the prefix returns rejectErr (nil rejectErr ignores rejects):
+// the server is reachable but has no state for this session/ticket, so
+// retransmitting is pointless and the caller must re-handshake. Rejects
+// are unauthenticated, but can at worst downgrade a 0-RTT send to a fresh
+// 1-RTT handshake — they never bypass authentication.
 //
 // When every attempt runs out its timeout, the returned error joins the
 // per-attempt failures with ErrTimeout (errors.Join), so the caller's log
 // shows the full retransmit history — each attempt's timeout budget and
 // underlying read error — while errors.Is(err, ErrTimeout) (and therefore
 // Retryable) still holds.
-func (c *Client) exchange(pkt []byte, wantType byte, wantPrefix []byte, rejectErr error) ([]byte, error) {
-	buf := make([]byte, 65535)
+func (c *Client) exchange(pkt []byte, wantType byte, wantPrefix []byte, rejectErr error, authentic func(resp []byte) bool) ([]byte, error) {
+	buf := c.rbuf
 	defer c.conn.SetReadDeadline(time.Time{})
 	timeout := c.timeout
-	attemptErrs := make([]error, 0, c.retries+1)
+	var attemptErrs []error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		c.mx.attempts.Inc()
 		if attempt > 0 {
@@ -398,9 +408,10 @@ func (c *Client) exchange(pkt []byte, wantType byte, wantPrefix []byte, rejectEr
 			if !hmacEqual(buf[1:1+len(wantPrefix)], wantPrefix) {
 				continue
 			}
-			out := make([]byte, n)
-			copy(out, buf[:n])
-			return out, nil
+			if authentic != nil && !authentic(buf[:n]) {
+				continue
+			}
+			return append([]byte(nil), buf[:n]...), nil
 		}
 		timeout = time.Duration(float64(timeout) * c.backoffFactor)
 		if timeout > c.timeoutMax {

@@ -32,7 +32,7 @@ func TestExchangeErrorChainPerAttempt(t *testing.T) {
 		WithTimeout(10*time.Millisecond), WithRetries(2),
 		WithBackoff(2, 50*time.Millisecond), WithBackoffJitter(0, 1),
 		WithObs(reg))
-	_, err = c.exchange([]byte{ptData, 0}, ptAck, []byte{0}, nil)
+	_, err = c.exchange([]byte{ptData, 0}, ptAck, []byte{0}, nil, nil)
 	if err == nil {
 		t.Fatal("exchange into a black hole succeeded")
 	}

@@ -42,6 +42,12 @@ const (
 	pubKeyLen   = 32
 	randomLen   = 16
 	secretLen   = 32
+	ackPlain    = "ack"
+	dataHdrLen  = 1 + connIDLen + 4   // [ptData][connID][pktNum], also the 1-RTT ack's header
+	zeroHdrLen  = 1 + ticketIDLen + 4 // [ptZeroRTT][ticketID][pktNum], also the 0-RTT ack's header
+	// zeroRTTAckBit is XORed into an early-data ack's packet number so
+	// its nonce never collides with the data packet's own.
+	zeroRTTAckBit = 0x80000000
 )
 
 // Protocol errors.
@@ -110,7 +116,9 @@ func deriveKeys(shared, salt []byte) (*sessionKeys, error) {
 	return &ks, nil
 }
 
-// zeroRTTKeys derives the early-data AEAD from a resumption secret.
+// zeroRTTKeys derives the early-data AEAD from a resumption secret. The
+// keys depend only on the ticket, so each end calls it once per ticket:
+// the server when it mints one, the client when it receives one.
 func zeroRTTKeys(resumption []byte) (cipher.AEAD, [12]byte, error) {
 	var iv [12]byte
 	keyMat, err := cryptoutil.HKDF(resumption, nil, []byte("fiat-quic 0rtt"), 32+12)
@@ -132,6 +140,23 @@ func nonceFor(iv [12]byte, pktNum uint32) []byte {
 	copy(n, iv[:])
 	binary.BigEndian.PutUint32(n[8:], binary.BigEndian.Uint32(n[8:])^pktNum)
 	return n
+}
+
+// sealAck builds [typ][prefix]["ack" sealed under aead at nonce], the
+// header being the additional data. Only a holder of the key can produce
+// it, so the client can tell a real delivery ack from a forged one.
+func sealAck(typ byte, prefix []byte, aead cipher.AEAD, nonce []byte) []byte {
+	ack := make([]byte, 0, 1+len(prefix)+len(ackPlain)+aead.Overhead())
+	ack = append(ack, typ)
+	ack = append(ack, prefix...)
+	return aead.Seal(ack, nonce, []byte(ackPlain), ack)
+}
+
+// ackOpens reports whether ack, whose first hdrLen bytes are the header,
+// is one sealAck built under aead at nonce. It decrypts in place.
+func ackOpens(aead cipher.AEAD, nonce, ack []byte, hdrLen int) bool {
+	plain, err := aead.Open(ack[hdrLen:hdrLen], nonce, ack[hdrLen:], ack[:hdrLen])
+	return err == nil && string(plain) == ackPlain
 }
 
 // pskMAC authenticates handshake transcripts under the pairing PSK,

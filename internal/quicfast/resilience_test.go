@@ -66,7 +66,7 @@ func TestExchangeBackoffGrows(t *testing.T) {
 		WithTimeout(30*time.Millisecond), WithRetries(2),
 		WithBackoff(2, time.Second), WithBackoffJitter(0, 1))
 	start := time.Now()
-	_, err = c.exchange([]byte{ptData, 0}, ptAck, []byte{0}, nil)
+	_, err = c.exchange([]byte{ptData, 0}, ptAck, []byte{0}, nil, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)

@@ -1,6 +1,7 @@
 package quicfast
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"sync/atomic"
@@ -71,7 +72,9 @@ func TestServerSurvivesGarbage(t *testing.T) {
 }
 
 // TestClientIgnoresForgedAcks checks the client does not accept an ack of
-// the wrong type or with the wrong prefix.
+// the wrong type or with the wrong prefix, nor one with the right type and
+// prefix — both travel in clear — whose tag does not open under the
+// server's key: an on-path host must not be able to confirm a delivery.
 func TestClientIgnoresForgedAcks(t *testing.T) {
 	sconn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -102,5 +105,45 @@ func TestClientIgnoresForgedAcks(t *testing.T) {
 		WithTimeout(100*time.Millisecond), WithRetries(1))
 	if err := cli.Handshake(); err == nil {
 		t.Fatal("handshake succeeded against a garbage server")
+	}
+
+	// A real handshake, then a fake server that echoes each packet's
+	// header as an ack of the right type with a junk tag.
+	cli, _, _ = pair(t, testPSK)
+	cli.retries = 1
+	if err := cli.Handshake(); err != nil {
+		t.Fatal(err)
+	}
+	forger, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer forger.Close()
+	go func() {
+		buf := make([]byte, 2048)
+		for {
+			n, addr, err := forger.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			hdr, typ := dataHdrLen, byte(ptAck)
+			if buf[0] == ptZeroRTT {
+				hdr, typ = zeroHdrLen, ptZeroAck
+			}
+			if n < hdr {
+				continue
+			}
+			ack := append([]byte{typ}, buf[1:hdr]...)
+			ack = append(ack, make([]byte, len(ackPlain)+16)...)
+			_, _ = forger.WriteTo(ack, addr)
+		}
+	}()
+	cli.remote = forger.LocalAddr()
+	cli.timeout = 50 * time.Millisecond
+	if err := cli.Send([]byte("x")); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Send with a forged ack: err = %v, want ErrTimeout", err)
+	}
+	if err := cli.SendZeroRTT([]byte("x")); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("SendZeroRTT with a forged ack: err = %v, want ErrTimeout", err)
 	}
 }

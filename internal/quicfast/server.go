@@ -1,6 +1,7 @@
 package quicfast
 
 import (
+	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/rand"
 	"encoding/binary"
@@ -14,7 +15,9 @@ import (
 
 // Message is one decrypted application payload delivered to the server.
 type Message struct {
-	// Payload is the plaintext application data.
+	// Payload is the plaintext application data, freshly allocated for
+	// this message: the handler owns it and may keep it. It never aliases
+	// the datagram buffer, which Serve reuses for the next read.
 	Payload []byte
 	// ZeroRTT reports whether it arrived as early data.
 	ZeroRTT bool
@@ -85,9 +88,12 @@ type serverSession struct {
 	highPkt uint32
 }
 
+// ticketState holds a ticket's early-data key, derived once when the
+// ticket is minted, and its anti-replay high-water mark.
 type ticketState struct {
-	resumption []byte
-	highPkt    uint32 // strictly increasing packet numbers defeat replay
+	aead    cipher.AEAD
+	iv      [12]byte
+	highPkt uint32 // strictly increasing packet numbers defeat replay
 }
 
 // ServerOption customizes a Server.
@@ -116,6 +122,9 @@ func NewServer(conn net.PacketConn, psk []byte, handler func(Message), opts ...S
 }
 
 // Serve reads datagrams until the connection closes. Run it in a goroutine.
+// Each datagram is handled in place in the one read buffer: the handlers
+// keep no reference to it (table keys are string copies, payloads are
+// fresh Open output).
 func (s *Server) Serve() error {
 	buf := make([]byte, 65535)
 	for {
@@ -129,9 +138,7 @@ func (s *Server) Serve() error {
 			}
 			return err
 		}
-		pkt := make([]byte, n)
-		copy(pkt, buf[:n])
-		s.handlePacket(pkt, addr)
+		s.handlePacket(buf[:n], addr)
 	}
 }
 
@@ -169,10 +176,7 @@ func (s *Server) handleInitial(pkt []byte, addr net.Addr) {
 	crandom := pkt[1+connIDLen+pubKeyLen : 1+connIDLen+pubKeyLen+randomLen]
 	mac := pkt[len(pkt)-macLen:]
 	if !hmacEqual(pskMAC(s.psk, []byte("init"), connID, cpubRaw, crandom), mac) {
-		s.mu.Lock()
-		s.Stats.AuthFailures++
-		s.mx.authFailures.Inc()
-		s.mu.Unlock()
+		s.authFailure()
 		return
 	}
 	cpub, err := ecdh.X25519().NewPublicKey(cpubRaw)
@@ -206,6 +210,10 @@ func (s *Server) handleInitial(pkt []byte, addr net.Addr) {
 	if _, err := io.ReadFull(s.rand, resumption); err != nil {
 		return
 	}
+	zeroAEAD, zeroIV, err := zeroRTTKeys(resumption)
+	if err != nil {
+		return
+	}
 	ticketPlain := append(append([]byte(nil), ticketID...), resumption...)
 
 	reply := make([]byte, 0, 256)
@@ -220,7 +228,7 @@ func (s *Server) handleInitial(pkt []byte, addr net.Addr) {
 
 	s.mu.Lock()
 	s.sessions[string(connID)] = &serverSession{keys: keys}
-	s.tickets[string(ticketID)] = &ticketState{resumption: resumption}
+	s.tickets[string(ticketID)] = &ticketState{aead: zeroAEAD, iv: zeroIV}
 	s.Stats.Handshakes++
 	s.mx.handshakes.Inc()
 	s.mu.Unlock()
@@ -230,7 +238,7 @@ func (s *Server) handleInitial(pkt []byte, addr net.Addr) {
 
 // handleData processes a 1-RTT application packet and acks it.
 func (s *Server) handleData(pkt []byte, addr net.Addr) {
-	hdr := 1 + connIDLen + 4
+	const hdr = dataHdrLen
 	if len(pkt) < hdr {
 		return
 	}
@@ -245,10 +253,7 @@ func (s *Server) handleData(pkt []byte, addr net.Addr) {
 	}
 	plain, err := sess.keys.clientAEAD.Open(nil, nonceFor(sess.keys.clientIV, pktNum), pkt[hdr:], pkt[:hdr])
 	if err != nil {
-		s.mu.Lock()
-		s.Stats.AuthFailures++
-		s.mx.authFailures.Inc()
-		s.mu.Unlock()
+		s.authFailure()
 		return
 	}
 	s.mu.Lock()
@@ -263,13 +268,7 @@ func (s *Server) handleData(pkt []byte, addr net.Addr) {
 	s.mx.messages.Inc()
 	s.mu.Unlock()
 
-	ack := make([]byte, 0, 64)
-	ack = append(ack, ptAck)
-	ack = append(ack, connID...)
-	var num [4]byte
-	binary.BigEndian.PutUint32(num[:], pktNum)
-	ack = append(ack, num[:]...)
-	ack = append(ack, sess.keys.serverAEAD.Seal(nil, nonceFor(sess.keys.serverIV, pktNum), []byte("ack"), ack[:1+connIDLen+4])...)
+	ack := sealAck(ptAck, pkt[1:hdr], sess.keys.serverAEAD, nonceFor(sess.keys.serverIV, pktNum))
 	_, _ = s.conn.WriteTo(ack, addr)
 
 	if s.handler != nil {
@@ -281,7 +280,7 @@ func (s *Server) handleData(pkt []byte, addr net.Addr) {
 // must strictly increase per ticket: an exact replay reuses a number and is
 // dropped.
 func (s *Server) handleZeroRTT(pkt []byte, addr net.Addr) {
-	hdr := 1 + ticketIDLen + 4
+	const hdr = zeroHdrLen
 	if len(pkt) < hdr {
 		return
 	}
@@ -294,16 +293,9 @@ func (s *Server) handleZeroRTT(pkt []byte, addr net.Addr) {
 		s.reject(pkt[1:hdr], addr)
 		return
 	}
-	aead, iv, err := zeroRTTKeys(tk.resumption)
+	plain, err := tk.aead.Open(nil, nonceFor(tk.iv, pktNum), pkt[hdr:], pkt[:hdr])
 	if err != nil {
-		return
-	}
-	plain, err := aead.Open(nil, nonceFor(iv, pktNum), pkt[hdr:], pkt[:hdr])
-	if err != nil {
-		s.mu.Lock()
-		s.Stats.AuthFailures++
-		s.mx.authFailures.Inc()
-		s.mu.Unlock()
+		s.authFailure()
 		return
 	}
 	s.mu.Lock()
@@ -320,18 +312,20 @@ func (s *Server) handleZeroRTT(pkt []byte, addr net.Addr) {
 	s.mx.zeroRTT.Inc()
 	s.mu.Unlock()
 
-	ack := make([]byte, 0, 64)
-	ack = append(ack, ptZeroAck)
-	ack = append(ack, ticketID...)
-	var num [4]byte
-	binary.BigEndian.PutUint32(num[:], pktNum)
-	ack = append(ack, num[:]...)
-	ack = append(ack, aead.Seal(nil, nonceFor(iv, pktNum^0x80000000), []byte("ack"), ack[:hdr])...)
+	ack := sealAck(ptZeroAck, pkt[1:hdr], tk.aead, nonceFor(tk.iv, pktNum^zeroRTTAckBit))
 	_, _ = s.conn.WriteTo(ack, addr)
 
 	if s.handler != nil {
 		s.handler(Message{Payload: plain, ZeroRTT: true, Session: hex.EncodeToString(ticketID)})
 	}
+}
+
+// authFailure counts a datagram that failed authentication.
+func (s *Server) authFailure() {
+	s.mu.Lock()
+	s.Stats.AuthFailures++
+	s.mx.authFailures.Inc()
+	s.mu.Unlock()
 }
 
 // reject answers a packet whose session/ticket state is unknown with an
