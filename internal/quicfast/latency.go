@@ -23,10 +23,11 @@ type LatencyConn struct {
 	// Seed drives jitter and loss decisions.
 	Seed int64
 
-	once sync.Once
-	rng  *rand.Rand
-	mu   sync.Mutex
-	wg   sync.WaitGroup
+	once   sync.Once
+	rng    *rand.Rand
+	mu     sync.Mutex
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // WriteTo schedules the datagram after the configured delay. Writes are
@@ -40,17 +41,22 @@ func (l *LatencyConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	if l.Jitter > 0 {
 		jit = time.Duration(l.rng.Int63n(int64(2*l.Jitter))) - l.Jitter
 	}
+	d := l.Delay + jit
+	// Add under the lock Close takes before it waits, so no Add races
+	// the Wait; after Close, writes go straight to the closed conn.
+	delayed := !drop && d > 0 && !l.closed
+	if delayed {
+		l.wg.Add(1)
+	}
 	l.mu.Unlock()
 	if drop {
 		return len(p), nil
 	}
-	d := l.Delay + jit
-	if d <= 0 {
+	if !delayed {
 		return l.PacketConn.WriteTo(p, addr)
 	}
 	buf := make([]byte, len(p))
 	copy(buf, p)
-	l.wg.Add(1)
 	time.AfterFunc(d, func() {
 		defer l.wg.Done()
 		_, _ = l.PacketConn.WriteTo(buf, addr)
@@ -60,6 +66,9 @@ func (l *LatencyConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 
 // Close waits for in-flight delayed sends, then closes the underlying conn.
 func (l *LatencyConn) Close() error {
+	l.mu.Lock()
+	l.closed = true
+	l.mu.Unlock()
 	l.wg.Wait()
 	return l.PacketConn.Close()
 }
