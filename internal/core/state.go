@@ -240,7 +240,8 @@ func (p *Proxy) AppendState(b []byte) []byte {
 // the main registry stays the image's final section).
 func (p *Proxy) appendSwapState(b []byte) []byte {
 	b = p.drift.AppendState(b)
-	return wire.AppendBytes(b, p.swapM.reg.AppendState(nil))
+	b, at := wire.BeginBytes(b)
+	return wire.EndBytes(p.swapM.reg.AppendState(b), at)
 }
 
 func (p *Proxy) restoreSwapState(rd *wire.Reader) error {
@@ -419,7 +420,8 @@ func appendDeviceState(b []byte, base int, ds *deviceState, arts *devArtifacts) 
 	// Length-prefixed since v3: the zero-copy arm keeps the raw bytes and
 	// materializes the table lazily, so the decoder must know the span
 	// without parsing it.
-	b = wire.AppendBytes(b, ds.rules.AppendState(nil))
+	b, at := wire.BeginBytes(b)
+	b = wire.EndBytes(ds.rules.AppendState(b), at)
 	if art := ds.art.Load(); art != nil {
 		b = wire.AppendBool(b, true)
 		b = wire.AppendU32(b, arts.rulesSum)

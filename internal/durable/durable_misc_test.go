@@ -31,7 +31,7 @@ func TestVerifyReportRendering(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSnapshot(dir, 3, simclock.Epoch, 7, []byte("body"), nil, 1); err != nil {
+	if err := writeSnapshot(dir, 3, encodeSnapshot(3, simclock.Epoch, 7, []byte("body")), nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := Verify(dir).String()
@@ -73,7 +73,7 @@ func TestSyncAlwaysAppend(t *testing.T) {
 	dir := t.TempDir()
 	w := &wal{dir: dir, segBytes: 1 << 20, mode: SyncAlways}
 	for _, op := range sampleOps(3) {
-		if err := w.append(op.Seq, EncodeOp(op)); err != nil {
+		if err := w.append(op.Seq, appendFrame(nil, EncodeOp(op))); err != nil {
 			t.Fatal(err)
 		}
 		if w.dirty || w.syncedSize != w.size {

@@ -90,11 +90,14 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 // FuzzWALRecord hammers the op codec with arbitrary bytes: decoding must
 // never panic, and anything that decodes must re-encode byte-identically —
 // the WAL replay path depends on the codec being a bijection on valid
-// payloads.
+// payloads. The manager's in-place framing, into a buffer reused across
+// inputs as the manager reuses it across appends, must equal the reference
+// framing of the encoded op.
 func FuzzWALRecord(f *testing.F) {
 	for _, b := range fuzzSeedOps() {
 		f.Add(b)
 	}
+	var frame []byte
 	f.Fuzz(func(t *testing.T, data []byte) {
 		op, err := DecodeOp(data)
 		if err != nil {
@@ -104,8 +107,13 @@ func FuzzWALRecord(f *testing.F) {
 		if !bytes.Equal(enc, data) {
 			t.Fatalf("decode/encode not canonical:\n in: %x\nout: %x", data, enc)
 		}
-		if _, ok := walFrameSeq(appendFrame(nil, data)); !ok {
+		ref := appendFrame(nil, data)
+		if _, ok := walFrameSeq(ref); !ok {
 			t.Fatal("framed valid op lost its sequence number")
+		}
+		frame = appendOpFrame(frame[:0], &op)
+		if !bytes.Equal(frame, ref) {
+			t.Fatalf("in-place frame differs from the reference:\n got: %x\nwant: %x", frame, ref)
 		}
 	})
 }

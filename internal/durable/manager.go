@@ -162,6 +162,12 @@ type Manager struct {
 	attestOK    bool  // proxy verdict of the most recent OpAttestation apply
 	attestErr   error // proxy error of the most recent OpAttestation apply
 
+	// Encode buffers owned by the manager and reused under mu, so steady
+	// appends and checkpoints do not allocate. Each keeps the capacity of
+	// the largest frame or image written so far.
+	frame []byte // one WAL frame: header, then the encoded op
+	img   []byte // one snapshot image: header, then the proxy state
+
 	reg         *obs.Registry
 	appends     *obs.Counter
 	truncated   *obs.Counter
@@ -343,25 +349,24 @@ func (m *Manager) apply(op *Op) ([]core.Decision, error) {
 }
 
 // logAndApply appends one operation to the WAL (write-ahead: the log entry
-// is durable-ordered before the proxy mutates) and then applies it.
-func (m *Manager) logAndApply(kind Kind, mutate func(op *Op)) ([]core.Decision, error) {
+// is durable-ordered before the proxy mutates) and then applies it. op
+// carries the kind and its payload field; Seq and Time are stamped here.
+func (m *Manager) logAndApply(op Op) ([]core.Decision, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.logAndApplyLocked(kind, mutate)
+	return m.logAndApplyLocked(op)
 }
 
-func (m *Manager) logAndApplyLocked(kind Kind, mutate func(op *Op)) ([]core.Decision, error) {
+func (m *Manager) logAndApplyLocked(op Op) ([]core.Decision, error) {
 	if m.crashed {
 		return nil, ErrCrashed
 	}
 	if m.closed {
 		return nil, fmt.Errorf("durable: manager closed")
 	}
-	op := Op{Seq: m.lastSeq + 1, Kind: kind, Time: m.live.Now()}
-	if mutate != nil {
-		mutate(&op)
-	}
-	if err := m.wal.append(op.Seq, EncodeOp(&op)); err != nil {
+	op.Seq, op.Time = m.lastSeq+1, m.live.Now()
+	m.frame = appendOpFrame(m.frame[:0], &op)
+	if err := m.wal.append(op.Seq, m.frame); err != nil {
 		if errors.Is(err, ErrCrashed) {
 			m.crashed = true
 		}
@@ -374,7 +379,7 @@ func (m *Manager) logAndApplyLocked(kind Kind, mutate func(op *Op)) ([]core.Deci
 
 // ProcessBatch durably logs and applies one packet batch.
 func (m *Manager) ProcessBatch(batch []core.PacketIn) ([]core.Decision, error) {
-	return m.logAndApply(OpBatch, func(op *Op) { op.Batch = batch })
+	return m.logAndApply(Op{Kind: OpBatch, Batch: batch})
 }
 
 // HandleAttestation durably logs and applies one attestation payload. The
@@ -382,7 +387,7 @@ func (m *Manager) ProcessBatch(batch []core.PacketIn) ([]core.Decision, error) {
 // observable effects (validations, counters, audit entries) are what the
 // durability layer guarantees, and they are re-derived on replay.
 func (m *Manager) HandleAttestation(payload []byte) error {
-	_, err := m.logAndApply(OpAttestation, func(op *Op) { op.Payload = payload })
+	_, err := m.logAndApply(Op{Kind: OpAttestation, Payload: payload})
 	return err
 }
 
@@ -396,7 +401,7 @@ func (m *Manager) HandleAttestation(payload []byte) error {
 func (m *Manager) HandleAttestationVerdict(payload []byte) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, err := m.logAndApplyLocked(OpAttestation, func(op *Op) { op.Payload = payload }); err != nil {
+	if _, err := m.logAndApplyLocked(Op{Kind: OpAttestation, Payload: payload}); err != nil {
 		return false, err
 	}
 	return m.attestOK, m.attestErr
@@ -404,25 +409,25 @@ func (m *Manager) HandleAttestationVerdict(payload []byte) (bool, error) {
 
 // SweepPending durably logs and applies one pending-queue sweep.
 func (m *Manager) SweepPending() error {
-	_, err := m.logAndApply(OpSweep, nil)
+	_, err := m.logAndApply(Op{Kind: OpSweep})
 	return err
 }
 
 // AttestationChannelDown durably logs the phone channel going down.
 func (m *Manager) AttestationChannelDown() error {
-	_, err := m.logAndApply(OpChannelDown, nil)
+	_, err := m.logAndApply(Op{Kind: OpChannelDown})
 	return err
 }
 
 // AttestationChannelUp durably logs the phone channel recovering.
 func (m *Manager) AttestationChannelUp() error {
-	_, err := m.logAndApply(OpChannelUp, nil)
+	_, err := m.logAndApply(Op{Kind: OpChannelUp})
 	return err
 }
 
 // FlushEvent durably logs and applies one event flush for a device.
 func (m *Manager) FlushEvent(device string) (*core.Decision, error) {
-	ds, err := m.logAndApply(OpFlush, func(op *Op) { op.Device = device })
+	ds, err := m.logAndApply(Op{Kind: OpFlush, Device: device})
 	if err != nil || len(ds) == 0 {
 		return nil, err
 	}
@@ -473,9 +478,11 @@ func (m *Manager) checkpointLocked() error {
 	}
 	m.checkpoints++
 	now := m.live.Now()
-	body := m.proxy.EncodeState()
-	err := writeSnapshot(m.cfg.Dir, m.lastSeq, now, m.proxy.ConfigChecksum(), body, m.cfg.Kill, m.checkpoints)
-	if err != nil {
+	// AppendState pads relative to where it starts, so encoding after the
+	// reserved header yields the same body bytes as EncodeState.
+	m.img = m.proxy.AppendState(append(m.img[:0], make([]byte, snapHdrLen)...))
+	putSnapshotHeader(m.img, m.lastSeq, now, m.proxy.ConfigChecksum())
+	if err := writeSnapshot(m.cfg.Dir, m.lastSeq, m.img, m.cfg.Kill, m.checkpoints); err != nil {
 		if errors.Is(err, ErrCrashed) {
 			m.crashed = true
 			m.wal.close()

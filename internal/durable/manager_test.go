@@ -249,10 +249,13 @@ func renderDecisions(ds []core.Decision) string {
 	return sb.String()
 }
 
-// runSteps drives a manager through steps[from:], recording decisions per
-// WAL sequence. Returns the step index at which a kill point fired, or
-// len(steps) on clean completion.
-func runSteps(t *testing.T, mgr *durable.Manager, clock *simclock.VirtualClock, steps []step, from int, dec map[uint64]string) int {
+// runSteps drives a manager over state directory dir through steps[from:],
+// recording decisions per WAL sequence. Every completed checkpoint's
+// snapshot file must equal the reference image of the proxy's current
+// state: checkpoints encode into a reused buffer, and a stale byte left
+// from an earlier image would show up here. Returns the step index at which
+// a kill point fired, or len(steps) on clean completion.
+func runSteps(t *testing.T, mgr *durable.Manager, dir string, clock *simclock.VirtualClock, steps []step, from int, dec map[uint64]string) int {
 	t.Helper()
 	for i := from; i < len(steps); i++ {
 		st := steps[i]
@@ -287,11 +290,30 @@ func runSteps(t *testing.T, mgr *durable.Manager, clock *simclock.VirtualClock, 
 		if err != nil {
 			t.Fatalf("step %d (+%s): %v", i, st.at, err)
 		}
+		if st.kind == stepCheckpoint {
+			checkSnapshotFile(t, mgr, dir, clock.Now())
+		}
 		if st.seq != 0 {
 			dec[st.seq] = renderDecisions(ds)
 		}
 	}
 	return len(steps)
+}
+
+// checkSnapshotFile compares the newest snapshot, taken at instant at, with
+// the reference encoding of the proxy's current state.
+func checkSnapshotFile(t *testing.T, mgr *durable.Manager, dir string, at time.Time) {
+	t.Helper()
+	seq := mgr.SnapshotSeq()
+	got, err := os.ReadFile(filepath.Join(dir, durable.SnapName(seq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := mgr.Proxy()
+	want := durable.EncodeSnapshot(seq, at, proxy.ConfigChecksum(), proxy.EncodeState())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("snapshot at seq %d (%d bytes) differs from the reference image (%d bytes)", seq, len(got), len(want))
+	}
 }
 
 // runReference replays the op steps against an unmanaged proxy and returns
@@ -374,7 +396,7 @@ func TestManagerGracefulRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec := make(map[uint64]string)
-	if n := runSteps(t, mgr, clock, steps, 0, dec); n != len(steps) {
+	if n := runSteps(t, mgr, dir, clock, steps, 0, dec); n != len(steps) {
 		t.Fatalf("unexpected crash at step %d", n)
 	}
 	compareDecisions(t, steps, dec, refDec)
@@ -456,7 +478,7 @@ func TestManagerCrashRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			dec := make(map[uint64]string)
-			crashAt := runSteps(t, mgr, clock, steps, 0, dec)
+			crashAt := runSteps(t, mgr, dir, clock, steps, 0, dec)
 			if crashAt == len(steps) {
 				t.Fatal("kill point never fired")
 			}
@@ -487,7 +509,7 @@ func TestManagerCrashRecovery(t *testing.T) {
 			if last > total {
 				t.Fatalf("recovered LastSeq %d beyond script (%d ops)", last, total)
 			}
-			if n := runSteps(t, mgr2, clock2, steps, resumeIndex(steps, last), dec); n != len(steps) {
+			if n := runSteps(t, mgr2, dir, clock2, steps, resumeIndex(steps, last), dec); n != len(steps) {
 				t.Fatalf("second crash at step %d", n)
 			}
 
@@ -547,7 +569,7 @@ func TestManagerOpenFailsClosedOnCorruptSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps := mgrScript(t)
-	if n := runSteps(t, mgr, clock, steps, 0, map[uint64]string{}); n != len(steps) {
+	if n := runSteps(t, mgr, dir, clock, steps, 0, map[uint64]string{}); n != len(steps) {
 		t.Fatalf("crash at %d", n)
 	}
 	if err := mgr.Close(); err != nil {
@@ -571,7 +593,7 @@ func TestManagerOpenRejectsConfigSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	steps := mgrScript(t)
-	if n := runSteps(t, mgr, clock, steps, 0, map[uint64]string{}); n != len(steps) {
+	if n := runSteps(t, mgr, dir, clock, steps, 0, map[uint64]string{}); n != len(steps) {
 		t.Fatalf("crash at %d", n)
 	}
 	if err := mgr.Close(); err != nil {
@@ -633,7 +655,7 @@ func TestManagerAbortStopsShardWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := runSteps(t, mgr, clock, steps, 0, map[uint64]string{}); n != len(steps) {
+	if n := runSteps(t, mgr, dir, clock, steps, 0, map[uint64]string{}); n != len(steps) {
 		t.Fatalf("unexpected crash at step %d", n)
 	}
 	// A batch past the script's last checkpoint, for the recovery to replay.

@@ -84,18 +84,21 @@ func listSnapshots(dir string) ([]uint64, error) {
 	return out, nil
 }
 
-// encodeSnapshot frames a body into the full snapshot image.
-func encodeSnapshot(seq uint64, at time.Time, configSum uint32, body []byte) []byte {
-	b := make([]byte, 0, snapHdrLen+len(body))
-	b = append(b, snapMagic...)
-	b = wire.AppendU16(b, SnapshotVersion)
-	b = wire.AppendU64(b, seq)
-	b = wire.AppendI64(b, at.UnixNano())
-	b = wire.AppendU32(b, configSum)
-	b = wire.AppendU32(b, crc32.Checksum(body, walCastagnoli))
-	b = wire.AppendU64(b, uint64(len(body)))
-	b = append(b, 0, 0, 0, 0, 0, 0) // pad the header to 48 so the body is 8-aligned
-	return append(b, body...)
+// putSnapshotHeader fills the header of a snapshot image whose body already
+// follows the snapHdrLen bytes reserved for it. It is the one header writer:
+// checkpoints encode the proxy image straight after the reservation and call
+// this in place, so the body is never copied.
+func putSnapshotHeader(img []byte, seq uint64, at time.Time, configSum uint32) {
+	body := img[snapHdrLen:]
+	h := img[:0:snapHdrLen]
+	h = append(h, snapMagic...)
+	h = wire.AppendU16(h, SnapshotVersion)
+	h = wire.AppendU64(h, seq)
+	h = wire.AppendI64(h, at.UnixNano())
+	h = wire.AppendU32(h, configSum)
+	h = wire.AppendU32(h, crc32.Checksum(body, walCastagnoli))
+	h = wire.AppendU64(h, uint64(len(body)))
+	_ = append(h, 0, 0, 0, 0, 0, 0) // pad the header to 48 so the body is 8-aligned
 }
 
 // DecodeSnapshotHeader parses and validates a snapshot's fixed header,
@@ -144,11 +147,10 @@ func decodeSnapshot(data []byte) (SnapshotHeader, []byte, error) {
 	return h, body, nil
 }
 
-// writeSnapshot atomically persists a snapshot image: tmp file, fsync,
-// rename, directory fsync. A KillMidSnapshot crash leaves only a partial
-// tmp.
-func writeSnapshot(dir string, seq uint64, at time.Time, configSum uint32, body []byte, kill *KillSpec, checkpoint int) error {
-	img := encodeSnapshot(seq, at, configSum, body)
+// writeSnapshot atomically persists a whole snapshot image (header filled by
+// putSnapshotHeader) as of WAL position seq: tmp file, fsync, rename,
+// directory fsync. A KillMidSnapshot crash leaves only a partial tmp.
+func writeSnapshot(dir string, seq uint64, img []byte, kill *KillSpec, checkpoint int) error {
 	final := filepath.Join(dir, snapName(seq))
 	tmp := final + ".tmp"
 	if kill.firesCheckpoint(KillMidSnapshot, checkpoint) {

@@ -67,11 +67,16 @@ func listSegments(dir string) ([]uint64, error) {
 	return out, nil
 }
 
-// appendFrame frames one payload into b.
-func appendFrame(b, payload []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, walCastagnoli))
-	return append(b, payload...)
+// appendOpFrame appends op to b as one finished WAL frame. The payload is
+// encoded straight after a reserved header, which is then filled in place,
+// so a reused b makes framing allocation-free once it has grown.
+func appendOpFrame(b []byte, op *Op) []byte {
+	start := len(b)
+	b = AppendOp(append(b, make([]byte, frameHdr)...), op)
+	payload := b[start+frameHdr:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, walCastagnoli))
+	return b
 }
 
 // segScan is the outcome of scanning one segment file.
@@ -300,11 +305,10 @@ func (w *wal) create(firstSeq uint64) error {
 	return nil
 }
 
-// append frames and writes one op payload, rotating first when the current
-// segment is full. seq is the op's sequence number (used for kill points and
-// rotation naming).
-func (w *wal) append(seq uint64, payload []byte) error {
-	frame := appendFrame(nil, payload)
+// append writes one finished frame (see appendOpFrame), rotating first when
+// the current segment is full. seq is the framed op's sequence number (used
+// for kill points and rotation naming). The wal keeps no reference to frame.
+func (w *wal) append(seq uint64, frame []byte) error {
 	if w.f != nil && w.size+int64(len(frame)) > w.segBytes && w.size > int64(walHdrLen) {
 		if err := w.sync(); err != nil {
 			return err

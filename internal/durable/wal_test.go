@@ -89,7 +89,7 @@ func writeTestWAL(t *testing.T, dir string, segBytes int64, ops []*Op) *wal {
 	t.Helper()
 	w := &wal{dir: dir, segBytes: segBytes, mode: SyncOff}
 	for _, op := range ops {
-		if err := w.append(op.Seq, EncodeOp(op)); err != nil {
+		if err := w.append(op.Seq, appendFrame(nil, EncodeOp(op))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := *ops[len(ops)-1]
-	if err := w2.append(last.Seq, EncodeOp(&last)); err != nil {
+	if err := w2.append(last.Seq, appendFrame(nil, EncodeOp(&last))); err != nil {
 		t.Fatal(err)
 	}
 	w2.close()
@@ -311,7 +311,7 @@ func TestSnapshotRoundTripAndCorruption(t *testing.T) {
 	dir := t.TempDir()
 	body := bytes.Repeat([]byte("fiat-state"), 100)
 	at := simclock.Epoch.Add(42 * time.Minute)
-	if err := writeSnapshot(dir, 7, at, 0xdeadbeef, body, nil, 1); err != nil {
+	if err := writeSnapshot(dir, 7, encodeSnapshot(7, at, 0xdeadbeef, body), nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	h, got, err := loadLatestSnapshot(dir)
@@ -349,7 +349,7 @@ func TestVerifyReadOnly(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSnapshot(dir, 10, simclock.Epoch, 1, []byte("body"), nil, 1); err != nil {
+	if err := writeSnapshot(dir, 10, encodeSnapshot(10, simclock.Epoch, 1, []byte("body")), nil, 1); err != nil {
 		t.Fatal(err)
 	}
 

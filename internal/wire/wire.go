@@ -54,6 +54,19 @@ func AppendBytes(b, v []byte) []byte {
 	return append(b, v...)
 }
 
+// BeginBytes starts an AppendBytes-framed block that is encoded in place:
+// it reserves the u32 length prefix and returns its offset, which EndBytes
+// patches once the block's bytes have been appended after it. The result is
+// byte-identical to AppendBytes over the same block, without encoding the
+// block into a separate slice first.
+func BeginBytes(b []byte) ([]byte, int) { return AppendU32(b, 0), len(b) }
+
+// EndBytes closes the block BeginBytes opened at offset at.
+func EndBytes(b []byte, at int) []byte {
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+	return b
+}
+
 // AppendString appends a u32 length prefix followed by the string bytes.
 func AppendString(b []byte, v string) []byte {
 	b = AppendU32(b, uint32(len(v)))
