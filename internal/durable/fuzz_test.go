@@ -42,23 +42,39 @@ func fuzzSeedOps() map[string][]byte {
 	}
 }
 
+// fuzzSeedHeaders builds the FuzzSnapshotHeader seeds at the current
+// SnapshotVersion: a whole image, a header-only image with an empty body
+// (both accepted), and three rejects.
 func fuzzSeedHeaders() map[string][]byte {
 	at := simclock.Epoch.Add(time.Hour)
 	body := []byte("proxy image bytes")
 	img := encodeSnapshot(42, at, 0xfeedf00d, body)
 	return map[string][]byte{
 		"whole":      img,
-		"header":     img[:snapHdrLen],
+		"header":     encodeSnapshot(42, at, 0xfeedf00d, nil),
 		"short":      img[:snapHdrLen-5],
 		"bad_magic":  append([]byte("NOTASNAP"), img[8:]...),
 		"long_claim": append([]byte{}, img[:snapHdrLen]...), // bodyLen > rest
 	}
 }
 
+// fuzzSeedFile is a committed seed file's content for one []byte input.
+func fuzzSeedFile(b []byte) []byte {
+	return []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(b))))
+}
+
 // TestFuzzCorpusCommitted keeps the fuzz seed corpus in lockstep with the
 // codec. With FIAT_WRITE_FUZZ_CORPUS=1 it (re)writes the seed files;
-// otherwise it fails if any committed seed is missing.
+// otherwise it fails if any committed seed is missing or differs from what
+// its generator makes today. The header seeds that stand for accepted
+// images must decode, so a format change cannot strand the corpus at the
+// version check.
 func TestFuzzCorpusCommitted(t *testing.T) {
+	for _, name := range []string{"whole", "header"} {
+		if _, _, err := decodeSnapshot(fuzzSeedHeaders()[name]); err != nil {
+			t.Errorf("FuzzSnapshotHeader seed %s does not decode: %v", name, err)
+		}
+	}
 	write := os.Getenv("FIAT_WRITE_FUZZ_CORPUS") == "1"
 	sets := map[string]map[string][]byte{
 		"FuzzWALRecord":      fuzzSeedOps(),
@@ -74,14 +90,17 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 		for name, b := range seeds {
 			path := filepath.Join(dir, name)
 			if write {
-				content := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(b)))
-				if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+				if err := os.WriteFile(path, fuzzSeedFile(b), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				continue
 			}
-			if _, err := os.Stat(path); err != nil {
+			got, err := os.ReadFile(path)
+			if err != nil {
 				t.Fatalf("committed fuzz seed missing (regenerate with FIAT_WRITE_FUZZ_CORPUS=1): %v", err)
+			}
+			if !bytes.Equal(got, fuzzSeedFile(b)) {
+				t.Errorf("committed fuzz seed %s/%s is stale (regenerate with FIAT_WRITE_FUZZ_CORPUS=1)", fuzzName, name)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package ml
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // StratifiedKFold partitions sample indices into k folds preserving class
@@ -47,51 +48,76 @@ type FoldResult struct {
 
 // CrossValidate runs k-fold evaluation: for each fold, a fresh classifier
 // from factory is trained on the remaining folds (scaled by a fold-local
-// StandardScaler) and evaluated on the held-out fold.
+// StandardScaler) and evaluated on the held-out fold. Folds are fitted
+// concurrently, each with its own scaler and classifier, and their results
+// come back in fold order. factory is called once per fold, in fold order,
+// before any fold is fitted.
 func CrossValidate(factory func() Classifier, X [][]float64, y []int, k int, seed int64) ([]FoldResult, error) {
 	if _, _, err := checkXY(X, y); err != nil {
 		return nil, err
 	}
 	folds := StratifiedKFold(y, k, seed)
-	results := make([]FoldResult, 0, k)
+	results := make([]FoldResult, len(folds))
+	errs := make([]error, len(folds))
+	var wg sync.WaitGroup
 	for f, test := range folds {
 		if len(test) == 0 {
 			continue
 		}
-		inTest := map[int]bool{}
-		for _, i := range test {
-			inTest[i] = true
-		}
-		var trX [][]float64
-		var trY []int
-		for i := range X {
-			if !inTest[i] {
-				trX = append(trX, X[i])
-				trY = append(trY, y[i])
-			}
-		}
-		if len(trX) == 0 {
-			continue
-		}
-		var scaler StandardScaler
-		trXs, err := scaler.FitTransform(trX)
-		if err != nil {
-			return nil, fmt.Errorf("fold %d: %w", f, err)
-		}
 		clf := factory()
-		if err := clf.Fit(trXs, trY); err != nil {
-			return nil, fmt.Errorf("fold %d: %w", f, err)
-		}
-		var teX [][]float64
-		var teY []int
-		for _, i := range test {
-			teX = append(teX, X[i])
-			teY = append(teY, y[i])
-		}
-		pred := clf.Predict(scaler.Transform(teX))
-		results = append(results, FoldResult{YTrue: teY, YPred: pred})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[f], errs[f] = fitFold(clf, X, y, test)
+		}()
 	}
-	return results, nil
+	wg.Wait()
+	out := results[:0]
+	for f, r := range results {
+		if errs[f] != nil {
+			return nil, fmt.Errorf("fold %d: %w", f, errs[f])
+		}
+		if r.YTrue != nil {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
+// fitFold trains clf on every sample outside test and predicts test. It
+// returns a zero FoldResult when no sample is left to train on.
+func fitFold(clf Classifier, X [][]float64, y []int, test []int) (FoldResult, error) {
+	inTest := map[int]bool{}
+	for _, i := range test {
+		inTest[i] = true
+	}
+	var trX [][]float64
+	var trY []int
+	for i := range X {
+		if !inTest[i] {
+			trX = append(trX, X[i])
+			trY = append(trY, y[i])
+		}
+	}
+	if len(trX) == 0 {
+		return FoldResult{}, nil
+	}
+	var scaler StandardScaler
+	trXs, err := scaler.FitTransform(trX)
+	if err != nil {
+		return FoldResult{}, err
+	}
+	if err := clf.Fit(trXs, trY); err != nil {
+		return FoldResult{}, err
+	}
+	var teX [][]float64
+	var teY []int
+	for _, i := range test {
+		teX = append(teX, X[i])
+		teY = append(teY, y[i])
+	}
+	pred := clf.Predict(scaler.Transform(teX))
+	return FoldResult{YTrue: teY, YPred: pred}, nil
 }
 
 // CrossValScore runs CrossValidate and reduces each fold with metric,

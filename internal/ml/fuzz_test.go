@@ -84,28 +84,39 @@ func fuzzSeedModels(tb testing.TB) map[string][]byte {
 	return seeds
 }
 
-// TestFuzzCorpusCommitted keeps the committed seed corpus in lockstep with
-// fuzzSeedModels. With FIAT_WRITE_FUZZ_CORPUS=1 it (re)writes the seed
-// files; otherwise it fails if any committed seed is missing.
+// TestFuzzCorpusCommitted keeps the committed seed corpora in lockstep
+// with fuzzSeedModels and treeSeedCases. With FIAT_WRITE_FUZZ_CORPUS=1 it
+// (re)writes the seed files; otherwise it fails if any committed seed is
+// missing or differs from what its generator makes today.
 func TestFuzzCorpusCommitted(t *testing.T) {
 	write := os.Getenv("FIAT_WRITE_FUZZ_CORPUS") == "1"
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeCompiled")
-	if write {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
+	sets := map[string]map[string][]byte{
+		"FuzzDecodeCompiled":  fuzzSeedModels(t),
+		"FuzzDecisionTreeFit": treeSeedCases(),
 	}
-	for name, b := range fuzzSeedModels(t) {
-		path := filepath.Join(dir, name)
+	for fuzzName, seeds := range sets {
+		dir := filepath.Join("testdata", "fuzz", fuzzName)
 		if write {
-			content := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(b)))
-			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			continue
 		}
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("committed fuzz seed missing (regenerate with FIAT_WRITE_FUZZ_CORPUS=1): %v", err)
+		for name, b := range seeds {
+			path := filepath.Join(dir, name)
+			content := []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(b))))
+			if write {
+				if err := os.WriteFile(path, content, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("committed fuzz seed missing (regenerate with FIAT_WRITE_FUZZ_CORPUS=1): %v", err)
+			}
+			if !bytes.Equal(got, content) {
+				t.Errorf("committed fuzz seed %s/%s is stale (regenerate with FIAT_WRITE_FUZZ_CORPUS=1)", fuzzName, name)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -492,6 +493,35 @@ func TestCrossValidateFoldCount(t *testing.T) {
 	}
 	if total != 50 {
 		t.Fatalf("total held-out samples = %d, want 50", total)
+	}
+}
+
+// TestCrossValidateMatchesSequentialFolds: folds fitted concurrently come
+// back in fold order, each from the classifier the factory made for that
+// fold, equal to fitting the folds one after another.
+func TestCrossValidateMatchesSequentialFolds(t *testing.T) {
+	X, y := blobs(3, 40, 4, 1, 2, 15)
+	calls := 0
+	factory := func() Classifier {
+		calls++
+		return &MLP{Hidden: []int{8}, Epochs: 5, Seed: int64(calls)}
+	}
+	results, err := CrossValidate(factory, X, y, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	folds := StratifiedKFold(y, 5, 3)
+	if len(results) != len(folds) {
+		t.Fatalf("folds evaluated = %d, want %d", len(results), len(folds))
+	}
+	for f, test := range folds {
+		want, err := fitFold(&MLP{Hidden: []int{8}, Epochs: 5, Seed: int64(f + 1)}, X, y, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(results[f].YTrue, want.YTrue) || !slices.Equal(results[f].YPred, want.YPred) {
+			t.Fatalf("fold %d differs from its sequential fit", f)
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // DecisionTree is a CART classifier splitting on weighted Gini impurity. It
@@ -43,6 +43,11 @@ func (t *DecisionTree) Fit(X [][]float64, y []int) error {
 }
 
 // FitWeighted trains with explicit sample weights.
+//
+// The fit is a presorted CART: each feature's samples are sorted once at the
+// root, and every split stably partitions those orders, so each node scans
+// its samples in feature order without sorting again. A node owns the same
+// [lo, hi) range of every order.
 func (t *DecisionTree) FitWeighted(X [][]float64, y []int, w []float64) error {
 	d, k, err := checkXY(X, y)
 	if err != nil {
@@ -52,109 +57,192 @@ func (t *DecisionTree) FitWeighted(X [][]float64, y []int, w []float64) error {
 		return ErrShape
 	}
 	t.classes = k
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
+	n := len(X)
+	s := treeFit{
+		t: t, y: y, w: w, n: n, d: d,
+		col:   make([]float64, d*n),
+		order: make([]int32, (d+1)*n),
+		left:  make([]bool, n),
+		spill: make([]int32, n),
+		feats: make([]int, d),
+		sums:  make([]float64, 3*k),
+		rng:   rand.New(rand.NewSource(t.Seed + 1)),
 	}
-	rng := rand.New(rand.NewSource(t.Seed + 1))
-	t.root = t.build(X, y, w, idx, d, 0, rng)
+	for i, row := range X {
+		for f, v := range row {
+			s.col[f*n+i] = v
+		}
+	}
+	for f := 0; f < d; f++ {
+		sortByValue(s.order[f*n:(f+1)*n], s.col[f*n:(f+1)*n])
+	}
+	idx := s.order[d*n:]
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	t.root = s.build(0, n, 0)
 	return nil
 }
 
-func (t *DecisionTree) build(X [][]float64, y []int, w []float64, idx []int, d, depth int, rng *rand.Rand) *treeNode {
+// sortByValue sets ord to the samples 0..len(ord)-1 sorted by col. pdqsort's
+// permutation depends only on which comparisons report "less", so ties
+// land exactly where sort.Slice with col[a] < col[b] puts them.
+func sortByValue(ord []int32, col []float64) {
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	slices.SortFunc(ord, func(a, b int32) int {
+		if col[a] < col[b] {
+			return -1
+		}
+		if col[a] > col[b] {
+			return 1
+		}
+		return 0
+	})
+}
+
+// treeFit is the state one FitWeighted call shares across its nodes.
+type treeFit struct {
+	t    *DecisionTree
+	y    []int
+	w    []float64
+	n, d int
+	// col holds X column by column: col[f*n+i] is X[i][f].
+	col []float64
+	// order holds d+1 permutations of the samples, n entries each: order f
+	// sorts them by feature f, and order d keeps them in index order for
+	// the majority sums.
+	order []int32
+	// left marks, for the node being split, the samples its left child
+	// takes; spill holds the right-hand samples during a partition.
+	left  []bool
+	spill []int32
+	feats []int
+	// sums holds the majority and the left and right class-weight sums,
+	// k entries each.
+	sums []float64
+	rng  *rand.Rand
+}
+
+func (s *treeFit) build(lo, hi, depth int) *treeNode {
+	t := s.t
 	minSplit := t.MinSamplesSplit
 	if minSplit < 2 {
 		minSplit = 2
 	}
-	maj := t.weightedMajority(y, w, idx)
-	if len(idx) < minSplit || (t.MaxDepth > 0 && depth >= t.MaxDepth) || t.pure(y, idx) {
-		return &treeNode{leaf: true, class: maj}
+	idx := s.order[s.d*s.n+lo : s.d*s.n+hi]
+	if len(idx) < minSplit || (t.MaxDepth > 0 && depth >= t.MaxDepth) || s.pure(idx) {
+		return s.leaf(idx)
 	}
-	feat, thr, ok := t.bestSplit(X, y, w, idx, d, rng)
+	feat, thr, ok := s.bestSplit(lo, hi)
 	if !ok {
-		return &treeNode{leaf: true, class: maj}
+		return s.leaf(idx)
 	}
-	var left, right []int
+	col := s.col[feat*s.n : (feat+1)*s.n]
+	nLeft := 0
 	for _, i := range idx {
-		if X[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+		s.left[i] = col[i] <= thr
+		if s.left[i] {
+			nLeft++
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
-		return &treeNode{leaf: true, class: maj}
+	if nLeft == 0 || nLeft == len(idx) {
+		return s.leaf(idx)
 	}
+	// Children at the depth bound are leaves and read only the index order.
+	first := 0
+	if t.MaxDepth > 0 && depth+1 >= t.MaxDepth {
+		first = s.d
+	}
+	for f := first; f <= s.d; f++ {
+		s.partition(s.order[f*s.n+lo : f*s.n+hi])
+	}
+	mid := lo + nLeft
 	return &treeNode{
 		feature:   feat,
 		threshold: thr,
-		left:      t.build(X, y, w, left, d, depth+1, rng),
-		right:     t.build(X, y, w, right, d, depth+1, rng),
+		left:      s.build(lo, mid, depth+1),
+		right:     s.build(mid, hi, depth+1),
 	}
 }
 
-func (t *DecisionTree) pure(y []int, idx []int) bool {
+// partition stably moves the samples marked left to the front of ord.
+func (s *treeFit) partition(ord []int32) {
+	l, r := 0, 0
+	for _, i := range ord {
+		if s.left[i] {
+			ord[l] = i
+			l++
+		} else {
+			s.spill[r] = i
+			r++
+		}
+	}
+	copy(ord[l:], s.spill[:r])
+}
+
+func (s *treeFit) pure(idx []int32) bool {
 	for _, i := range idx[1:] {
-		if y[i] != y[idx[0]] {
+		if s.y[i] != s.y[idx[0]] {
 			return false
 		}
 	}
 	return true
 }
 
-func (t *DecisionTree) weightedMajority(y []int, w []float64, idx []int) int {
-	sums := make([]float64, t.classes)
+// leaf predicts the class of largest weight, summed in index order.
+func (s *treeFit) leaf(idx []int32) *treeNode {
+	sums := s.sums[:s.t.classes]
+	clear(sums)
 	for _, i := range idx {
-		sums[y[i]] += w[i]
+		sums[s.y[i]] += s.w[i]
 	}
-	return argmax(sums)
+	return &treeNode{leaf: true, class: argmax(sums)}
 }
 
 // bestSplit scans candidate features for the threshold minimizing weighted
 // Gini impurity of the children.
-func (t *DecisionTree) bestSplit(X [][]float64, y []int, w []float64, idx []int, d int, rng *rand.Rand) (int, float64, bool) {
-	feats := make([]int, d)
+func (s *treeFit) bestSplit(lo, hi int) (int, float64, bool) {
+	d, k := s.d, s.t.classes
+	feats := s.feats
 	for i := range feats {
 		feats[i] = i
 	}
-	if t.MaxFeatures > 0 && t.MaxFeatures < d {
-		rng.Shuffle(d, func(a, b int) { feats[a], feats[b] = feats[b], feats[a] })
-		feats = feats[:t.MaxFeatures]
+	if m := s.t.MaxFeatures; m > 0 && m < d {
+		s.rng.Shuffle(d, func(a, b int) { feats[a], feats[b] = feats[b], feats[a] })
+		feats = feats[:m]
 	}
+	y, w := s.y, s.w
+	leftW, rightW := s.sums[k:2*k], s.sums[2*k:3*k]
 	bestGini := math.Inf(1)
 	bestFeat, bestThr := -1, 0.0
-	type fv struct {
-		v float64
-		i int
-	}
-	vals := make([]fv, len(idx))
 	for _, f := range feats {
-		for vi, i := range idx {
-			vals[vi] = fv{v: X[i][f], i: i}
-		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
+		ord := s.order[f*s.n+lo : f*s.n+hi]
+		col := s.col[f*s.n : (f+1)*s.n]
 		// Prefix class-weight sums enable O(1) impurity per threshold.
-		leftW := make([]float64, t.classes)
-		rightW := make([]float64, t.classes)
+		clear(leftW)
+		clear(rightW)
 		var leftTotal, rightTotal float64
-		for _, e := range vals {
-			rightW[y[e.i]] += w[e.i]
-			rightTotal += w[e.i]
+		for _, i := range ord {
+			rightW[y[i]] += w[i]
+			rightTotal += w[i]
 		}
-		for vi := 0; vi < len(vals)-1; vi++ {
-			e := vals[vi]
-			leftW[y[e.i]] += w[e.i]
-			leftTotal += w[e.i]
-			rightW[y[e.i]] -= w[e.i]
-			rightTotal -= w[e.i]
-			if vals[vi].v == vals[vi+1].v {
+		for vi := 0; vi < len(ord)-1; vi++ {
+			i := ord[vi]
+			leftW[y[i]] += w[i]
+			leftTotal += w[i]
+			rightW[y[i]] -= w[i]
+			rightTotal -= w[i]
+			v, next := col[i], col[ord[vi+1]]
+			if v == next {
 				continue // no threshold between equal values
 			}
 			g := weightedGini(leftW, leftTotal)*leftTotal + weightedGini(rightW, rightTotal)*rightTotal
 			if g < bestGini {
 				bestGini = g
 				bestFeat = f
-				bestThr = (vals[vi].v + vals[vi+1].v) / 2
+				bestThr = (v + next) / 2
 			}
 		}
 	}

@@ -12,7 +12,7 @@ import (
 
 var t0 = time.Date(2022, 6, 1, 0, 0, 0, 0, time.UTC)
 
-func learnedTable(t *testing.T) *flows.RuleTable {
+func learnedTable(t testing.TB) *flows.RuleTable {
 	t.Helper()
 	rt := flows.NewRuleTable(flows.ModePortLess)
 	mk := func(i int, dir flows.Direction, domain, proto string, size int, rport uint16) flows.Record {
@@ -31,6 +31,21 @@ func learnedTable(t *testing.T) *flows.RuleTable {
 	if rt.Rules() != 3 {
 		t.Fatalf("learned %d rules, want 3", rt.Rules())
 	}
+	return rt
+}
+
+// classicTable learns one port-exact flow to a bare IP, so its export
+// carries an address domain and a destination-port match.
+func classicTable() *flows.RuleTable {
+	rt := flows.NewRuleTable(flows.ModeClassic)
+	for i := 0; i < 10; i++ {
+		rt.Learn(flows.Record{
+			Time: t0.Add(time.Duration(i) * time.Minute), Size: 128, Proto: "tcp",
+			Dir: flows.DirOutbound, RemoteIP: netip.MustParseAddr("52.0.0.1"),
+			LocalPort: 40000, RemotePort: 443,
+		})
+	}
+	rt.Freeze()
 	return rt
 }
 
@@ -143,16 +158,7 @@ func TestMatcherEnforcesProfile(t *testing.T) {
 func TestMatcherClassicRulesKeepPorts(t *testing.T) {
 	// Classic-mode rules retain the remote port, so their MUD export is
 	// port-exact.
-	rt := flows.NewRuleTable(flows.ModeClassic)
-	for i := 0; i < 10; i++ {
-		rt.Learn(flows.Record{
-			Time: t0.Add(time.Duration(i) * time.Minute), Size: 128, Proto: "tcp",
-			Dir: flows.DirOutbound, RemoteIP: netip.MustParseAddr("52.0.0.1"),
-			LocalPort: 40000, RemotePort: 443,
-		})
-	}
-	rt.Freeze()
-	m := NewMatcher(FromRules("plug", "u", rt, t0))
+	m := NewMatcher(FromRules("plug", "u", classicTable(), t0))
 	ok := flows.Record{Dir: flows.DirOutbound, RemoteIP: netip.MustParseAddr("52.0.0.1"),
 		Proto: "tcp", RemotePort: 443}
 	if !m.Allowed(ok) {
