@@ -9,9 +9,10 @@
 // Usage:
 //
 // With -verify-state it instead runs a strictly read-only integrity check
-// of a fiat-proxy durable state directory: every snapshot checksum, every
-// WAL segment's framing and record CRCs, and sequence continuity — exiting
-// nonzero when recovery would fail closed.
+// of a fiat-proxy durable state directory: every snapshot checksum and
+// proxy image (decoded as recovery decodes it), every WAL segment's framing
+// and record CRCs, and sequence continuity — exiting nonzero when recovery
+// would fail closed.
 //
 //	trafficgen -device WyzeCam -hours 6 -out wyze.pcap
 //	fiat-analyze -pcap wyze.pcap -device 192.168.1.50

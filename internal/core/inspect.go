@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"fiat/internal/artifact"
-	"fiat/internal/flows"
-	"fiat/internal/swap"
-	"fiat/internal/wire"
 )
 
 // StateArtifactInfo summarizes the artifact section of a serialized proxy
@@ -21,7 +18,7 @@ type StateArtifactInfo struct {
 	ModelBytes int64 // bytes of unique model blobs
 	ArenaRefs  int   // devices referencing an arena
 	ModelRefs  int   // devices referencing a model
-	Devices    int   // device sections walked
+	Devices    int   // device sections decoded
 	SavedBytes int64 // bytes dedup removed vs one embedded copy per reference
 }
 
@@ -30,222 +27,56 @@ func (i StateArtifactInfo) String() string {
 		i.Arenas, i.ArenaBytes, i.ArenaRefs, i.Models, i.ModelBytes, i.ModelRefs, i.Devices, i.SavedBytes)
 }
 
-// InspectStateArtifacts validates a v3 proxy image's artifact section
-// offline — envelope magic/version/CRC and rules-payload offset bounds for
-// every blob — and walks the device sections to resolve each artifact
-// reference, returning dedup statistics. It needs no live proxy and mutates
-// nothing; fiat-analyze -verify-state runs it against the newest snapshot.
+// InspectStateArtifacts checks a proxy image offline with the decoder
+// RestoreState runs — every section up to the drift detector and the
+// registries, which restore only into a live proxy — then validates every
+// artifact blob's envelope and kind and returns dedup statistics. It needs
+// no live proxy and mutates nothing; fiat-analyze -verify-state runs it on
+// every snapshot.
 func InspectStateArtifacts(body []byte) (StateArtifactInfo, error) {
 	var info StateArtifactInfo
-	rd := wire.NewReader(body)
-	if v := rd.U16(); rd.Err() == nil && v != ProxyStateVersion {
-		return info, fmt.Errorf("core: proxy state version %d, want %d", v, ProxyStateVersion)
+	img, err := decodeState(body)
+	if err != nil {
+		return info, err
 	}
-	rd.U32() // config checksum (verified by restore, not here)
-	rd.I64() // started
-	naliases := int(rd.U32())
-	if rd.Err() != nil || naliases > rd.Len() {
-		return info, fmt.Errorf("core: inspect aliases: %w", wire.ErrTruncated)
-	}
-	for i := 0; i < naliases; i++ {
-		_ = rd.String()
-	}
-	nlog := int(rd.U32())
-	if rd.Err() != nil || nlog > rd.Len() {
-		return info, fmt.Errorf("core: inspect log: %w", wire.ErrTruncated)
-	}
-	for i := 0; i < nlog; i++ {
-		rd.I64()
-		_ = rd.String()
-		_ = rd.String()
-		rd.U8()
-		rd.I64()
-	}
-	for i := 0; i < 15; i++ { // ProxyStats fields
-		rd.I64()
-	}
-	if err := rd.Err(); err != nil {
-		return info, fmt.Errorf("core: inspect header: %w", err)
-	}
-
-	arenaSizes := make(map[uint32]int)
-	modelSizes := make(map[uint32]int)
-	readBlob := func(sizes map[uint32]int, wantKind uint8, padded bool) error {
-		sum := rd.U32()
-		blobLen := int(rd.U32())
-		if rd.Err() != nil || blobLen > rd.Len() {
-			return wire.ErrTruncated
+	for _, sec := range [...]struct {
+		blobs []imageBlob
+		kind  uint8
+		count *int
+		bytes *int64
+	}{
+		{img.arenas, artifact.KindRules, &info.Arenas, &info.ArenaBytes},
+		{img.models, artifact.KindModel, &info.Models, &info.ModelBytes},
+	} {
+		for _, b := range sec.blobs {
+			kind, err := artifact.Validate(b.data)
+			if err != nil {
+				return info, fmt.Errorf("core: inspect blob %08x: %w", b.sum, err)
+			}
+			if kind != sec.kind {
+				return info, fmt.Errorf("core: inspect blob %08x has kind %d, want %d", b.sum, kind, sec.kind)
+			}
+			*sec.bytes += int64(len(b.data))
 		}
-		if padded {
-			skipPad8(rd, len(body)-rd.Len())
-		}
-		blob := rd.Take(blobLen)
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		kind, err := artifact.Validate(blob)
-		if err != nil {
-			return fmt.Errorf("blob %08x: %w", sum, err)
-		}
-		if kind != wantKind {
-			return fmt.Errorf("blob %08x has kind %d, want %d", sum, kind, wantKind)
-		}
-		if _, dup := sizes[sum]; dup {
-			return fmt.Errorf("artifact section repeats %08x", sum)
-		}
-		sizes[sum] = blobLen
-		return nil
-	}
-	narenas := int(rd.U32())
-	if rd.Err() != nil || narenas > rd.Len() {
-		return info, fmt.Errorf("core: inspect artifact section: %w", wire.ErrTruncated)
-	}
-	for i := 0; i < narenas; i++ {
-		if err := readBlob(arenaSizes, artifact.KindRules, true); err != nil {
-			return info, fmt.Errorf("core: inspect arena %d: %w", i, err)
-		}
-	}
-	nmodels := int(rd.U32())
-	if rd.Err() != nil || nmodels > rd.Len() {
-		return info, fmt.Errorf("core: inspect artifact section: %w", wire.ErrTruncated)
-	}
-	for i := 0; i < nmodels; i++ {
-		if err := readBlob(modelSizes, artifact.KindModel, false); err != nil {
-			return info, fmt.Errorf("core: inspect model %d: %w", i, err)
-		}
-	}
-	info.Arenas, info.Models = len(arenaSizes), len(modelSizes)
-	for _, n := range arenaSizes {
-		info.ArenaBytes += int64(n)
-	}
-	for _, n := range modelSizes {
-		info.ModelBytes += int64(n)
-	}
-
-	ndev := int(rd.U32())
-	if rd.Err() != nil || ndev > rd.Len() {
-		return info, fmt.Errorf("core: inspect devices: %w", wire.ErrTruncated)
-	}
-	for i := 0; i < ndev; i++ {
-		if err := skipDeviceSection(rd, body, arenaSizes, modelSizes, &info); err != nil {
-			return info, fmt.Errorf("core: inspect device %d: %w", i, err)
-		}
-		info.Devices++
+		*sec.count = len(sec.blobs)
 	}
 	// Dedup savings: every reference beyond the first copy of a blob would
 	// have been an embedded duplicate in the pre-v3 layout.
+	for i := range img.devices {
+		d := &img.devices[i]
+		if d.arena != nil {
+			info.ArenaRefs++
+			info.SavedBytes += int64(len(d.arena.data))
+		}
+		if d.model != nil {
+			info.ModelRefs++
+			info.SavedBytes += int64(len(d.model.data))
+		}
+	}
+	info.Devices = len(img.devices)
 	info.SavedBytes -= info.ArenaBytes + info.ModelBytes
 	if info.SavedBytes < 0 {
 		info.SavedBytes = 0
 	}
 	return info, nil
-}
-
-// skipDeviceSection walks one serialized device, resolving its artifact
-// references against the section maps and accumulating reference stats.
-func skipDeviceSection(rd *wire.Reader, body []byte, arenaSizes, modelSizes map[uint32]int, info *StateArtifactInfo) error {
-	_ = rd.String() // name
-	rtLen := int(rd.U32())
-	if rd.Err() != nil || rtLen > rd.Len() {
-		return wire.ErrTruncated
-	}
-	rd.Take(rtLen)
-	if rd.Bool() { // artifact present
-		sum := rd.U32()
-		n, ok := arenaSizes[sum]
-		if rd.Err() == nil && !ok {
-			return fmt.Errorf("references arena %08x missing from artifact section", sum)
-		}
-		info.ArenaRefs++
-		info.SavedBytes += int64(n)
-		width := int(rd.U32())
-		if rd.Err() != nil || width > rd.Len()/9 {
-			return wire.ErrTruncated
-		}
-		skipPad8(rd, len(body)-rd.Len())
-		rd.Take(8 * width)
-		rd.Take(width)
-		if _, rest, err := swap.DecodeMeta(rd.Rest()); err != nil {
-			return fmt.Errorf("artifact meta: %w", err)
-		} else {
-			rd.Reset(rest)
-		}
-	}
-	switch kind := rd.U8(); kind {
-	case 0:
-	case 1:
-		sum := rd.U32()
-		n, ok := modelSizes[sum]
-		if rd.Err() == nil && !ok {
-			return fmt.Errorf("references model %08x missing from artifact section", sum)
-		}
-		info.ModelRefs++
-		info.SavedBytes += int64(n)
-	default:
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("unknown classifier kind %d", kind)
-	}
-	rd.I64()       // evPackets
-	if rd.Bool() { // decided event
-		rd.U8()
-		_ = rd.String()
-	}
-	ndrops := int(rd.U32())
-	if rd.Err() != nil || ndrops > rd.Len()/8 {
-		return wire.ErrTruncated
-	}
-	for i := 0; i < ndrops; i++ {
-		rd.I64()
-	}
-	rd.Bool()      // locked
-	if rd.Bool() { // current event
-		nrec := int(rd.U32())
-		if rd.Err() != nil || nrec > rd.Len() {
-			return wire.ErrTruncated
-		}
-		for i := 0; i < nrec; i++ {
-			if _, err := flows.ReadRecord(rd); err != nil {
-				return fmt.Errorf("event record: %w", err)
-			}
-		}
-	}
-	rd.U64()       // generation counter
-	if rd.Bool() { // cooldown
-		rd.I64()
-	}
-	phase := swap.Phase(rd.U8())
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	switch phase {
-	case swap.PhaseIdle:
-	case swap.PhaseRelearn, swap.PhaseShadow:
-		rd.I64() // relearn started
-		if _, rest, err := flows.DecodeRuleTable(rd.Rest()); err != nil {
-			return fmt.Errorf("candidate rules: %w", err)
-		} else {
-			rd.Reset(rest)
-		}
-		if phase == swap.PhaseShadow {
-			if _, rest, err := swap.DecodeMeta(rd.Rest()); err != nil {
-				return fmt.Errorf("candidate meta: %w", err)
-			} else {
-				rd.Reset(rest)
-			}
-			rd.I64s() // candidate arrival last
-			rd.Bools()
-			for i := 0; i < 2; i++ {
-				if _, rest, err := swap.DecodeShadowMatrix(rd.Rest()); err != nil {
-					return fmt.Errorf("shadow matrix: %w", err)
-				} else {
-					rd.Reset(rest)
-				}
-			}
-		}
-	default:
-		return fmt.Errorf("unknown lifecycle phase %d", phase)
-	}
-	return rd.Err()
 }

@@ -327,94 +327,6 @@ func appendArtifactSection(b []byte, base int, arenas, models map[uint32][]byte)
 	return b
 }
 
-// artifactSection is the parsed artifact section: blob bytes per checksum,
-// plus — on the zero-copy arm — the shared view/template installed in the
-// store.
-type artifactSection struct {
-	arenas map[uint32]sectionArena
-	models map[uint32]sectionModel
-}
-
-type sectionArena struct {
-	blob []byte
-	view *flows.CompiledRules // zero-copy arm only
-}
-
-type sectionModel struct {
-	blob  []byte
-	model ml.CompiledModel // zero-copy arm only
-}
-
-// restoreArtifactSection parses the artifact section. On the zero-copy arm
-// every unique blob is installed into Config.Artifacts here — view
-// construction, identity verification, and model decoding happen once per
-// unique checksum, never per device. On the copied arm only the blob bytes
-// are recorded; each device then decodes its own copy, preserving the
-// legacy per-device cost and ownership discipline as the differential
-// baseline.
-func (p *Proxy) restoreArtifactSection(rd *wire.Reader, data []byte) (*artifactSection, error) {
-	sec := &artifactSection{
-		arenas: make(map[uint32]sectionArena),
-		models: make(map[uint32]sectionModel),
-	}
-	narenas := int(rd.U32())
-	if rd.Err() != nil || narenas > rd.Len() {
-		return nil, fmt.Errorf("core: restore artifact section: %w", wire.ErrTruncated)
-	}
-	for i := 0; i < narenas; i++ {
-		sum := rd.U32()
-		blobLen := int(rd.U32())
-		if rd.Err() != nil || blobLen > rd.Len() {
-			return nil, fmt.Errorf("core: restore artifact section: %w", wire.ErrTruncated)
-		}
-		skipPad8(rd, len(data)-rd.Len())
-		blob := rd.Take(blobLen)
-		if err := rd.Err(); err != nil {
-			return nil, fmt.Errorf("core: restore artifact section: %w", err)
-		}
-		if _, dup := sec.arenas[sum]; dup {
-			return nil, fmt.Errorf("core: artifact section repeats arena %08x", sum)
-		}
-		entry := sectionArena{blob: blob}
-		if p.cfg.Artifacts != nil {
-			view, err := p.cfg.Artifacts.InstallRules(sum, blob)
-			if err != nil {
-				return nil, fmt.Errorf("core: install arena %08x: %w", sum, err)
-			}
-			entry.view = view
-		}
-		sec.arenas[sum] = entry
-	}
-	nmodels := int(rd.U32())
-	if rd.Err() != nil || nmodels > rd.Len() {
-		return nil, fmt.Errorf("core: restore artifact section: %w", wire.ErrTruncated)
-	}
-	for i := 0; i < nmodels; i++ {
-		sum := rd.U32()
-		blobLen := int(rd.U32())
-		if rd.Err() != nil || blobLen > rd.Len() {
-			return nil, fmt.Errorf("core: restore artifact section: %w", wire.ErrTruncated)
-		}
-		blob := rd.Take(blobLen)
-		if err := rd.Err(); err != nil {
-			return nil, fmt.Errorf("core: restore artifact section: %w", err)
-		}
-		if _, dup := sec.models[sum]; dup {
-			return nil, fmt.Errorf("core: artifact section repeats model %08x", sum)
-		}
-		entry := sectionModel{blob: blob}
-		if p.cfg.Artifacts != nil {
-			model, err := p.cfg.Artifacts.InstallModel(sum, blob)
-			if err != nil {
-				return nil, fmt.Errorf("core: install model %08x: %w", sum, err)
-			}
-			entry.model = model
-		}
-		sec.models[sum] = entry
-	}
-	return sec, nil
-}
-
 func appendDeviceState(b []byte, base int, ds *deviceState, arts *devArtifacts) []byte {
 	b = wire.AppendString(b, ds.cfg.Name)
 	// Length-prefixed since v3: the zero-copy arm keeps the raw bytes and
@@ -576,6 +488,68 @@ func (p *Proxy) appendGuard(b []byte) []byte {
 	return b
 }
 
+// stateImage is a decoded proxy image, up to the sections that restore only
+// into live objects. Artifact blobs, rule-table bytes and arrival blocks
+// alias the decoded buffer; everything else is owned and moves into the
+// proxy at install.
+type stateImage struct {
+	configSum uint32
+	started   time.Time
+	aliases   []string
+	log       []LogEntry
+	stats     ProxyStats
+
+	// The artifact section in image order; no checksum repeats.
+	arenas []imageBlob
+	models []imageBlob
+
+	devices []deviceImage
+
+	validations       map[string][]validation
+	pending, overflow []pendingDecision
+	chanDown          bool
+	chanSince         time.Time
+	outages           []interval
+	hasGuard          bool
+	guard             []sensors.SeenTag
+
+	// tail holds the drift detector and the swap and main registries, which
+	// restore only into the live proxy's own objects.
+	tail []byte
+}
+
+// imageBlob is one artifact-section entry: a relocatable blob filed under
+// its checksum.
+type imageBlob struct {
+	sum  uint32
+	data []byte
+}
+
+// deviceImage is one decoded device section.
+type deviceImage struct {
+	name  string
+	rules []byte // serialized rule table; the restore arm parses it at install
+
+	// arena is the live compiled artifact's blob (nil: the device has none);
+	// the raw arrival block and the identity belong to it.
+	arena       *imageBlob
+	arrivalLast []byte
+	arrivalHas  []byte
+	meta        swap.Meta
+
+	model *imageBlob // compiled classifier (nil: the config-provided one)
+
+	evPackets     int
+	evDecided     bool
+	evDecision    Decision
+	drops         []time.Time
+	locked        bool
+	cur           *events.Event
+	genCounter    uint64
+	cooldownUntil time.Time
+	rl            *relearnState // relearn/shadow candidate; nil when idle
+}
+
 // RestoreState overwrites the proxy's mutable state from a serialized image.
 // The receiving proxy must be freshly constructed with the same
 // configuration that produced the image — same Config (Shards excepted),
@@ -583,38 +557,52 @@ func (p *Proxy) appendGuard(b []byte) []byte {
 // config checksum enforces this and the restore fails closed on any skew,
 // version mismatch, truncation, or embedded-arena checksum disagreement.
 //
-// On error the proxy may be partially restored and must be discarded — the
-// recovery path builds a throwaway proxy per attempt, so there is nothing to
-// roll back.
+// An image that fails to decode (wrong version, truncation, or any fault the
+// image shows on its own) leaves the proxy unchanged. An image that decodes
+// but fails to install (config skew, artifact or model disagreement, a bad
+// drift or registry section) may leave the proxy partially restored, and the
+// proxy must then be discarded — the recovery path builds a throwaway proxy
+// per attempt, so there is nothing to roll back.
 func (p *Proxy) RestoreState(data []byte) error {
+	img, err := decodeState(data)
+	if err != nil {
+		return err
+	}
+	return p.install(img)
+}
+
+// decodeState parses a serialized proxy image and runs every check that
+// needs only the image. It touches no proxy and takes no lock, which is what
+// lets InspectStateArtifacts run it offline and makes a rejected image leave
+// RestoreState's proxy unchanged. Beyond framing it rejects a repeated
+// artifact checksum or device, a reference to an arena or model the
+// artifact section lacks, an unknown classifier kind or lifecycle phase, a
+// rule table frozen without an arena (or an arena over an unfrozen table),
+// and identities, candidates and generation counters that disagree with
+// each other.
+func decodeState(data []byte) (*stateImage, error) {
 	rd := wire.NewReader(data)
 	if v := rd.U16(); rd.Err() == nil && v != ProxyStateVersion {
-		return fmt.Errorf("core: proxy state version %d, want %d", v, ProxyStateVersion)
+		return nil, fmt.Errorf("core: proxy state version %d, want %d", v, ProxyStateVersion)
 	}
-	sum := rd.U32()
-	if err := rd.Err(); err != nil {
-		return fmt.Errorf("core: restore: %w", err)
-	}
-	if want := p.ConfigChecksum(); sum != want {
-		return fmt.Errorf("core: snapshot config checksum %08x does not match live config %08x", sum, want)
-	}
+	img := &stateImage{configSum: rd.U32()}
 	started := rd.I64()
 
 	naliases := int(rd.U32())
 	if rd.Err() != nil || naliases > rd.Len() {
-		return fmt.Errorf("core: restore aliases: %w", wire.ErrTruncated)
+		return nil, fmt.Errorf("core: restore aliases: %w", wire.ErrTruncated)
 	}
-	aliases := make([]string, 0, naliases)
+	img.aliases = make([]string, 0, naliases)
 	for i := 0; i < naliases; i++ {
-		aliases = append(aliases, rd.String())
+		img.aliases = append(img.aliases, rd.String())
 	}
 	nlog := int(rd.U32())
 	if rd.Err() != nil || nlog > rd.Len() {
-		return fmt.Errorf("core: restore log: %w", wire.ErrTruncated)
+		return nil, fmt.Errorf("core: restore log: %w", wire.ErrTruncated)
 	}
-	log := make([]LogEntry, 0, nlog)
+	img.log = make([]LogEntry, 0, nlog)
 	for i := 0; i < nlog; i++ {
-		log = append(log, LogEntry{
+		img.log = append(img.log, LogEntry{
 			Time:    time.Unix(0, rd.I64()).UTC(),
 			Device:  rd.String(),
 			Reason:  Reason(rd.String()),
@@ -622,449 +610,266 @@ func (p *Proxy) RestoreState(data []byte) error {
 			Packets: int(rd.I64()),
 		})
 	}
-	var stats ProxyStats
+	st := &img.stats
 	for _, f := range [...]*int{
-		&stats.Packets, &stats.Allowed, &stats.Dropped, &stats.RuleHits,
-		&stats.EventsManual, &stats.EventsNonManual, &stats.AttestationsOK,
-		&stats.AttestationsBad, &stats.AttestationsStale,
-		&stats.AttestationsReplayed, &stats.RuleCompiles, &stats.PendingHeld,
-		&stats.LateAdmitted, &stats.PendingExpired, &stats.OutageExcused,
+		&st.Packets, &st.Allowed, &st.Dropped, &st.RuleHits,
+		&st.EventsManual, &st.EventsNonManual, &st.AttestationsOK,
+		&st.AttestationsBad, &st.AttestationsStale,
+		&st.AttestationsReplayed, &st.RuleCompiles, &st.PendingHeld,
+		&st.LateAdmitted, &st.PendingExpired, &st.OutageExcused,
 	} {
 		*f = int(rd.I64())
 	}
 	if err := rd.Err(); err != nil {
-		return fmt.Errorf("core: restore header: %w", err)
+		return nil, fmt.Errorf("core: restore header: %w", err)
+	}
+	img.started = time.Unix(0, started).UTC()
+
+	var arenas, models map[uint32]*imageBlob
+	var err error
+	if img.arenas, arenas, err = decodeBlobs(rd, data, true); err != nil {
+		return nil, fmt.Errorf("core: restore artifact section arenas: %w", err)
+	}
+	if img.models, models, err = decodeBlobs(rd, data, false); err != nil {
+		return nil, fmt.Errorf("core: restore artifact section models: %w", err)
 	}
 
-	p.started = time.Unix(0, started).UTC()
-	p.mu.Lock()
-	p.aliases = aliases
-	p.log = log
-	p.Stats = stats
-	p.mu.Unlock()
-
-	sec, err := p.restoreArtifactSection(rd, data)
-	if err != nil {
-		return err
-	}
-
-	devs := p.deviceStates()
 	ndev := int(rd.U32())
-	if err := rd.Err(); err != nil {
-		return fmt.Errorf("core: restore devices: %w", err)
+	if rd.Err() != nil || ndev > rd.Len() {
+		return nil, fmt.Errorf("core: restore devices: %w", wire.ErrTruncated)
 	}
-	if ndev != len(devs) {
-		return fmt.Errorf("core: snapshot has %d devices, live proxy has %d", ndev, len(devs))
-	}
+	img.devices = make([]deviceImage, ndev)
 	seen := make(map[string]bool, ndev)
-	for i := 0; i < ndev; i++ {
-		name, err := p.restoreDevice(rd, data, sec)
-		if err != nil {
-			return err
+	for i := range img.devices {
+		d := &img.devices[i]
+		if err := decodeDevice(rd, data, arenas, models, d); err != nil {
+			return nil, err
 		}
-		if seen[name] {
-			return fmt.Errorf("core: snapshot repeats device %q", name)
+		if seen[d.name] {
+			return nil, fmt.Errorf("core: snapshot repeats device %q", d.name)
 		}
-		seen[name] = true
+		seen[d.name] = true
 	}
 
-	if err := p.restoreValidations(rd); err != nil {
-		return err
+	if err := img.decodeStores(rd); err != nil {
+		return nil, err
 	}
-	if err := p.restorePending(rd); err != nil {
-		return err
-	}
-	if err := p.restoreChannel(rd); err != nil {
-		return err
-	}
-	if err := p.restoreGuard(rd); err != nil {
-		return err
-	}
-	if err := p.restoreSwapState(rd); err != nil {
-		return err
-	}
-	rest, err := p.metrics.reg.RestoreState(rd.Rest())
-	if err != nil {
-		return fmt.Errorf("core: restore registry: %w", err)
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("core: %d trailing bytes after proxy state", len(rest))
-	}
-	return nil
+	img.tail = rd.Rest()
+	return img, nil
 }
 
-// restoreDevice decodes one device section and installs it into the live
-// deviceState of the same name. The reader is advanced past the section.
-//
-// Two arms share this decoder. The copied arm (Config.Artifacts == nil)
-// reproduces the v2 discipline per device: decode an owned arena copy from
-// the referenced blob, materialize the rule table, recompile it, and
-// compare digests. The zero-copy arm adopts the shared store view installed
-// by restoreArtifactSection (identity already verified once per unique
-// arena), wraps the rule-table bytes unparsed, and aliases the arrival
-// block in place — per-device work collapses to a store lookup plus slice
-// binding.
-func (p *Proxy) restoreDevice(rd *wire.Reader, data []byte, sec *artifactSection) (string, error) {
-	name := rd.String()
-	if err := rd.Err(); err != nil {
-		return "", fmt.Errorf("core: restore device: %w", err)
+// decodeBlobs parses one table of the artifact section, returning its blobs
+// in image order and indexed by checksum. Rules blobs are padded to an
+// 8-byte boundary relative to the image start so the zero-copy arm can
+// alias their arenas in place.
+func decodeBlobs(rd *wire.Reader, data []byte, padded bool) ([]imageBlob, map[uint32]*imageBlob, error) {
+	n := int(rd.U32())
+	if rd.Err() != nil || n > rd.Len()/8 {
+		return nil, nil, wire.ErrTruncated
 	}
-	sh := p.shardFor(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ds, ok := sh.devices[name]
-	if !ok {
-		return "", fmt.Errorf("core: snapshot device %q not registered in live proxy", name)
+	blobs := make([]imageBlob, n)
+	index := make(map[uint32]*imageBlob, n)
+	for i := range blobs {
+		b := &blobs[i]
+		b.sum = rd.U32()
+		size := int(rd.U32())
+		if rd.Err() != nil || size > rd.Len() {
+			return nil, nil, wire.ErrTruncated
+		}
+		if padded {
+			skipPad8(rd, len(data)-rd.Len())
+		}
+		if b.data = rd.Take(size); rd.Err() != nil {
+			return nil, nil, rd.Err()
+		}
+		if index[b.sum] != nil {
+			return nil, nil, fmt.Errorf("checksum %08x repeats", b.sum)
+		}
+		index[b.sum] = b
 	}
-	zeroCopy := p.cfg.Artifacts != nil
+	return blobs, index, nil
+}
 
+// decodeDevice parses one device section into d, resolving its artifact
+// references against the section's indexes.
+func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*imageBlob, d *deviceImage) error {
+	d.name = rd.String()
+	name := d.name
 	rtLen := int(rd.U32())
 	if rd.Err() != nil || rtLen > rd.Len() {
-		return "", fmt.Errorf("core: device %q rules: %w", name, wire.ErrTruncated)
+		return fmt.Errorf("core: device %q rules: %w", name, wire.ErrTruncated)
 	}
-	rtRaw := rd.Take(rtLen)
-	var rt *flows.RuleTable
-	var err error
-	if zeroCopy {
-		// Validation dedups by content: a fleet restored from one template
-		// carries byte-identical rule-table sections, and only the first
-		// pays the deep structural walk.
-		if p.cfg.Artifacts.RuleBytesValidated(rtRaw) {
-			rt, err = flows.NewRawRuleTableTrusted(rtRaw)
-		} else if rt, err = flows.NewRawRuleTable(rtRaw); err == nil {
-			p.cfg.Artifacts.NoteRuleBytesValidated(rtRaw)
-		}
-		if err != nil {
-			return "", fmt.Errorf("core: device %q rules: %w", name, err)
-		}
-	} else {
-		var rest []byte
-		rt, rest, err = flows.DecodeRuleTable(rtRaw)
-		if err != nil {
-			return "", fmt.Errorf("core: device %q rules: %w", name, err)
-		}
-		if len(rest) != 0 {
-			return "", fmt.Errorf("core: device %q rules have %d trailing bytes", name, len(rest))
-		}
+	d.rules = rd.Take(rtLen)
+	frozen, err := flows.RuleTableFrozen(d.rules)
+	if err != nil {
+		return fmt.Errorf("core: device %q rules: %w", name, err)
 	}
 
-	var compiled *flows.CompiledRules
-	var arrival *flows.ArrivalState
-	var meta swap.Meta
-	var storeSum uint32
-	var fromStore bool
 	if rd.Bool() {
-		rulesSum := rd.U32()
+		sum := rd.U32()
 		if err := rd.Err(); err != nil {
-			return "", fmt.Errorf("core: device %q arena: %w", name, err)
+			return fmt.Errorf("core: device %q arena: %w", name, err)
 		}
-		entry, ok := sec.arenas[rulesSum]
-		if !ok {
-			return "", fmt.Errorf("core: device %q references arena %08x missing from artifact section", name, rulesSum)
+		if d.arena = arenas[sum]; d.arena == nil {
+			return fmt.Errorf("core: device %q references arena %08x missing from artifact section", name, sum)
 		}
-		if !rt.Frozen() {
-			return "", fmt.Errorf("core: device %q has a compiled arena but an unfrozen rule table", name)
+		if !frozen {
+			return fmt.Errorf("core: device %q has a compiled arena but an unfrozen rule table", name)
 		}
-		if zeroCopy {
-			compiled = p.cfg.Artifacts.AcquireRules(rulesSum)
-			if compiled == nil {
-				return "", fmt.Errorf("core: device %q arena %08x not installed in artifact store", name, rulesSum)
-			}
-			storeSum, fromStore = rulesSum, true
-		} else {
-			// Copied arm: an owned decode per device, then the v2 identity
-			// discipline — the arena must be the compilation of the restored
-			// rule table, not merely self-consistent.
-			compiled, err = artifact.DecodeRulesCopy(entry.blob)
-			if err != nil {
-				return "", fmt.Errorf("core: device %q arena: %w", name, err)
-			}
-			if rsum, asum := rt.Compiled().Checksum(), compiled.Checksum(); rsum != asum {
-				return "", fmt.Errorf("core: device %q arena checksum %08x does not match recompiled rules %08x", name, asum, rsum)
-			}
-			if asum := compiled.Checksum(); asum != rulesSum {
-				return "", fmt.Errorf("core: device %q arena checksum %08x filed under %08x", name, asum, rulesSum)
-			}
+		// The aligned raw arrival block: width, padding, 8*width bytes of
+		// last-arrival values, width bytes of the has bitmap.
+		width := int(rd.U32())
+		if rd.Err() != nil || width > rd.Len()/9 {
+			return fmt.Errorf("core: device %q arrival state: %w", name, wire.ErrTruncated)
 		}
-		arrival, err = readArrivalBlock(rd, data, compiled.NumKeys(), zeroCopy)
-		if err != nil {
-			return "", fmt.Errorf("core: device %q arrival state: %w", name, err)
+		skipPad8(rd, len(data)-rd.Len())
+		d.arrivalLast = rd.Take(8 * width)
+		d.arrivalHas = rd.Take(width)
+		if err := rd.Err(); err != nil {
+			return fmt.Errorf("core: device %q arrival state: %w", name, err)
 		}
 		var rest []byte
-		meta, rest, err = swap.DecodeMeta(rd.Rest())
-		if err != nil {
-			return "", fmt.Errorf("core: device %q artifact meta: %w", name, err)
+		if d.meta, rest, err = swap.DecodeMeta(rd.Rest()); err != nil {
+			return fmt.Errorf("core: device %q artifact meta: %w", name, err)
 		}
 		rd.Reset(rest)
 		// The identity must name THIS arena; an artifact restored under the
-		// wrong generation's digest fails closed. (On the zero-copy arm the
-		// store verified view.Checksum() == rulesSum at install.)
-		if meta.RulesSum != rulesSum {
-			return "", fmt.Errorf("core: device %q artifact meta rules digest %08x does not match arena %08x", name, meta.RulesSum, rulesSum)
+		// wrong generation's digest fails closed.
+		if d.meta.RulesSum != sum {
+			return fmt.Errorf("core: device %q artifact meta rules digest %08x does not match arena %08x", name, d.meta.RulesSum, sum)
 		}
-	} else if rt.Frozen() {
+	} else if frozen {
 		// Stage 1 matches only through the compiled arena, which the freeze
 		// point installs; a frozen table without one cannot enforce.
-		return "", fmt.Errorf("core: device %q has a frozen rule table but no compiled arena", name)
+		return fmt.Errorf("core: device %q has a frozen rule table but no compiled arena", name)
 	}
 
-	classifier := ds.classifier
 	switch kind := rd.U8(); kind {
 	case 0:
-		// Config-provided classifier; the live deviceState already wears it.
+		// The config-provided classifier, which the config checksum pins.
 	case 1:
-		modelSum := rd.U32()
+		sum := rd.U32()
 		if err := rd.Err(); err != nil {
-			return "", fmt.Errorf("core: device %q classifier: %w", name, err)
+			return fmt.Errorf("core: device %q classifier: %w", name, err)
 		}
-		entry, ok := sec.models[modelSum]
-		if !ok {
-			return "", fmt.Errorf("core: device %q references model %08x missing from artifact section", name, modelSum)
-		}
-		// Reject model skew: the snapshot's model must be the one the live
-		// config would deploy for this device.
-		mlc, ok := ds.cfg.Classifier.(*MLClassifier)
-		if !ok || mlc.compiled == nil {
-			return "", fmt.Errorf("core: device %q snapshot carries a compiled classifier but live config provides none", name)
-		}
-		cfgSum, err := ml.CompiledChecksum(mlc.compiled)
-		if err != nil {
-			return "", fmt.Errorf("core: device %q config classifier: %w", name, err)
-		}
-		if cfgSum != modelSum {
-			return "", fmt.Errorf("core: device %q classifier model %08x does not match config model %08x", name, modelSum, cfgSum)
-		}
-		var model ml.CompiledModel
-		if zeroCopy {
-			// Shared template decoded once at install; the clone gives this
-			// device private scratch over the shared frozen tables.
-			shared, ok := p.cfg.Artifacts.AcquireModel(modelSum)
-			if !ok {
-				return "", fmt.Errorf("core: device %q model %08x not installed in artifact store", name, modelSum)
-			}
-			model = shared.Clone()
-		} else {
-			enc, err := artifact.ModelPayload(entry.blob)
-			if err != nil {
-				return "", fmt.Errorf("core: device %q classifier: %w", name, err)
-			}
-			var trail []byte
-			model, trail, err = ml.DecodeCompiled(enc)
-			if err != nil {
-				return "", fmt.Errorf("core: device %q classifier: %w", name, err)
-			}
-			if len(trail) != 0 {
-				return "", fmt.Errorf("core: device %q classifier has %d trailing bytes", name, len(trail))
-			}
-			snapSum, err := ml.CompiledChecksum(model)
-			if err != nil {
-				return "", fmt.Errorf("core: device %q classifier: %w", name, err)
-			}
-			if snapSum != modelSum {
-				return "", fmt.Errorf("core: device %q classifier model %08x filed under %08x", name, snapSum, modelSum)
-			}
-		}
-		classifier = &compiledEventClassifier{
-			model:    model,
-			template: mlc.compiled,
-			buf:      make([]float64, features.Dim),
+		if d.model = models[sum]; d.model == nil {
+			return fmt.Errorf("core: device %q references model %08x missing from artifact section", name, sum)
 		}
 	default:
-		return "", fmt.Errorf("core: device %q unknown classifier kind %d", name, kind)
+		return fmt.Errorf("core: device %q unknown classifier kind %d", name, kind)
 	}
 
-	evPackets := int(rd.I64())
-	var evDecision Decision
-	evDecided := false
-	if rd.Bool() {
-		evDecision = Decision{Verdict: Verdict(rd.U8()), Reason: Reason(rd.String())}
-		evDecided = true
+	d.evPackets = int(rd.I64())
+	if d.evDecided = rd.Bool(); d.evDecided {
+		d.evDecision = Decision{Verdict: Verdict(rd.U8()), Reason: Reason(rd.String())}
 	}
 	ndrops := int(rd.U32())
-	if rd.Err() != nil || ndrops > rd.Len() {
-		return "", fmt.Errorf("core: device %q drops: %w", name, wire.ErrTruncated)
+	if rd.Err() != nil || ndrops > rd.Len()/8 {
+		return fmt.Errorf("core: device %q drops: %w", name, wire.ErrTruncated)
 	}
-	drops := make([]time.Time, 0, ndrops)
+	d.drops = make([]time.Time, 0, ndrops)
 	for i := 0; i < ndrops; i++ {
-		drops = append(drops, time.Unix(0, rd.I64()).UTC())
+		d.drops = append(d.drops, time.Unix(0, rd.I64()).UTC())
 	}
-	locked := rd.Bool()
-	var cur *events.Event
+	d.locked = rd.Bool()
 	if rd.Bool() {
 		nrec := int(rd.U32())
 		if rd.Err() != nil || nrec == 0 || nrec > rd.Len() {
-			return "", fmt.Errorf("core: device %q event: %w", name, wire.ErrTruncated)
+			return fmt.Errorf("core: device %q event: %w", name, wire.ErrTruncated)
 		}
 		recs := make([]flows.Record, 0, nrec)
 		for i := 0; i < nrec; i++ {
 			rec, err := flows.ReadRecord(rd)
 			if err != nil {
-				return "", fmt.Errorf("core: device %q event record: %w", name, err)
+				return fmt.Errorf("core: device %q event record: %w", name, err)
 			}
 			recs = append(recs, rec)
 		}
-		cur = &events.Event{Packets: recs, Start: recs[0].Time, End: recs[nrec-1].Time}
+		d.cur = &events.Event{Packets: recs, Start: recs[0].Time, End: recs[nrec-1].Time}
 	}
 
-	genCounter := rd.U64()
-	var cooldownUntil time.Time
+	d.genCounter = rd.U64()
 	if rd.Bool() {
-		cooldownUntil = time.Unix(0, rd.I64()).UTC()
+		d.cooldownUntil = time.Unix(0, rd.I64()).UTC()
 	}
 	phase := swap.Phase(rd.U8())
 	if err := rd.Err(); err != nil {
-		return "", fmt.Errorf("core: device %q: %w", name, err)
+		return fmt.Errorf("core: device %q: %w", name, err)
 	}
-	var rl *relearnState
 	switch phase {
 	case swap.PhaseIdle:
 	case swap.PhaseRelearn, swap.PhaseShadow:
-		if compiled == nil {
-			return "", fmt.Errorf("core: device %q is mid-%s with no live artifact", name, phase)
+		if d.arena == nil {
+			return fmt.Errorf("core: device %q is mid-%s with no live artifact", name, phase)
 		}
-		started := time.Unix(0, rd.I64()).UTC()
-		ct, rest, err := flows.DecodeRuleTable(rd.Rest())
-		if err != nil {
-			return "", fmt.Errorf("core: device %q candidate rules: %w", name, err)
+		if d.rl, err = decodeCandidate(rd, name, phase); err != nil {
+			return err
 		}
-		rd.Reset(rest)
-		rl = &relearnState{phase: phase, started: started, table: ct}
-		if phase == swap.PhaseRelearn {
-			if ct.Frozen() {
-				return "", fmt.Errorf("core: device %q mid-relearn candidate is already frozen", name)
-			}
-			break
-		}
-		if !ct.Frozen() {
-			return "", fmt.Errorf("core: device %q mid-shadow candidate is not frozen", name)
-		}
-		cmeta, rest, err := swap.DecodeMeta(rd.Rest())
-		if err != nil {
-			return "", fmt.Errorf("core: device %q candidate meta: %w", name, err)
-		}
-		rd.Reset(rest)
-		// The compiled candidate is rebuilt from the frozen table, then
-		// checked against the serialized identity — the same fail-closed
-		// recompile discipline the live arena gets.
-		cc := ct.Compiled()
-		if cc.Checksum() != cmeta.RulesSum {
-			return "", fmt.Errorf("core: device %q candidate digest %08x does not match meta %08x", name, cc.Checksum(), cmeta.RulesSum)
-		}
-		carr, rest, err := cc.DecodeArrival(rd.Rest())
-		if err != nil {
-			return "", fmt.Errorf("core: device %q candidate arrival: %w", name, err)
-		}
-		rd.Reset(rest)
-		matrix, rest, err := swap.DecodeShadowMatrix(rd.Rest())
-		if err != nil {
-			return "", fmt.Errorf("core: device %q shadow matrix: %w", name, err)
-		}
-		rd.Reset(rest)
-		flushed, rest, err := swap.DecodeShadowMatrix(rd.Rest())
-		if err != nil {
-			return "", fmt.Errorf("core: device %q shadow matrix: %w", name, err)
-		}
-		rd.Reset(rest)
-		rl.meta = cmeta
-		rl.compiled = cc
-		rl.arrival = carr
-		rl.matrix = matrix
-		rl.flushed = flushed
 	default:
-		return "", fmt.Errorf("core: device %q unknown lifecycle phase %d", name, phase)
+		return fmt.Errorf("core: device %q unknown lifecycle phase %d", name, phase)
 	}
 	if err := rd.Err(); err != nil {
-		return "", fmt.Errorf("core: device %q: %w", name, err)
+		return fmt.Errorf("core: device %q: %w", name, err)
 	}
-	if compiled != nil && (genCounter < meta.Generation || (rl != nil && rl.phase == swap.PhaseShadow && genCounter < rl.meta.Generation)) {
-		return "", fmt.Errorf("core: device %q generation counter %d behind artifact identity", name, genCounter)
+	// A device without an arena has a zero identity and no candidate.
+	if d.genCounter < d.meta.Generation || (d.rl != nil && d.rl.phase == swap.PhaseShadow && d.genCounter < d.rl.meta.Generation) {
+		return fmt.Errorf("core: device %q generation counter %d behind artifact identity", name, d.genCounter)
 	}
-
-	ds.rules = rt
-	var art *ruleArtifact
-	if compiled != nil {
-		art = &ruleArtifact{meta: meta, compiled: compiled, arrival: arrival}
-		if fromStore {
-			art.store, art.storeSum = p.cfg.Artifacts, storeSum
-		}
-	}
-	ds.art.Store(art)
-	ds.rl = rl
-	ds.genCounter = genCounter
-	ds.cooldownUntil = cooldownUntil
-	ds.classifier = classifier
-	ds.evPackets = evPackets
-	ds.evDecision = evDecision
-	ds.evDecided = evDecided
-	ds.drops = drops
-	ds.locked = locked
-	ds.grouper.RestoreCurrent(cur)
-	return name, nil
+	return nil
 }
 
-// readArrivalBlock decodes the aligned raw arrival block appendDeviceState
-// wrote: width, padding, 8*n bytes of last-arrival values, n bytes of the
-// has bitmap. The width must match the compiled arena the arrival evolves
-// against. In zero-copy mode the returned state aliases data wherever
-// alignment allows (the mmap'd snapshot's copy-on-write pages absorb later
-// arrival updates); otherwise — and always in copied mode — the slices are
-// fresh.
-func readArrivalBlock(rd *wire.Reader, data []byte, nkeys int, zeroCopy bool) (*flows.ArrivalState, error) {
-	n := int(rd.U32())
-	if rd.Err() != nil {
-		return nil, rd.Err()
+// decodeCandidate parses the relearning lifecycle's in-flight candidate: the
+// mutable table mid-relearn; the frozen table, identity, arrival and shadow
+// matrices mid-shadow. The candidate's compiled form is not serialized: it
+// is rebuilt from the frozen table and fails closed when its digest
+// disagrees with the serialized identity — the same recompile discipline
+// the copied arm applies to the live arena.
+func decodeCandidate(rd *wire.Reader, name string, phase swap.Phase) (*relearnState, error) {
+	started := time.Unix(0, rd.I64()).UTC()
+	ct, rest, err := flows.DecodeRuleTable(rd.Rest())
+	if err != nil {
+		return nil, fmt.Errorf("core: device %q candidate rules: %w", name, err)
 	}
-	if n != nkeys {
-		return nil, fmt.Errorf("arrival state width %d does not match %d keys", n, nkeys)
-	}
-	skipPad8(rd, len(data)-rd.Len())
-	lastBytes := rd.Take(8 * n)
-	hasBytes := rd.Take(n)
-	if err := rd.Err(); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return &flows.ArrivalState{}, nil
-	}
-	var last []int64
-	var has []bool
-	if zeroCopy {
-		var ok bool
-		if last, ok = artifact.AliasI64s(lastBytes, n); !ok {
-			last = decodeI64Block(lastBytes, n)
+	rd.Reset(rest)
+	rl := &relearnState{phase: phase, started: started, table: ct}
+	if phase == swap.PhaseRelearn {
+		if ct.Frozen() {
+			return nil, fmt.Errorf("core: device %q mid-relearn candidate is already frozen", name)
 		}
-		var err error
-		if has, err = artifact.AliasBools(hasBytes, n); err != nil {
-			return nil, err
-		}
-	} else {
-		last = decodeI64Block(lastBytes, n)
-		has = make([]bool, n)
-		for i, v := range hasBytes {
-			if v > 1 {
-				return nil, fmt.Errorf("arrival has-bitmap byte %d is %d", i, v)
-			}
-			has[i] = v == 1
-		}
+		return rl, nil
 	}
-	return flows.ArrivalFromRaw(last, has)
+	if !ct.Frozen() {
+		return nil, fmt.Errorf("core: device %q mid-shadow candidate is not frozen", name)
+	}
+	if rl.meta, rest, err = swap.DecodeMeta(rd.Rest()); err != nil {
+		return nil, fmt.Errorf("core: device %q candidate meta: %w", name, err)
+	}
+	rd.Reset(rest)
+	rl.compiled = ct.Compiled()
+	if rl.compiled.Checksum() != rl.meta.RulesSum {
+		return nil, fmt.Errorf("core: device %q candidate digest %08x does not match meta %08x", name, rl.compiled.Checksum(), rl.meta.RulesSum)
+	}
+	if rl.arrival, rest, err = rl.compiled.DecodeArrival(rd.Rest()); err != nil {
+		return nil, fmt.Errorf("core: device %q candidate arrival: %w", name, err)
+	}
+	rd.Reset(rest)
+	for _, m := range []*swap.ShadowMatrix{&rl.matrix, &rl.flushed} {
+		if *m, rest, err = swap.DecodeShadowMatrix(rd.Rest()); err != nil {
+			return nil, fmt.Errorf("core: device %q shadow matrix: %w", name, err)
+		}
+		rd.Reset(rest)
+	}
+	return rl, nil
 }
 
-func decodeI64Block(buf []byte, n int) []int64 {
-	out := make([]int64, n)
-	sub := wire.NewReader(buf)
-	for i := range out {
-		out[i] = sub.I64()
-	}
-	return out
-}
-
-func (p *Proxy) restoreValidations(rd *wire.Reader) error {
+// decodeStores parses the validation, pending, channel and replay-guard
+// stores that follow the device sections.
+func (img *stateImage) decodeStores(rd *wire.Reader) error {
 	n := int(rd.U32())
 	if rd.Err() != nil || n > rd.Len() {
 		return fmt.Errorf("core: restore validations: %w", wire.ErrTruncated)
 	}
-	byDevice := make(map[string][]validation, n)
+	img.validations = make(map[string][]validation, n)
 	for i := 0; i < n; i++ {
 		name := rd.String()
 		m := int(rd.U32())
@@ -1075,14 +880,56 @@ func (p *Proxy) restoreValidations(rd *wire.Reader) error {
 		for j := 0; j < m; j++ {
 			list = append(list, validation{at: time.Unix(0, rd.I64()).UTC(), human: rd.Bool()})
 		}
-		byDevice[name] = list
+		img.validations[name] = list
 	}
 	if err := rd.Err(); err != nil {
 		return fmt.Errorf("core: restore validations: %w", err)
 	}
-	p.validations.mu.Lock()
-	p.validations.byDevice = byDevice
-	p.validations.mu.Unlock()
+
+	var err error
+	if img.pending, err = readPendingList(rd); err != nil {
+		return fmt.Errorf("core: restore pending: %w", err)
+	}
+	if img.overflow, err = readPendingList(rd); err != nil {
+		return fmt.Errorf("core: restore pending overflow: %w", err)
+	}
+
+	if img.chanDown = rd.Bool(); img.chanDown {
+		img.chanSince = time.Unix(0, rd.I64()).UTC()
+	}
+	n = int(rd.U32())
+	if rd.Err() != nil || n > rd.Len() {
+		return fmt.Errorf("core: restore channel: %w", wire.ErrTruncated)
+	}
+	for i := 0; i < n; i++ {
+		img.outages = append(img.outages, interval{
+			from: time.Unix(0, rd.I64()).UTC(),
+			to:   time.Unix(0, rd.I64()).UTC(),
+		})
+	}
+	if err := rd.Err(); err != nil {
+		return fmt.Errorf("core: restore channel: %w", err)
+	}
+
+	if img.hasGuard = rd.Bool(); !img.hasGuard {
+		if err := rd.Err(); err != nil {
+			return fmt.Errorf("core: restore guard: %w", err)
+		}
+		return nil
+	}
+	n = int(rd.U32())
+	if rd.Err() != nil || n > rd.Len()/40 {
+		return fmt.Errorf("core: restore guard: %w", wire.ErrTruncated)
+	}
+	img.guard = make([]sensors.SeenTag, n)
+	for i := range img.guard {
+		s := &img.guard[i]
+		copy(s.Tag[:], rd.Take(32))
+		s.At = time.Unix(0, rd.I64()).UTC()
+	}
+	if err := rd.Err(); err != nil {
+		return fmt.Errorf("core: restore guard: %w", err)
+	}
 	return nil
 }
 
@@ -1103,75 +950,266 @@ func readPendingList(rd *wire.Reader) ([]pendingDecision, error) {
 	return list, rd.Err()
 }
 
-func (p *Proxy) restorePending(rd *wire.Reader) error {
-	entries, err := readPendingList(rd)
-	if err != nil {
-		return fmt.Errorf("core: restore pending: %w", err)
+// install checks a decoded image against the live proxy and moves it in.
+// The checks that touch nothing come first: config checksum, device count,
+// replay-guard presence. On the zero-copy arm every unique blob is then
+// installed into Config.Artifacts — view construction, identity
+// verification and model decoding happen once per unique checksum, never
+// per device. Devices follow under their shard locks, then the header and
+// the stores, and last the tail sections that restore into live objects.
+func (p *Proxy) install(img *stateImage) error {
+	if want := p.ConfigChecksum(); img.configSum != want {
+		return fmt.Errorf("core: snapshot config checksum %08x does not match live config %08x", img.configSum, want)
 	}
-	overflow, err := readPendingList(rd)
-	if err != nil {
-		return fmt.Errorf("core: restore pending overflow: %w", err)
+	if n := len(p.deviceStates()); len(img.devices) != n {
+		return fmt.Errorf("core: snapshot has %d devices, live proxy has %d", len(img.devices), n)
 	}
+	if img.hasGuard != (p.guard != nil) {
+		return fmt.Errorf("core: snapshot replay-guard presence %v does not match live config %v", img.hasGuard, p.guard != nil)
+	}
+	if store := p.cfg.Artifacts; store != nil {
+		for _, b := range img.arenas {
+			if _, err := store.InstallRules(b.sum, b.data); err != nil {
+				return fmt.Errorf("core: install arena %08x: %w", b.sum, err)
+			}
+		}
+		for _, b := range img.models {
+			if _, err := store.InstallModel(b.sum, b.data); err != nil {
+				return fmt.Errorf("core: install model %08x: %w", b.sum, err)
+			}
+		}
+	}
+	for i := range img.devices {
+		if err := p.installDevice(&img.devices[i]); err != nil {
+			return err
+		}
+	}
+
+	p.started = img.started
+	p.mu.Lock()
+	p.aliases = img.aliases
+	p.log = img.log
+	p.Stats = img.stats
+	p.mu.Unlock()
+	p.validations.mu.Lock()
+	p.validations.byDevice = img.validations
+	p.validations.mu.Unlock()
 	p.pending.mu.Lock()
-	p.pending.entries = entries
-	p.pending.overflow = overflow
+	p.pending.entries = img.pending
+	p.pending.overflow = img.overflow
 	p.pending.mu.Unlock()
-	return nil
-}
-
-func (p *Proxy) restoreChannel(rd *wire.Reader) error {
-	down := rd.Bool()
-	var since time.Time
-	if down {
-		since = time.Unix(0, rd.I64()).UTC()
-	}
-	n := int(rd.U32())
-	if rd.Err() != nil || n > rd.Len() {
-		return fmt.Errorf("core: restore channel: %w", wire.ErrTruncated)
-	}
-	var outages []interval
-	for i := 0; i < n; i++ {
-		outages = append(outages, interval{
-			from: time.Unix(0, rd.I64()).UTC(),
-			to:   time.Unix(0, rd.I64()).UTC(),
-		})
-	}
-	if err := rd.Err(); err != nil {
-		return fmt.Errorf("core: restore channel: %w", err)
-	}
 	p.channel.mu.Lock()
-	p.channel.down = down
-	p.channel.since = since
-	p.channel.outages = outages
+	p.channel.down = img.chanDown
+	p.channel.since = img.chanSince
+	p.channel.outages = img.outages
 	p.channel.mu.Unlock()
+	if p.guard != nil {
+		p.guard.RestoreSeen(img.guard)
+	}
+
+	rd := wire.NewReader(img.tail)
+	if err := p.restoreSwapState(rd); err != nil {
+		return err
+	}
+	// The registry goes last so it overwrites every counter the earlier
+	// sections may have touched indirectly.
+	rest, err := p.metrics.reg.RestoreState(rd.Rest())
+	if err != nil {
+		return fmt.Errorf("core: restore registry: %w", err)
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("core: %d trailing bytes after proxy state", len(rest))
+	}
 	return nil
 }
 
-func (p *Proxy) restoreGuard(rd *wire.Reader) error {
-	present := rd.Bool()
-	if err := rd.Err(); err != nil {
-		return fmt.Errorf("core: restore guard: %w", err)
+// installDevice moves one decoded device section into the live deviceState
+// of the same name, under its shard lock.
+//
+// Two arms share it. The copied arm (Config.Artifacts == nil) reproduces
+// the v2 discipline per device: decode an owned arena copy from the
+// referenced blob, materialize the rule table, recompile it, and compare
+// digests. The zero-copy arm adopts the shared store view install put in
+// the store (identity already verified once per unique arena), wraps the
+// rule-table bytes unparsed, and aliases the arrival block in place —
+// per-device work collapses to a store lookup plus slice binding.
+func (p *Proxy) installDevice(d *deviceImage) error {
+	name := d.name
+	sh := p.shardFor(name)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	ds, ok := sh.devices[name]
+	if !ok {
+		return fmt.Errorf("core: snapshot device %q not registered in live proxy", name)
 	}
-	if present != (p.guard != nil) {
-		return fmt.Errorf("core: snapshot replay-guard presence %v does not match live config %v", present, p.guard != nil)
+	store := p.cfg.Artifacts
+
+	var rt *flows.RuleTable
+	var err error
+	if store != nil {
+		// Validation dedups by content: a fleet restored from one template
+		// carries byte-identical rule-table sections, and only the first
+		// pays the deep structural walk.
+		if store.RuleBytesValidated(d.rules) {
+			rt, err = flows.NewRawRuleTableTrusted(d.rules)
+		} else if rt, err = flows.NewRawRuleTable(d.rules); err == nil {
+			store.NoteRuleBytesValidated(d.rules)
+		}
+		if err != nil {
+			return fmt.Errorf("core: device %q rules: %w", name, err)
+		}
+	} else {
+		var rest []byte
+		if rt, rest, err = flows.DecodeRuleTable(d.rules); err != nil {
+			return fmt.Errorf("core: device %q rules: %w", name, err)
+		}
+		if len(rest) != 0 {
+			return fmt.Errorf("core: device %q rules have %d trailing bytes", name, len(rest))
+		}
 	}
-	if !present {
-		return nil
+
+	var art *ruleArtifact
+	if d.arena != nil {
+		art = &ruleArtifact{meta: d.meta}
+		if store != nil {
+			if art.compiled = store.AcquireRules(d.arena.sum); art.compiled == nil {
+				return fmt.Errorf("core: device %q arena %08x not installed in artifact store", name, d.arena.sum)
+			}
+			art.store, art.storeSum = store, d.arena.sum
+		} else {
+			// Copied arm: an owned decode per device, then the v2 identity
+			// discipline — the arena must be the compilation of the restored
+			// rule table, not merely self-consistent.
+			if art.compiled, err = artifact.DecodeRulesCopy(d.arena.data); err != nil {
+				return fmt.Errorf("core: device %q arena: %w", name, err)
+			}
+			if rsum, asum := rt.Compiled().Checksum(), art.compiled.Checksum(); rsum != asum {
+				return fmt.Errorf("core: device %q arena checksum %08x does not match recompiled rules %08x", name, asum, rsum)
+			}
+			if asum := art.compiled.Checksum(); asum != d.arena.sum {
+				return fmt.Errorf("core: device %q arena checksum %08x filed under %08x", name, asum, d.arena.sum)
+			}
+		}
+		if art.arrival, err = bindArrival(d, art.compiled.NumKeys(), store != nil); err != nil {
+			return fmt.Errorf("core: device %q arrival state: %w", name, err)
+		}
 	}
-	n := int(rd.U32())
-	if rd.Err() != nil || n > rd.Len()/40 {
-		return fmt.Errorf("core: restore guard: %w", wire.ErrTruncated)
+
+	classifier := ds.classifier
+	if d.model != nil {
+		if classifier, err = p.restoreModel(ds, d.model); err != nil {
+			return fmt.Errorf("core: device %q classifier: %w", name, err)
+		}
 	}
-	tags := make([]sensors.SeenTag, 0, n)
-	for i := 0; i < n; i++ {
-		var s sensors.SeenTag
-		copy(s.Tag[:], rd.Take(32))
-		s.At = time.Unix(0, rd.I64()).UTC()
-		tags = append(tags, s)
-	}
-	if err := rd.Err(); err != nil {
-		return fmt.Errorf("core: restore guard: %w", err)
-	}
-	p.guard.RestoreSeen(tags)
+
+	ds.rules = rt
+	ds.art.Store(art)
+	ds.rl = d.rl
+	ds.genCounter = d.genCounter
+	ds.cooldownUntil = d.cooldownUntil
+	ds.classifier = classifier
+	ds.evPackets = d.evPackets
+	ds.evDecision = d.evDecision
+	ds.evDecided = d.evDecided
+	ds.drops = d.drops
+	ds.locked = d.locked
+	ds.grouper.RestoreCurrent(d.cur)
 	return nil
+}
+
+// restoreModel builds a device's compiled classifier from the snapshot's
+// model. It rejects model skew: the snapshot's model must be the one the
+// live config would deploy for this device.
+func (p *Proxy) restoreModel(ds *deviceState, blob *imageBlob) (EventClassifier, error) {
+	mlc, ok := ds.cfg.Classifier.(*MLClassifier)
+	if !ok || mlc.compiled == nil {
+		return nil, fmt.Errorf("snapshot carries a compiled classifier but live config provides none")
+	}
+	cfgSum, err := ml.CompiledChecksum(mlc.compiled)
+	if err != nil {
+		return nil, fmt.Errorf("config classifier: %w", err)
+	}
+	if cfgSum != blob.sum {
+		return nil, fmt.Errorf("model %08x does not match config model %08x", blob.sum, cfgSum)
+	}
+	var model ml.CompiledModel
+	if store := p.cfg.Artifacts; store != nil {
+		// Shared template decoded once at install; the clone gives this
+		// device private scratch over the shared frozen tables.
+		shared, ok := store.AcquireModel(blob.sum)
+		if !ok {
+			return nil, fmt.Errorf("model %08x not installed in artifact store", blob.sum)
+		}
+		model = shared.Clone()
+	} else {
+		enc, err := artifact.ModelPayload(blob.data)
+		if err != nil {
+			return nil, err
+		}
+		var trail []byte
+		if model, trail, err = ml.DecodeCompiled(enc); err != nil {
+			return nil, err
+		}
+		if len(trail) != 0 {
+			return nil, fmt.Errorf("%d trailing bytes", len(trail))
+		}
+		snapSum, err := ml.CompiledChecksum(model)
+		if err != nil {
+			return nil, err
+		}
+		if snapSum != blob.sum {
+			return nil, fmt.Errorf("model %08x filed under %08x", snapSum, blob.sum)
+		}
+	}
+	return &compiledEventClassifier{
+		model:    model,
+		template: mlc.compiled,
+		buf:      make([]float64, features.Dim),
+	}, nil
+}
+
+// bindArrival builds a device's live arrival state from its raw block. The
+// width must match the compiled arena the arrival evolves against. On the
+// zero-copy arm the slices alias the image wherever alignment allows (the
+// mmap'd snapshot's copy-on-write pages absorb later arrival updates);
+// otherwise — and always on the copied arm — they are fresh.
+func bindArrival(d *deviceImage, nkeys int, zeroCopy bool) (*flows.ArrivalState, error) {
+	n := len(d.arrivalHas)
+	if n != nkeys {
+		return nil, fmt.Errorf("arrival state width %d does not match %d keys", n, nkeys)
+	}
+	if n == 0 {
+		return &flows.ArrivalState{}, nil
+	}
+	var last []int64
+	var has []bool
+	if zeroCopy {
+		var ok bool
+		if last, ok = artifact.AliasI64s(d.arrivalLast, n); !ok {
+			last = decodeI64Block(d.arrivalLast, n)
+		}
+		var err error
+		if has, err = artifact.AliasBools(d.arrivalHas, n); err != nil {
+			return nil, err
+		}
+	} else {
+		last = decodeI64Block(d.arrivalLast, n)
+		has = make([]bool, n)
+		for i, v := range d.arrivalHas {
+			if v > 1 {
+				return nil, fmt.Errorf("arrival has-bitmap byte %d is %d", i, v)
+			}
+			has[i] = v == 1
+		}
+	}
+	return flows.ArrivalFromRaw(last, has)
+}
+
+func decodeI64Block(buf []byte, n int) []int64 {
+	out := make([]int64, n)
+	sub := wire.NewReader(buf)
+	for i := range out {
+		out[i] = sub.I64()
+	}
+	return out
 }

@@ -1,11 +1,27 @@
 package durable
 
 import (
+	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
+	"fiat/internal/core"
 	"fiat/internal/simclock"
 )
+
+// testBuild builds the proxy the Verify tests snapshot: no devices and the
+// default configuration.
+func testBuild(clock simclock.Clock) (*core.Proxy, error) {
+	return core.NewProxy(clock, nil, nil, core.Config{}), nil
+}
+
+// testProxyImage is a real proxy image, the kind of body Verify decodes
+// every snapshot as.
+func testProxyImage() []byte {
+	p, _ := testBuild(simclock.NewVirtual())
+	return p.EncodeState()
+}
 
 func TestParseSyncMode(t *testing.T) {
 	for in, want := range map[string]SyncMode{
@@ -31,7 +47,7 @@ func TestVerifyReportRendering(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSnapshot(dir, 3, encodeSnapshot(3, simclock.Epoch, 7, []byte("body")), nil, 1); err != nil {
+	if err := writeSnapshot(dir, 3, encodeSnapshot(3, simclock.Epoch, 7, testProxyImage()), nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := Verify(dir).String()
@@ -54,6 +70,43 @@ func TestVerifyReportRendering(t *testing.T) {
 		t.Fatal("missing dir verified clean")
 	} else if !strings.Contains(r.String(), "FAIL CLOSED") {
 		t.Fatalf("missing-dir report:\n%s", r.String())
+	}
+}
+
+// TestVerifyAgreesWithOpen: a snapshot body at another proxy state version
+// makes Open fail with ErrCorrupt, so Verify must report the directory as
+// failing closed rather than recoverable. The intact image is the control:
+// both accept it.
+func TestVerifyAgreesWithOpen(t *testing.T) {
+	body := testProxyImage()
+	stale := append([]byte(nil), body...)
+	binary.LittleEndian.PutUint16(stale, core.ProxyStateVersion-1)
+	for _, c := range []struct {
+		name string
+		body []byte
+		ok   bool
+	}{{"intact", body, true}, {"version 2", stale, false}} {
+		dir := t.TempDir()
+		if err := writeSnapshot(dir, 1, encodeSnapshot(1, simclock.Epoch, 0, c.body), nil, 1); err != nil {
+			t.Fatal(err)
+		}
+		r := Verify(dir)
+		m, err := Open(Config{Dir: dir}, simclock.NewVirtual(), testBuild)
+		if c.ok {
+			if r.Err != nil || err != nil {
+				t.Fatalf("%s: Verify %v, Open %v", c.name, r.Err, err)
+			}
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if out := r.String(); r.Err == nil || !strings.Contains(out, "FAIL CLOSED") {
+			t.Fatalf("%s: Verify reports recoverable:\n%s", c.name, out)
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Open err = %v, want ErrCorrupt", c.name, err)
+		}
 	}
 }
 

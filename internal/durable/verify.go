@@ -18,7 +18,7 @@ type SnapshotInfo struct {
 	Time      time.Time
 	ConfigSum uint32
 	BodyLen   uint64
-	Artifacts *core.StateArtifactInfo // artifact-section stats (nil when the body is unreadable)
+	Artifacts *core.StateArtifactInfo // artifact-section stats (nil when the body does not decode)
 	Err       error                   // nil when the image validates
 }
 
@@ -85,7 +85,8 @@ func (r *VerifyReport) String() string {
 }
 
 // Verify performs a strictly read-only integrity check of a state
-// directory: every snapshot's header and body checksum, every WAL segment's
+// directory: every snapshot's header, body checksum and proxy image (decoded
+// by core.InspectStateArtifacts up to the registries), every WAL segment's
 // framing, record checksums, and sequence continuity. It never truncates or
 // repairs anything. The report's Err mirrors what Open would do: a torn
 // final-segment tail is reported but recoverable; anything else corrupt
@@ -115,16 +116,13 @@ func Verify(dir string) *VerifyReport {
 			info.Time, info.ConfigSum, info.BodyLen = h.Time, h.ConfigSum, uint64(len(body))
 			if h.Seq != seq {
 				info.Err = fmt.Errorf("%w: header seq %d under name %s", ErrCorrupt, h.Seq, name)
-			} else if isProxyImage(body) {
-				// The artifact section is part of the image RestoreState must
-				// parse, so a broken one fails the snapshot here too. Bodies
-				// that are not proxy images (foreign or older payloads) are
-				// left to RestoreState's own version check.
-				if arts, aerr := core.InspectStateArtifacts(body); aerr != nil {
-					info.Err = fmt.Errorf("%w: artifact section: %v", ErrCorrupt, aerr)
-				} else {
-					info.Artifacts = &arts
-				}
+			} else if arts, aerr := core.InspectStateArtifacts(body); aerr != nil {
+				// The body is decoded by the same code RestoreState runs, so a
+				// wrong version or any structural fault fails the snapshot
+				// here exactly as it would fail Open.
+				info.Err = fmt.Errorf("%w: %v", ErrCorrupt, aerr)
+			} else {
+				info.Artifacts = &arts
 			}
 		}
 		// Only the newest snapshot gates recovery; older ones are about to
@@ -180,12 +178,6 @@ func Verify(dir string) *VerifyReport {
 	}
 	r.LastSeq = last
 	return r
-}
-
-// isProxyImage reports whether a snapshot body leads with the current proxy
-// state version — the precondition for inspecting its artifact section.
-func isProxyImage(body []byte) bool {
-	return len(body) >= 2 && binary.LittleEndian.Uint16(body) == core.ProxyStateVersion
 }
 
 // walFrameSeq peeks the sequence number of a framed record without decoding

@@ -349,7 +349,7 @@ func TestVerifyReadOnly(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSnapshot(dir, 10, encodeSnapshot(10, simclock.Epoch, 1, []byte("body")), nil, 1); err != nil {
+	if err := writeSnapshot(dir, 10, encodeSnapshot(10, simclock.Epoch, 1, testProxyImage()), nil, 1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -148,17 +148,35 @@ func NewRawRuleTable(data []byte) (*RuleTable, error) {
 // store's validated-bytes cache, so a fleet of devices sharing one template
 // pays the walk once instead of once per device.
 func NewRawRuleTableTrusted(data []byte) (*RuleTable, error) {
-	r := wire.NewReader(data)
-	if v := r.U16(); r.Err() == nil && v != RuleTableVersion {
-		return nil, fmt.Errorf("flows: trusted rule table: format version %d, want %d", v, RuleTableVersion)
-	}
-	mode := KeyMode(r.U8())
-	quantum := time.Duration(r.I64())
-	frozen := r.Bool()
-	if err := r.Err(); err != nil {
+	mode, quantum, frozen, err := ruleTableHeader(data)
+	if err != nil {
 		return nil, fmt.Errorf("flows: trusted rule table: %w", err)
 	}
 	return &RuleTable{mode: mode, quantum: quantum, frozen: frozen, raw: data}, nil
+}
+
+// RuleTableFrozen reports whether a serialized rule table is frozen, reading
+// only its fixed header — the proxy image decoder checks the frozen flag
+// against the presence of a compiled arena before either restore arm parses
+// the table.
+func RuleTableFrozen(data []byte) (bool, error) {
+	_, _, frozen, err := ruleTableHeader(data)
+	if err != nil {
+		return false, fmt.Errorf("flows: rule table header: %w", err)
+	}
+	return frozen, nil
+}
+
+// ruleTableHeader parses a serialized rule table's fixed header.
+func ruleTableHeader(data []byte) (mode KeyMode, quantum time.Duration, frozen bool, err error) {
+	r := wire.NewReader(data)
+	if v := r.U16(); r.Err() == nil && v != RuleTableVersion {
+		return 0, 0, false, fmt.Errorf("format version %d, want %d", v, RuleTableVersion)
+	}
+	mode = KeyMode(r.U8())
+	quantum = time.Duration(r.I64())
+	frozen = r.Bool()
+	return mode, quantum, frozen, r.Err()
 }
 
 // validateRuleTableBytes runs every structural and canonical-form check on a

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"fiat/internal/packet"
@@ -166,8 +167,8 @@ func (r *Reader) ReadPacket() (packet.CaptureInfo, []byte, error) {
 	if capLen > r.snaplen {
 		return packet.CaptureInfo{}, nil, ErrShortPkt
 	}
-	data := make([]byte, capLen)
-	if _, err := io.ReadFull(r.r, data); err != nil {
+	data, err := readBody(r.r, int(capLen))
+	if err != nil {
 		return packet.CaptureInfo{}, nil, ErrShortPkt
 	}
 	nanos := int64(frac)
@@ -180,6 +181,28 @@ func (r *Reader) ReadPacket() (packet.CaptureInfo, []byte, error) {
 		Length:        int(origLen),
 	}
 	return info, data, nil
+}
+
+// bodyChunk bounds how far ahead of the bytes actually read a record body's
+// buffer may grow. capLen is attacker-controlled up to the file's own
+// snaplen (up to 4 GiB), so the buffer grows with the bytes that arrive
+// instead of being sized from the header.
+const bodyChunk = 64 << 10
+
+// readBody reads exactly n bytes. Bodies up to bodyChunk are read into one
+// exact allocation; longer ones grow chunk by chunk, so a forged length
+// costs at most the bytes present plus one chunk.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	data := make([]byte, 0, min(n, bodyChunk))
+	for len(data) < n {
+		m := min(n-len(data), bodyChunk)
+		data = slices.Grow(data, m)
+		if _, err := io.ReadFull(r, data[len(data):len(data)+m]); err != nil {
+			return nil, err
+		}
+		data = data[:len(data)+m]
+	}
+	return data, nil
 }
 
 // ReadAll decodes every remaining record into packets.
