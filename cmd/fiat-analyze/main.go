@@ -10,9 +10,9 @@
 //
 // With -verify-state it instead runs a strictly read-only integrity check
 // of a fiat-proxy durable state directory: every snapshot checksum and
-// proxy image (decoded as recovery decodes it), every WAL segment's framing
-// and record CRCs, and sequence continuity — exiting nonzero when recovery
-// would fail closed.
+// proxy image (decoded as recovery decodes it), the audit segment's chunks
+// and entries, every WAL segment's framing and record CRCs, and sequence
+// continuity — exiting nonzero when recovery would fail closed.
 //
 //	trafficgen -device WyzeCam -hours 6 -out wyze.pcap
 //	fiat-analyze -pcap wyze.pcap -device 192.168.1.50

@@ -326,6 +326,9 @@ func CrashMatrix(s Scenario, checkpointEvery int) ([]CrashReport, error) {
 		{"mid-rotate", durable.KillSpec{Point: durable.KillMidRotate, Seq: uint64(total / 4)}},
 		{"mid-snapshot", durable.KillSpec{Point: durable.KillMidSnapshot, Checkpoint: 3}},
 		{"post-snapshot", durable.KillSpec{Point: durable.KillPostSnapshot, Checkpoint: 2}},
+		// The first checkpoint with new audit entries at checkpointEvery 25,
+		// so the kill tears a real chunk.
+		{"mid-audit", durable.KillSpec{Point: durable.KillMidAudit, Checkpoint: 7}},
 	}
 	var out []CrashReport
 	for _, k := range kills {

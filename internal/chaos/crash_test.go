@@ -106,8 +106,8 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 5 {
-		t.Fatalf("matrix covered %d kill points, want 5", len(reports))
+	if len(reports) != 6 {
+		t.Fatalf("matrix covered %d kill points, want 6", len(reports))
 	}
 	for _, r := range reports {
 		if r.CrashOp < 0 {
@@ -136,8 +136,8 @@ func TestCrashRecoveryMatrixZeroCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 5 {
-		t.Fatalf("matrix covered %d kill points, want 5", len(reports))
+	if len(reports) != 6 {
+		t.Fatalf("matrix covered %d kill points, want 6", len(reports))
 	}
 	for _, r := range reports {
 		if r.CrashOp < 0 {

@@ -28,14 +28,15 @@ func (i StateArtifactInfo) String() string {
 }
 
 // InspectStateArtifacts checks a proxy image offline with the decoder
-// RestoreState runs — every section up to the drift detector and the
-// registries, which restore only into a live proxy — then validates every
-// artifact blob's envelope and kind and returns dedup statistics. It needs
-// no live proxy and mutates nothing; fiat-analyze -verify-state runs it on
-// every snapshot.
-func InspectStateArtifacts(body []byte) (StateArtifactInfo, error) {
+// RestoreStateDetached runs — every section up to the drift detector and
+// the registries, which restore only into a live proxy — then validates
+// every artifact blob's envelope and kind and returns dedup statistics. The
+// image is one AppendStateDetached wrote and log holds its audit entries,
+// the form durable snapshots keep. It needs no live proxy and mutates
+// nothing; fiat-analyze -verify-state runs it on every snapshot.
+func InspectStateArtifacts(body []byte, log []LogEntry) (StateArtifactInfo, error) {
 	var info StateArtifactInfo
-	img, err := decodeState(body)
+	img, err := decodeState(body, log, true)
 	if err != nil {
 		return info, err
 	}

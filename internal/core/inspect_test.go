@@ -43,7 +43,12 @@ func TestInspectStateArtifactsFleetDedup(t *testing.T) {
 	}
 	enc := src.proxy.EncodeState()
 
-	info, err := InspectStateArtifacts(enc)
+	body, nlog := src.proxy.AppendStateDetached(nil)
+	log, err := DecodeLogEntries([][]byte{src.proxy.AppendLogEntries(nil, 0, nlog)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := InspectStateArtifacts(body, log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,6 +151,22 @@ func (p *Proxy) deviceStates() []*deviceState {
 // snapshot container guarantees this, and Go heap allocations of the image
 // alone do too).
 func (p *Proxy) AppendState(b []byte) []byte {
+	b, _ = p.appendState(b, false)
+	return b
+}
+
+// AppendStateDetached appends the image AppendState would, except that the
+// audit-log section holds only the entry count: the entries live with the
+// caller, which writes them with AppendLogEntries and hands them back to
+// RestoreStateDetached. It also returns that count. The durable layer keeps
+// the log in an append-only segment this way, so a checkpoint encodes only
+// the entries added since the previous one rather than the whole history.
+func (p *Proxy) AppendStateDetached(b []byte) ([]byte, int) {
+	return p.appendState(b, true)
+}
+
+// appendState is the one image encoder; detached omits the log entries.
+func (p *Proxy) appendState(b []byte, detached bool) ([]byte, int) {
 	base := len(b)
 	b = wire.AppendU16(b, ProxyStateVersion)
 	b = wire.AppendU32(b, p.ConfigChecksum())
@@ -161,14 +177,10 @@ func (p *Proxy) AppendState(b []byte) []byte {
 	for _, a := range p.aliases {
 		b = wire.AppendString(b, a)
 	}
-	b = wire.AppendU32(b, uint32(len(p.log)))
-	for i := range p.log {
-		e := &p.log[i]
-		b = wire.AppendI64(b, e.Time.UnixNano())
-		b = wire.AppendString(b, e.Device)
-		b = wire.AppendString(b, string(e.Reason))
-		b = wire.AppendU8(b, uint8(e.Verdict))
-		b = wire.AppendI64(b, int64(e.Packets))
+	nlog := len(p.log)
+	b = wire.AppendU32(b, uint32(nlog))
+	if !detached {
+		b = p.appendLogLocked(b, 0, nlog)
 	}
 	st := p.Stats
 	p.mu.Unlock()
@@ -232,7 +244,67 @@ func (p *Proxy) AppendState(b []byte) []byte {
 	b = p.appendSwapState(b)
 	// The registry goes last so RestoreState can overwrite every counter the
 	// earlier sections may have touched indirectly.
-	return p.metrics.reg.AppendState(b)
+	return p.metrics.reg.AppendState(b), nlog
+}
+
+// AppendLogEntries appends audit entries [from, to) in the image's entry
+// encoding: back to back, with no count, exactly the bytes AppendState
+// writes after the log section's count. DecodeLogEntries reads them back.
+func (p *Proxy) AppendLogEntries(b []byte, from, to int) []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.appendLogLocked(b, from, to)
+}
+
+func (p *Proxy) appendLogLocked(b []byte, from, to int) []byte {
+	for i := from; i < to; i++ {
+		e := &p.log[i]
+		b = wire.AppendI64(b, e.Time.UnixNano())
+		b = wire.AppendString(b, e.Device)
+		b = wire.AppendString(b, string(e.Reason))
+		b = wire.AppendU8(b, uint8(e.Verdict))
+		b = wire.AppendI64(b, int64(e.Packets))
+	}
+	return b
+}
+
+// DecodeLogEntries decodes the entries of chunks, each of which must hold
+// whole entries in AppendLogEntries' encoding and nothing else. A first
+// pass checks every entry's framing and counts them, so the log is
+// allocated once at its exact length.
+func DecodeLogEntries(chunks [][]byte) ([]LogEntry, error) {
+	n := 0
+	for i, c := range chunks {
+		rd := wire.NewReader(c)
+		for rd.Len() > 0 {
+			rd.Take(8) // time
+			rd.Take(int(rd.U32()))
+			rd.Take(int(rd.U32()))
+			rd.Take(1 + 8) // verdict, packets
+			if err := rd.Err(); err != nil {
+				return nil, fmt.Errorf("core: audit chunk %d entry %d: %w", i, n, err)
+			}
+			n++
+		}
+	}
+	log := make([]LogEntry, 0, n)
+	for _, c := range chunks {
+		rd := wire.NewReader(c)
+		for rd.Len() > 0 {
+			log = append(log, readLogEntry(rd))
+		}
+	}
+	return log, nil
+}
+
+func readLogEntry(rd *wire.Reader) LogEntry {
+	return LogEntry{
+		Time:    time.Unix(0, rd.I64()).UTC(),
+		Device:  rd.String(),
+		Reason:  Reason(rd.String()),
+		Verdict: Verdict(rd.U8()),
+		Packets: int(rd.I64()),
+	}
 }
 
 // appendSwapState serializes the relearning lifecycle's global half: the
@@ -564,7 +636,19 @@ type deviceImage struct {
 // proxy must then be discarded — the recovery path builds a throwaway proxy
 // per attempt, so there is nothing to roll back.
 func (p *Proxy) RestoreState(data []byte) error {
-	img, err := decodeState(data)
+	img, err := decodeState(data, nil, false)
+	if err != nil {
+		return err
+	}
+	return p.install(img)
+}
+
+// RestoreStateDetached is RestoreState for an image AppendStateDetached
+// wrote, with its audit entries supplied separately (decoded by
+// DecodeLogEntries from wherever the caller kept them). The entry count
+// must equal the one the image records. The proxy takes ownership of log.
+func (p *Proxy) RestoreStateDetached(body []byte, log []LogEntry) error {
+	img, err := decodeState(body, log, true)
 	if err != nil {
 		return err
 	}
@@ -580,7 +664,11 @@ func (p *Proxy) RestoreState(data []byte) error {
 // rule table frozen without an arena (or an arena over an unfrozen table),
 // and identities, candidates and generation counters that disagree with
 // each other.
-func decodeState(data []byte) (*stateImage, error) {
+//
+// With detached set, the image is one AppendStateDetached wrote: its log
+// section holds only the entry count, which must equal len(log), and log
+// becomes the image's audit log.
+func decodeState(data []byte, log []LogEntry, detached bool) (*stateImage, error) {
 	rd := wire.NewReader(data)
 	if v := rd.U16(); rd.Err() == nil && v != ProxyStateVersion {
 		return nil, fmt.Errorf("core: proxy state version %d, want %d", v, ProxyStateVersion)
@@ -597,18 +685,21 @@ func decodeState(data []byte) (*stateImage, error) {
 		img.aliases = append(img.aliases, rd.String())
 	}
 	nlog := int(rd.U32())
-	if rd.Err() != nil || nlog > rd.Len() {
+	switch {
+	case rd.Err() != nil:
 		return nil, fmt.Errorf("core: restore log: %w", wire.ErrTruncated)
-	}
-	img.log = make([]LogEntry, 0, nlog)
-	for i := 0; i < nlog; i++ {
-		img.log = append(img.log, LogEntry{
-			Time:    time.Unix(0, rd.I64()).UTC(),
-			Device:  rd.String(),
-			Reason:  Reason(rd.String()),
-			Verdict: Verdict(rd.U8()),
-			Packets: int(rd.I64()),
-		})
+	case detached:
+		if nlog != len(log) {
+			return nil, fmt.Errorf("core: image records %d audit entries, %d supplied", nlog, len(log))
+		}
+		img.log = log
+	case nlog > rd.Len():
+		return nil, fmt.Errorf("core: restore log: %w", wire.ErrTruncated)
+	default:
+		img.log = make([]LogEntry, 0, nlog)
+		for i := 0; i < nlog; i++ {
+			img.log = append(img.log, readLogEntry(rd))
+		}
 	}
 	st := &img.stats
 	for _, f := range [...]*int{

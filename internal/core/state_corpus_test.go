@@ -105,7 +105,7 @@ func TestFuzzSeedForgedCountReachesRegistry(t *testing.T) {
 	if g != (goldenTrace{"ml", 59}) {
 		t.Fatalf("seed restores into %s, want ml-seed=59", g.name())
 	}
-	if _, err := decodeState(image); err != nil {
+	if _, err := decodeState(image, nil, false); err != nil {
 		t.Fatalf("seed does not decode: %v", err)
 	}
 	ks, err := keystore.New(rand.New(rand.NewSource(1)))
@@ -130,7 +130,7 @@ func TestRestoreDecodeFailureLeavesProxyUntouched(t *testing.T) {
 	for _, g := range []goldenTrace{{"rules", 11}, {"ml", 7}} {
 		_, src := replayGolden(t, g, 1)
 		enc := src.EncodeState()
-		img, err := decodeState(enc)
+		img, err := decodeState(enc, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func FuzzProxyRestoreState(f *testing.F) {
 		g := goldenTraces[int(trace)%len(goldenTraces)]
 		clock := simclock.NewVirtual()
 		p := goldenProxy(t, g, clock, fuzzKS, 1)
-		if _, derr := decodeState(image); derr != nil {
+		if _, derr := decodeState(image, nil, false); derr != nil {
 			before := p.EncodeState()
 			if err := p.RestoreState(image); err == nil {
 				t.Fatal("restore accepts an image decodeState rejects")

@@ -200,6 +200,48 @@ func TestProxyStateRoundTripZeroCopy(t *testing.T) {
 	}
 }
 
+// TestProxyStateDetachedRoundTrip: the durable layer's form of the image —
+// the body without log entries, the entries encoded in two ranges as two
+// checkpoints would append them — restores on both arms into a proxy that
+// re-encodes to exactly EncodeState. A body given the wrong number of
+// entries is rejected without touching the proxy.
+func TestProxyStateDetachedRoundTrip(t *testing.T) {
+	clf := trainDiffClassifier(t, 3)
+	src := buildStateRig(t, 2, clf)
+	src.populateState(t)
+	enc := src.proxy.EncodeState()
+	body, n := src.proxy.AppendStateDetached(nil)
+	if n != len(src.proxy.Log()) || n < 2 {
+		t.Fatalf("detached image covers %d entries; the log holds %d", n, len(src.proxy.Log()))
+	}
+	chunks := [][]byte{src.proxy.AppendLogEntries(nil, 0, n/2), src.proxy.AppendLogEntries(nil, n/2, n)}
+	log, err := DecodeLogEntries(chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, store := range []*artifact.Store{nil, artifact.NewStore()} {
+		cfg := stateRigConfig(1)
+		cfg.Artifacts = store
+		dst := buildStateRigCfg(t, cfg, clf)
+		before := dst.proxy.EncodeState()
+		if err := dst.proxy.RestoreStateDetached(body, log[:n-1]); err == nil {
+			t.Fatal("restore accepted one entry too few")
+		}
+		if !bytes.Equal(dst.proxy.EncodeState(), before) {
+			t.Fatal("a rejected entry count changed the proxy")
+		}
+		if err := dst.proxy.RestoreStateDetached(body, append([]LogEntry(nil), log...)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dst.proxy.EncodeState(), enc) {
+			t.Fatalf("detached restore (zero-copy %v) re-encodes differently", store != nil)
+		}
+	}
+	if _, err := DecodeLogEntries([][]byte{chunks[0], chunks[1][:len(chunks[1])-1]}); err == nil {
+		t.Fatal("a torn entry decoded")
+	}
+}
+
 // TestProxyRestoreRejectsFrozenRulesWithoutArena: stage 1 matches only
 // through the compiled arena the freeze point installs, so an image whose
 // device has a frozen rule table but no arena must fail closed instead of

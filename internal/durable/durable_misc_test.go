@@ -1,12 +1,18 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"net/netip"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"fiat/internal/core"
+	"fiat/internal/flows"
 	"fiat/internal/simclock"
 )
 
@@ -47,7 +53,7 @@ func TestVerifyReportRendering(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSnapshot(dir, 3, encodeSnapshot(3, simclock.Epoch, 7, testProxyImage()), nil, 1); err != nil {
+	if err := writeSnapshot(dir, 3, encodeSnapshot(3, simclock.Epoch, 7, 0, testProxyImage()), nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := Verify(dir).String()
@@ -87,7 +93,7 @@ func TestVerifyAgreesWithOpen(t *testing.T) {
 		ok   bool
 	}{{"intact", body, true}, {"version 2", stale, false}} {
 		dir := t.TempDir()
-		if err := writeSnapshot(dir, 1, encodeSnapshot(1, simclock.Epoch, 0, c.body), nil, 1); err != nil {
+		if err := writeSnapshot(dir, 1, encodeSnapshot(1, simclock.Epoch, 0, 0, c.body), nil, 1); err != nil {
 			t.Fatal(err)
 		}
 		r := Verify(dir)
@@ -107,6 +113,99 @@ func TestVerifyAgreesWithOpen(t *testing.T) {
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: Open err = %v, want ErrCorrupt", c.name, err)
 		}
+	}
+}
+
+// plugBuild builds a proxy guarding one rule-classified plug.
+func plugBuild(clock simclock.Clock) (*core.Proxy, error) {
+	p := core.NewProxy(clock, nil, nil, core.Config{Bootstrap: time.Minute})
+	return p, p.AddDevice(core.DeviceConfig{Name: "plug", Classifier: core.RuleClassifier{NotificationSize: 235}, GraceN: 1})
+}
+
+// auditStateDir leaves a closed manager's state directory whose audit
+// segment holds two checkpoints' chunks: a plug learns its heartbeat, then
+// off-rule packets close events into the audit log.
+func auditStateDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	clock := simclock.NewVirtual()
+	m, err := Open(Config{Dir: dir}, clock, plugBuild)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := func(port uint16) []core.PacketIn {
+		clock.Advance(10 * time.Second)
+		return []core.PacketIn{{Device: "plug", Rec: flows.Record{
+			Time: clock.Now(), Size: 128, Proto: "tcp", Dir: flows.DirOutbound,
+			RemoteIP: netip.MustParseAddr("52.1.1.1"), LocalPort: 40000, RemotePort: port,
+			Category: flows.CategoryControl,
+		}}}
+	}
+	for i := 0; i < 20; i++ {
+		port := uint16(443)
+		if i >= 8 {
+			port = 8000 + uint16(i)
+		}
+		if _, err := m.ProcessBatch(pkt(port)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 14 {
+			if err := m.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Proxy().Log()) == 0 {
+		t.Fatal("the workload left no audit entries")
+	}
+	return dir
+}
+
+// TestVerifyAuditSegment: Verify reports the audit segment's chunks and
+// entries and the bytes past the newest snapshot (which recovery
+// truncates); a corrupt covered prefix makes it report that recovery would
+// fail closed, as Open does. Verify writes nothing either way.
+func TestVerifyAuditSegment(t *testing.T) {
+	dir := auditStateDir(t)
+	path := filepath.Join(dir, auditName)
+	r := Verify(dir)
+	if r.Err != nil || r.Audit.Chunks != 2 || r.Audit.Entries == 0 || r.Audit.Beyond != 0 {
+		t.Fatalf("clean audit segment: %+v\n%s", r.Audit, r)
+	}
+	if out := r.String(); !strings.Contains(out, "audit segment audit.seg chunks=2") || strings.Contains(out, "recovery truncates") {
+		t.Fatalf("clean report:\n%s", out)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append(append([]byte(nil), data...), data[:frameHdr+3]...)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r = Verify(dir)
+	if r.Err != nil || r.Audit.Beyond != frameHdr+3 || !strings.Contains(r.String(), "11B beyond the newest snapshot (recovery truncates)") {
+		t.Fatalf("audit tail: %+v\n%s", r.Audit, r)
+	}
+
+	corrupt := append([]byte(nil), data...)
+	corrupt[len(corrupt)-1] ^= 0xff
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r = Verify(dir)
+	if out := r.String(); r.Err == nil || r.Audit.Err == nil || !strings.Contains(out, "RESULT: recovery would FAIL CLOSED") || !strings.Contains(out, "audit segment audit.seg CORRUPT") {
+		t.Fatalf("corrupt covered prefix:\n%s", out)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, corrupt) {
+		t.Fatal("Verify modified the audit segment")
+	}
+	if _, err := Open(Config{Dir: dir}, simclock.NewVirtual(), plugBuild); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open on a corrupt covered prefix: %v, want ErrCorrupt", err)
 	}
 }
 

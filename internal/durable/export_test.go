@@ -3,7 +3,10 @@ package durable
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"testing"
 	"time"
+
+	"fiat/internal/core"
 )
 
 // appendFrame is the reference WAL framing the manager's in-place framing
@@ -17,17 +20,42 @@ func appendFrame(b, payload []byte) []byte {
 
 // encodeSnapshot is the reference snapshot image built from a body held
 // elsewhere; checkpoints encode the body in place behind the header instead.
-func encodeSnapshot(seq uint64, at time.Time, configSum uint32, body []byte) []byte {
+func encodeSnapshot(seq uint64, at time.Time, configSum uint32, auditLen int64, body []byte) []byte {
 	img := append(make([]byte, snapHdrLen, snapHdrLen+len(body)), body...)
-	putSnapshotHeader(img, seq, at, configSum)
+	putSnapshotHeader(img, seq, at, configSum, auditLen)
 	return img
+}
+
+// readCheckpoint loads what Open restores from: the newest snapshot's
+// header and body, and the audit entries its covered prefix holds.
+func readCheckpoint(dir string) (SnapshotHeader, []byte, []core.LogEntry, error) {
+	h, body, err := loadLatestSnapshot(dir)
+	if err != nil {
+		return h, nil, nil, err
+	}
+	sc, err := loadAudit(dir, int64(h.AuditLen))
+	if err != nil {
+		return h, nil, nil, err
+	}
+	return h, body, sc.entries, nil
+}
+
+// setAuditChunkCap lowers the audit chunk cap for one test.
+func setAuditChunkCap(t testing.TB, n int) {
+	old := auditChunkCap
+	auditChunkCap = n
+	t.Cleanup(func() { auditChunkCap = old })
 }
 
 // Exports for the external test package's manager harness.
 var (
-	AppendFrame    = appendFrame
-	EncodeSnapshot = encodeSnapshot
-	SegName        = segName
-	SnapName       = snapName
-	WALMagic       = walMagic
+	AppendFrame      = appendFrame
+	AuditName        = auditName
+	FrameHdr         = frameHdr
+	ReadCheckpoint   = readCheckpoint
+	SegName          = segName
+	SetAuditChunkCap = setAuditChunkCap
+	SnapHdrLen       = snapHdrLen
+	SnapName         = snapName
+	WALMagic         = walMagic
 )

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"fiat/internal/core"
 	"fiat/internal/flows"
 	"fiat/internal/simclock"
+	"fiat/internal/wire"
 )
 
 // fuzzSeedOps builds the representative op payloads committed as the fuzz
@@ -48,13 +50,57 @@ func fuzzSeedOps() map[string][]byte {
 func fuzzSeedHeaders() map[string][]byte {
 	at := simclock.Epoch.Add(time.Hour)
 	body := []byte("proxy image bytes")
-	img := encodeSnapshot(42, at, 0xfeedf00d, body)
+	img := encodeSnapshot(42, at, 0xfeedf00d, 4096, body)
 	return map[string][]byte{
 		"whole":      img,
-		"header":     encodeSnapshot(42, at, 0xfeedf00d, nil),
+		"header":     encodeSnapshot(42, at, 0xfeedf00d, 0, nil),
 		"short":      img[:snapHdrLen-5],
 		"bad_magic":  append([]byte("NOTASNAP"), img[8:]...),
 		"long_claim": append([]byte{}, img[:snapHdrLen]...), // bodyLen > rest
+	}
+}
+
+// appendTestEntries is the reference encoding of audit entries, written out
+// field by field: the proxy image's entry layout that audit chunks carry.
+func appendTestEntries(b []byte, entries ...core.LogEntry) []byte {
+	for _, e := range entries {
+		b = wire.AppendI64(b, e.Time.UnixNano())
+		b = wire.AppendString(b, e.Device)
+		b = wire.AppendString(b, string(e.Reason))
+		b = wire.AppendU8(b, uint8(e.Verdict))
+		b = wire.AppendI64(b, int64(e.Packets))
+	}
+	return b
+}
+
+// fuzzSeedAudit builds the FuzzAuditSegment seeds: a whole three-chunk
+// segment (accepted) and three rejects — a torn last chunk, a bad checksum
+// on the middle chunk, and a length claim past the end of the file.
+func fuzzSeedAudit() map[string][]byte {
+	at := simclock.Epoch.Add(3 * time.Minute)
+	chunks := [][]byte{
+		appendTestEntries(nil,
+			core.LogEntry{Time: at, Device: "plug", Reason: core.ReasonNoHuman, Verdict: core.Drop, Packets: 3},
+			core.LogEntry{Time: at.Add(time.Second), Device: "cam", Reason: core.ReasonNonManual, Verdict: core.Allow, Packets: 12}),
+		appendTestEntries(nil, core.LogEntry{Time: at.Add(time.Minute), Device: "plug", Reason: core.ReasonLateAttest, Verdict: core.Allow, Packets: 1}),
+		appendTestEntries(nil, core.LogEntry{Time: at.Add(2 * time.Minute), Device: "lock", Reason: core.ReasonHumanOK, Verdict: core.Allow}),
+	}
+	var whole []byte
+	var ends []int
+	for _, c := range chunks {
+		whole = appendFrame(whole, c)
+		ends = append(ends, len(whole))
+	}
+	badCRC := append([]byte(nil), whole...)
+	badCRC[ends[0]+4] ^= 0xff
+	longClaim := append([]byte(nil), whole[:ends[1]]...)
+	longClaim = binary.LittleEndian.AppendUint32(longClaim, 1<<20)
+	longClaim = append(longClaim, whole[ends[1]+4:]...)
+	return map[string][]byte{
+		"whole":      whole,
+		"torn":       whole[:len(whole)-7],
+		"bad_crc":    badCRC,
+		"long_claim": longClaim,
 	}
 }
 
@@ -75,10 +121,16 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 			t.Errorf("FuzzSnapshotHeader seed %s does not decode: %v", name, err)
 		}
 	}
+	for name, b := range fuzzSeedAudit() {
+		if _, err := readAudit(b, int64(len(b))); (err == nil) != (name == "whole") {
+			t.Errorf("FuzzAuditSegment seed %s: readAudit err = %v", name, err)
+		}
+	}
 	write := os.Getenv("FIAT_WRITE_FUZZ_CORPUS") == "1"
 	sets := map[string]map[string][]byte{
 		"FuzzWALRecord":      fuzzSeedOps(),
 		"FuzzSnapshotHeader": fuzzSeedHeaders(),
+		"FuzzAuditSegment":   fuzzSeedAudit(),
 	}
 	for fuzzName, seeds := range sets {
 		dir := filepath.Join("testdata", "fuzz", fuzzName)
@@ -156,5 +208,45 @@ func FuzzSnapshotHeader(f *testing.F) {
 		}
 		// Full validation must also terminate without panicking.
 		decodeSnapshot(data)
+	})
+}
+
+// FuzzAuditSegment hammers the audit-segment reader with the whole input as
+// the covered prefix: no panics, accepted chunks re-frame to exactly the
+// input, and the entries it accepts decode from those chunks and re-encode
+// to their bytes — the codec recovery restores the audit log through.
+func FuzzAuditSegment(f *testing.F) {
+	for _, b := range fuzzSeedAudit() {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := readAudit(data, int64(len(data)))
+		if err != nil {
+			return
+		}
+		var reframed []byte
+		var entries []core.LogEntry
+		for _, c := range sc.chunks {
+			reframed = appendFrame(reframed, c)
+			ce, err := core.DecodeLogEntries([][]byte{c})
+			if err != nil {
+				t.Fatalf("accepted chunk does not decode: %v", err)
+			}
+			if enc := appendTestEntries(nil, ce...); !bytes.Equal(enc, c) {
+				t.Fatalf("chunk entries re-encode differently:\n in: %x\nout: %x", c, enc)
+			}
+			entries = append(entries, ce...)
+		}
+		if !bytes.Equal(reframed, data) {
+			t.Fatalf("accepted chunks re-frame differently:\n in: %x\nout: %x", data, reframed)
+		}
+		if len(entries) != len(sc.entries) {
+			t.Fatalf("reader returned %d entries, its chunks hold %d", len(sc.entries), len(entries))
+		}
+		for i := range entries {
+			if entries[i] != sc.entries[i] {
+				t.Fatalf("entry %d: reader %+v, chunk %+v", i, sc.entries[i], entries[i])
+			}
+		}
 	})
 }

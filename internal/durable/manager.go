@@ -72,6 +72,9 @@ const (
 	// KillPostSnapshot dies after the snapshot rename but before the WAL
 	// trim, leaving pre-snapshot records the replay must skip.
 	KillPostSnapshot
+	// KillMidAudit dies mid-checkpoint with half of one audit chunk written
+	// and no snapshot covering it.
+	KillMidAudit
 )
 
 // KillSpec arms one deterministic crash. Seq triggers the append-side
@@ -142,10 +145,12 @@ type Config struct {
 
 // Manager owns a proxy plus its durable state: every input operation is
 // appended to the WAL before it is applied, checkpoints capture the full
-// proxy image and let the log be trimmed, and Open recovers the
-// snapshot+suffix composition after a crash. All operations are serialized
-// under one mutex — the durability contract is a total order of inputs, and
-// the engine underneath already parallelizes within a batch.
+// proxy image (the audit entries added since the last checkpoint into the
+// audit segment, everything else into a snapshot) and let the log be
+// trimmed, and Open recovers the snapshot+suffix composition after a
+// crash. All operations are serialized under one mutex — the durability
+// contract is a total order of inputs, and the engine underneath already
+// parallelizes within a batch.
 type Manager struct {
 	mu          sync.Mutex
 	cfg         Config
@@ -153,6 +158,9 @@ type Manager struct {
 	clock       *switchClock
 	proxy       *core.Proxy
 	wal         *wal
+	audit       *os.File // the audit segment, written at auditLen
+	auditLen    int64    // audit segment bytes the newest snapshot covers
+	auditN      int      // audit entries in those bytes
 	lastSeq     uint64
 	snapSeq     uint64 // seq covered by the newest on-disk snapshot
 	lastCkpt    time.Time
@@ -164,9 +172,10 @@ type Manager struct {
 
 	// Encode buffers owned by the manager and reused under mu, so steady
 	// appends and checkpoints do not allocate. Each keeps the capacity of
-	// the largest frame or image written so far.
+	// the largest frame, image or chunk run written so far.
 	frame []byte // one WAL frame: header, then the encoded op
-	img   []byte // one snapshot image: header, then the proxy state
+	img   []byte // one snapshot image: header, then the detached proxy state
+	chunk []byte // one checkpoint's framed audit chunks
 
 	reg         *obs.Registry
 	appends     *obs.Counter
@@ -210,10 +219,13 @@ func (c *switchClock) unpin() {
 }
 
 // Open builds (or recovers) a managed proxy from the state directory:
-// load the newest snapshot if one exists, restore it into a freshly built
-// proxy, replay the WAL suffix beyond it with the clock pinned to each
-// record's instant, truncate any torn tail, and position the log for new
-// appends. Corruption anywhere but the final segment's tail fails closed.
+// load the newest snapshot if one exists, restore it together with the
+// audit segment prefix it covers into a freshly built proxy, replay the WAL
+// suffix beyond it with the clock pinned to each record's instant, truncate
+// any torn WAL tail and any audit bytes past the covered prefix, and
+// position both for new appends. Corruption anywhere but the final
+// segment's tail fails closed, and so does a short or corrupt covered
+// audit prefix.
 func Open(cfg Config, live simclock.Clock, build BuildProxy) (*Manager, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("durable: Config.Dir is required")
@@ -247,6 +259,11 @@ func Open(cfg Config, live simclock.Clock, build BuildProxy) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
+	covered := int64(snapHdr.AuditLen)
+	audit, err := loadAudit(cfg.Dir, covered)
+	if err != nil {
+		return nil, err
+	}
 	scan, err := scanWAL(cfg.Dir, true)
 	if err != nil {
 		return nil, err
@@ -267,9 +284,10 @@ func Open(cfg Config, live simclock.Clock, build BuildProxy) (*Manager, error) {
 
 	hadState := snapBody != nil || len(scan.payloads) > 0
 	if snapBody != nil {
-		if err := proxy.RestoreState(snapBody); err != nil {
+		if err := proxy.RestoreStateDetached(snapBody, audit.entries); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
+		m.auditLen, m.auditN = covered, len(audit.entries)
 		m.snapSeq = snapHdr.Seq
 		m.lastSeq = snapHdr.Seq
 		m.lastCkpt = snapHdr.Time
@@ -300,6 +318,10 @@ func Open(cfg Config, live simclock.Clock, build BuildProxy) (*Manager, error) {
 	if err := m.wal.openAppend(scan.appendSeg, m.lastSeq+1); err != nil {
 		return nil, err
 	}
+	if m.audit, err = openAudit(cfg.Dir, covered); err != nil {
+		m.wal.close()
+		return nil, err
+	}
 	if hadState {
 		m.recoveries.Inc()
 	} else {
@@ -309,6 +331,7 @@ func Open(cfg Config, live simclock.Clock, build BuildProxy) (*Manager, error) {
 		// lose bootstrap progress — the WAL can only replay inputs onto a
 		// durably pinned starting state.
 		if err := m.checkpointLocked(); err != nil {
+			m.releaseFiles()
 			return nil, err
 		}
 	}
@@ -368,7 +391,7 @@ func (m *Manager) logAndApplyLocked(op Op) ([]core.Decision, error) {
 	m.frame = appendOpFrame(m.frame[:0], &op)
 	if err := m.wal.append(op.Seq, m.frame); err != nil {
 		if errors.Is(err, ErrCrashed) {
-			m.crashed = true
+			m.die()
 		}
 		return nil, err
 	}
@@ -457,9 +480,12 @@ func (m *Manager) Tick() error {
 	return nil
 }
 
-// Checkpoint captures the proxy's full state as a snapshot at the current
-// WAL position, then trims fully covered segments and older snapshots. The
-// WAL is synced first so the snapshot never leads the log it summarizes.
+// Checkpoint captures the proxy's full state at the current WAL position:
+// the audit entries added since the last checkpoint are appended to the
+// audit segment and synced, then a snapshot of the rest of the image,
+// recording the segment length it covers, replaces the previous one, and
+// fully covered WAL segments are trimmed. The WAL is synced first so the
+// snapshot never leads the log it summarizes.
 func (m *Manager) Checkpoint() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -478,17 +504,23 @@ func (m *Manager) checkpointLocked() error {
 	}
 	m.checkpoints++
 	now := m.live.Now()
-	// AppendState pads relative to where it starts, so encoding after the
-	// reserved header yields the same body bytes as EncodeState.
-	m.img = m.proxy.AppendState(append(m.img[:0], make([]byte, snapHdrLen)...))
-	putSnapshotHeader(m.img, m.lastSeq, now, m.proxy.ConfigChecksum())
-	if err := writeSnapshot(m.cfg.Dir, m.lastSeq, m.img, m.cfg.Kill, m.checkpoints); err != nil {
+	// AppendStateDetached pads relative to where it starts, so encoding
+	// after the reserved header yields the same body bytes as encoding
+	// alone.
+	var n int
+	m.img, n = m.proxy.AppendStateDetached(append(m.img[:0], make([]byte, snapHdrLen)...))
+	auditLen, err := m.appendAudit(n)
+	if err == nil {
+		putSnapshotHeader(m.img, m.lastSeq, now, m.proxy.ConfigChecksum(), auditLen)
+		err = writeSnapshot(m.cfg.Dir, m.lastSeq, m.img, m.cfg.Kill, m.checkpoints)
+	}
+	if err != nil {
 		if errors.Is(err, ErrCrashed) {
-			m.crashed = true
-			m.wal.close()
+			m.die()
 		}
 		return err
 	}
+	m.auditLen, m.auditN = auditLen, n
 	m.snapSeq = m.lastSeq
 	m.lastCkpt = now
 	m.checkpointC.Inc()
@@ -496,8 +528,7 @@ func (m *Manager) checkpointLocked() error {
 	if m.cfg.Kill.firesCheckpoint(KillPostSnapshot, m.checkpoints) {
 		// Crash between the snapshot rename and the WAL trim: recovery
 		// must skip the pre-snapshot records still on disk.
-		m.crashed = true
-		m.wal.close()
+		m.die()
 		return ErrCrashed
 	}
 	if err := m.wal.trimBefore(m.lastSeq + 1); err != nil {
@@ -523,7 +554,31 @@ func (m *Manager) Close() error {
 	}
 	m.closed = true
 	m.proxy.Close()
-	return m.wal.close()
+	err := m.audit.Close()
+	m.audit = nil
+	if werr := m.wal.close(); err == nil {
+		err = werr
+	}
+	return err
+}
+
+// die marks the manager crashed at a kill point and drops its file handles
+// without syncing anything further.
+func (m *Manager) die() {
+	m.crashed = true
+	m.releaseFiles()
+}
+
+// releaseFiles closes the WAL and audit segment handles without syncing.
+func (m *Manager) releaseFiles() {
+	if m.wal != nil && m.wal.f != nil {
+		m.wal.f.Close()
+		m.wal.f = nil
+	}
+	if m.audit != nil {
+		m.audit.Close()
+		m.audit = nil
+	}
 }
 
 // Abort releases file handles and stops the proxy's shard workers without
@@ -532,10 +587,7 @@ func (m *Manager) Close() error {
 func (m *Manager) Abort() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.wal != nil && m.wal.f != nil {
-		m.wal.f.Close()
-		m.wal.f = nil
-	}
+	m.releaseFiles()
 	m.closed = true
 	m.proxy.Close()
 }

@@ -300,19 +300,34 @@ func runSteps(t *testing.T, mgr *durable.Manager, dir string, clock *simclock.Vi
 	return len(steps)
 }
 
-// checkSnapshotFile compares the newest snapshot, taken at instant at, with
-// the reference encoding of the proxy's current state.
+// checkSnapshotFile reassembles the newest checkpoint, taken at instant at,
+// from its snapshot and the audit segment prefix it covers, and compares it
+// with the proxy's current state: the snapshot body must be the detached
+// image, and restoring body plus entries into a fresh proxy must re-encode
+// to exactly EncodeState.
 func checkSnapshotFile(t *testing.T, mgr *durable.Manager, dir string, at time.Time) {
 	t.Helper()
-	seq := mgr.SnapshotSeq()
-	got, err := os.ReadFile(filepath.Join(dir, durable.SnapName(seq)))
+	h, body, log, err := durable.ReadCheckpoint(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	proxy := mgr.Proxy()
-	want := durable.EncodeSnapshot(seq, at, proxy.ConfigChecksum(), proxy.EncodeState())
-	if !bytes.Equal(got, want) {
-		t.Fatalf("snapshot at seq %d (%d bytes) differs from the reference image (%d bytes)", seq, len(got), len(want))
+	if h.Seq != mgr.SnapshotSeq() || !h.Time.Equal(at) || h.ConfigSum != proxy.ConfigChecksum() {
+		t.Fatalf("snapshot header %+v, want seq %d at %s", h, mgr.SnapshotSeq(), at)
+	}
+	if want, _ := proxy.AppendStateDetached(nil); !bytes.Equal(body, want) {
+		t.Fatalf("snapshot body at seq %d (%d bytes) differs from the detached image (%d bytes)", h.Seq, len(body), len(want))
+	}
+	fresh, err := mgrBuild(t)(simclock.NewVirtual())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.RestoreStateDetached(body, log); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh.EncodeState(), proxy.EncodeState()) {
+		t.Fatalf("snapshot + audit segment at seq %d reassemble to a different image", h.Seq)
 	}
 }
 
@@ -462,6 +477,7 @@ func TestManagerCrashRecovery(t *testing.T) {
 		{"mid-rotate", durable.KillSpec{Point: durable.KillMidRotate, Seq: 10}, 1},
 		{"mid-snapshot", durable.KillSpec{Point: durable.KillMidSnapshot, Checkpoint: 3}, 0},
 		{"post-snapshot", durable.KillSpec{Point: durable.KillPostSnapshot, Checkpoint: 2}, 0},
+		{"mid-audit", durable.KillSpec{Point: durable.KillMidAudit, Checkpoint: 3}, 0},
 	}
 	steps := mgrScript(t)
 	refDec, refState := runReference(t, steps)
@@ -491,6 +507,13 @@ func TestManagerCrashRecovery(t *testing.T) {
 			}
 			if err := mgr.Close(); !errors.Is(err, durable.ErrCrashed) {
 				t.Fatalf("close after crash: %v", err)
+			}
+			// Both mid-checkpoint kills die after audit bytes reach the
+			// segment but before a snapshot covers them.
+			if tc.kill.Point == durable.KillMidAudit || tc.kill.Point == durable.KillMidSnapshot {
+				if r := durable.Verify(dir); r.Err != nil || r.Audit.Beyond == 0 {
+					t.Fatalf("crashed dir: verify err %v, %d audit bytes beyond the snapshot\n%s", r.Err, r.Audit.Beyond, r)
+				}
 			}
 
 			// Recover on a fresh clock. Replay overwrites the decisions for

@@ -1,7 +1,8 @@
 // Package durable gives the FIAT proxy crash-consistent state: a
 // write-ahead log of input operations with per-record checksums, atomic
-// arena snapshots of the full proxy image, and a recovery path that rebuilds
-// a byte-identical proxy from snapshot + WAL replay.
+// arena snapshots of the proxy image with its audit log kept in an
+// append-only segment beside them, and a recovery path that rebuilds a
+// byte-identical proxy from snapshot + audit segment + WAL replay.
 //
 // The central design choice is to log *inputs*, not effects. The proxy's
 // pipeline is deterministic given its configuration, its state, and the

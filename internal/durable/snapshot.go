@@ -3,6 +3,7 @@ package durable
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,9 +15,11 @@ import (
 	"fiat/internal/wire"
 )
 
-// On-disk snapshot format. A snapshot is the proxy's complete serialized
-// state (core.Proxy.EncodeState) as of one WAL sequence number, written to
-// snap-%016x.snap named by that seq. Writes go through a .tmp file and a
+// On-disk snapshot format. A snapshot is the proxy's serialized state as of
+// one WAL sequence number, written to snap-%016x.snap named by that seq. Its
+// body is the image core.Proxy.AppendStateDetached writes: everything but
+// the audit-log entries, which live in the audit segment (audit.go) up to
+// the length the header records. Writes go through a .tmp file and a
 // rename, so a final-named snapshot is either whole or absent — a crash
 // mid-write leaves only a tmp, which recovery ignores and removes.
 //
@@ -29,21 +32,24 @@ import (
 //	u32  configSum — the proxy's ConfigChecksum, duplicated for inspection
 //	u32  bodyCRC   — CRC32C of the body
 //	u64  bodyLen
-//	[6]  zero padding (v2) — the body starts at file offset 48, a multiple
+//	u64  auditLen  — bytes of the audit segment the body's log covers (v3)
+//	[6]  zero padding (v2) — the body starts at file offset 56, a multiple
 //	     of 8, so the proxy image's aligned artifact sections are aligned
 //	     in the mmap'd file too
 //	[...] body
 const (
 	snapMagic  = "FIATSNAP"
-	snapHdrLen = 8 + 2 + 8 + 8 + 4 + 4 + 8 + 6
+	snapHdrLen = 8 + 2 + 8 + 8 + 4 + 4 + 8 + 8 + 6
 )
 
 // SnapshotVersion versions the snapshot container format. v2 padded the
-// header from 42 to 48 bytes so the body starts 8-byte aligned — the
-// zero-copy artifact load aliases compiled arenas straight out of the
-// mapped snapshot, and alignment in the file is what makes the aliases
-// cheap (misalignment falls back to copying, never to corruption).
-const SnapshotVersion uint16 = 2
+// header so the body starts 8-byte aligned — the zero-copy artifact load
+// aliases compiled arenas straight out of the mapped snapshot, and
+// alignment in the file is what makes the aliases cheap (misalignment falls
+// back to copying, never to corruption). v3 moved the audit-log entries out
+// of the body into the append-only audit segment and records the segment
+// length the snapshot covers.
+const SnapshotVersion uint16 = 3
 
 // SnapshotHeader is the decoded snapshot metadata.
 type SnapshotHeader struct {
@@ -53,6 +59,7 @@ type SnapshotHeader struct {
 	ConfigSum uint32
 	BodyCRC   uint32
 	BodyLen   uint64
+	AuditLen  uint64
 }
 
 func snapName(seq uint64) string { return fmt.Sprintf("snap-%016x.snap", seq) }
@@ -88,7 +95,7 @@ func listSnapshots(dir string) ([]uint64, error) {
 // follows the snapHdrLen bytes reserved for it. It is the one header writer:
 // checkpoints encode the proxy image straight after the reservation and call
 // this in place, so the body is never copied.
-func putSnapshotHeader(img []byte, seq uint64, at time.Time, configSum uint32) {
+func putSnapshotHeader(img []byte, seq uint64, at time.Time, configSum uint32, auditLen int64) {
 	body := img[snapHdrLen:]
 	h := img[:0:snapHdrLen]
 	h = append(h, snapMagic...)
@@ -98,7 +105,8 @@ func putSnapshotHeader(img []byte, seq uint64, at time.Time, configSum uint32) {
 	h = wire.AppendU32(h, configSum)
 	h = wire.AppendU32(h, crc32.Checksum(body, walCastagnoli))
 	h = wire.AppendU64(h, uint64(len(body)))
-	_ = append(h, 0, 0, 0, 0, 0, 0) // pad the header to 48 so the body is 8-aligned
+	h = wire.AppendU64(h, uint64(auditLen))
+	_ = append(h, 0, 0, 0, 0, 0, 0) // pad the header to 56 so the body is 8-aligned
 }
 
 // DecodeSnapshotHeader parses and validates a snapshot's fixed header,
@@ -116,6 +124,7 @@ func DecodeSnapshotHeader(data []byte) (SnapshotHeader, []byte, error) {
 		ConfigSum: rd.U32(),
 		BodyCRC:   rd.U32(),
 		BodyLen:   rd.U64(),
+		AuditLen:  rd.U64(),
 	}
 	rd.Take(6) // header padding
 	if err := rd.Err(); err != nil {
@@ -123,6 +132,9 @@ func DecodeSnapshotHeader(data []byte) (SnapshotHeader, []byte, error) {
 	}
 	if h.Version != SnapshotVersion {
 		return SnapshotHeader{}, nil, fmt.Errorf("%w: snapshot version %d, want %d", ErrCorrupt, h.Version, SnapshotVersion)
+	}
+	if h.AuditLen > math.MaxInt64 {
+		return SnapshotHeader{}, nil, fmt.Errorf("%w: snapshot covers %d audit bytes", ErrCorrupt, h.AuditLen)
 	}
 	if h.BodyLen > uint64(rd.Len()) {
 		return SnapshotHeader{}, nil, fmt.Errorf("%w: snapshot body truncated (%d of %d bytes)", ErrCorrupt, rd.Len(), h.BodyLen)

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,10 +32,22 @@ type SegmentInfo struct {
 	Err      error // nil when the segment validates
 }
 
+// AuditInfo is the audit segment's verification result, read against the
+// length the newest snapshot covers.
+type AuditInfo struct {
+	Present bool
+	Chunks  int   // chunks in the covered prefix
+	Entries int   // audit entries in those chunks
+	Covered int64 // bytes the newest snapshot covers
+	Beyond  int64 // bytes past the covered prefix, which recovery truncates
+	Err     error // nil when the covered prefix validates
+}
+
 // VerifyReport is the outcome of an offline state-directory check.
 type VerifyReport struct {
 	Dir       string
 	Snapshots []SnapshotInfo
+	Audit     AuditInfo
 	Segments  []SegmentInfo
 	FirstSeq  uint64 // first surviving WAL record
 	LastSeq   uint64 // last surviving WAL record
@@ -58,6 +71,17 @@ func (r *VerifyReport) String() string {
 			s.File, s.Seq, s.Time.Format(time.RFC3339), s.ConfigSum, s.BodyLen)
 		if s.Artifacts != nil {
 			fmt.Fprintf(&b, "    artifacts: %s\n", s.Artifacts)
+		}
+	}
+	switch a := &r.Audit; {
+	case !a.Present:
+		b.WriteString("  no audit segment\n")
+	case a.Err != nil:
+		fmt.Fprintf(&b, "  audit segment %s CORRUPT: %v\n", auditName, a.Err)
+	default:
+		fmt.Fprintf(&b, "  audit segment %s chunks=%d entries=%d covered=%dB ok\n", auditName, a.Chunks, a.Entries, a.Covered)
+		if a.Beyond > 0 {
+			fmt.Fprintf(&b, "    %dB beyond the newest snapshot (recovery truncates)\n", a.Beyond)
 		}
 	}
 	if len(r.Segments) == 0 {
@@ -86,11 +110,13 @@ func (r *VerifyReport) String() string {
 
 // Verify performs a strictly read-only integrity check of a state
 // directory: every snapshot's header, body checksum and proxy image (decoded
-// by core.InspectStateArtifacts up to the registries), every WAL segment's
-// framing, record checksums, and sequence continuity. It never truncates or
-// repairs anything. The report's Err mirrors what Open would do: a torn
-// final-segment tail is reported but recoverable; anything else corrupt
-// fails closed.
+// by core.InspectStateArtifacts up to the registries, with the audit
+// entries the snapshot covers), the audit segment's chunk framing,
+// checksums and entries, and every WAL segment's framing, record checksums,
+// and sequence continuity. It never truncates or repairs anything. The
+// report's Err mirrors what Open would do: a torn final-segment tail and
+// audit bytes past the newest snapshot are reported but recoverable;
+// anything else corrupt fails closed.
 func Verify(dir string) *VerifyReport {
 	r := &VerifyReport{Dir: dir}
 	setErr := func(err error) {
@@ -104,7 +130,15 @@ func Verify(dir string) *VerifyReport {
 		setErr(err)
 		return r
 	}
+	auditData, err := os.ReadFile(filepath.Join(dir, auditName))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		setErr(err)
+		return r
+	}
+	r.Audit.Present = err == nil
+	r.Audit.Beyond = int64(len(auditData))
 	for i, seq := range snaps {
+		newest := i == len(snaps)-1
 		name := snapName(seq)
 		info := SnapshotInfo{File: name, Seq: seq}
 		data, err := os.ReadFile(filepath.Join(dir, name))
@@ -114,9 +148,22 @@ func Verify(dir string) *VerifyReport {
 			info.Err = derr
 		} else {
 			info.Time, info.ConfigSum, info.BodyLen = h.Time, h.ConfigSum, uint64(len(body))
+			// Each snapshot is read with the audit prefix it covers; the
+			// newest one's is the prefix recovery restores.
+			covered := int64(h.AuditLen)
+			sc, serr := readAudit(auditData, covered)
+			if newest {
+				r.Audit.Covered, r.Audit.Err = covered, serr
+				if serr == nil {
+					r.Audit.Chunks, r.Audit.Entries = len(sc.chunks), len(sc.entries)
+					r.Audit.Beyond = int64(len(auditData)) - covered
+				}
+			}
 			if h.Seq != seq {
 				info.Err = fmt.Errorf("%w: header seq %d under name %s", ErrCorrupt, h.Seq, name)
-			} else if arts, aerr := core.InspectStateArtifacts(body); aerr != nil {
+			} else if serr != nil {
+				info.Err = fmt.Errorf("audit segment: %w", serr)
+			} else if arts, aerr := core.InspectStateArtifacts(body, sc.entries); aerr != nil {
 				// The body is decoded by the same code RestoreState runs, so a
 				// wrong version or any structural fault fails the snapshot
 				// here exactly as it would fail Open.
@@ -127,7 +174,7 @@ func Verify(dir string) *VerifyReport {
 		}
 		// Only the newest snapshot gates recovery; older ones are about to
 		// be pruned and may legally be damaged.
-		if info.Err != nil && i == len(snaps)-1 {
+		if info.Err != nil && newest {
 			setErr(fmt.Errorf("newest snapshot %s: %w", name, info.Err))
 		}
 		r.Snapshots = append(r.Snapshots, info)

@@ -73,10 +73,16 @@ func listSegments(dir string) ([]uint64, error) {
 func appendOpFrame(b []byte, op *Op) []byte {
 	start := len(b)
 	b = AppendOp(append(b, make([]byte, frameHdr)...), op)
-	payload := b[start+frameHdr:]
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, walCastagnoli))
+	putFrameHeader(b[start:])
 	return b
+}
+
+// putFrameHeader fills the header reserved at the start of frame for the
+// payload that follows it.
+func putFrameHeader(frame []byte) {
+	payload := frame[frameHdr:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, walCastagnoli))
 }
 
 // segScan is the outcome of scanning one segment file.
@@ -120,24 +126,8 @@ func scanSegment(path string, final, repair bool) (*segScan, error) {
 	}
 	off := int64(walHdrLen)
 	for int(off) < len(data) {
-		rest := data[off:]
-		torn := false
-		var payload []byte
-		if len(rest) < frameHdr {
-			torn = true
-		} else {
-			n := binary.LittleEndian.Uint32(rest)
-			sum := binary.LittleEndian.Uint32(rest[4:])
-			if n < opMinBytes || n > maxRecByte || int(n) > len(rest)-frameHdr {
-				torn = true
-			} else {
-				payload = rest[frameHdr : frameHdr+int(n)]
-				if crc32.Checksum(payload, walCastagnoli) != sum {
-					torn = true
-				}
-			}
-		}
-		if torn {
+		payload, ok := readFrame(data[off:], opMinBytes)
+		if !ok {
 			if !final {
 				return nil, fmt.Errorf("%w: segment %s corrupt at offset %d", ErrCorrupt, name, off)
 			}
@@ -164,19 +154,32 @@ func scanSegment(path string, final, repair bool) (*segScan, error) {
 	return sc, nil
 }
 
+// readFrame parses the frame at the start of rest — [u32 length][u32
+// CRC32C][payload], the framing WAL records and audit chunks share — and
+// returns its payload. ok is false when the header is short, the length is
+// below minLen or above maxRecByte or runs past rest, or the checksum fails.
+func readFrame(rest []byte, minLen uint32) (payload []byte, ok bool) {
+	if len(rest) < frameHdr {
+		return nil, false
+	}
+	n := binary.LittleEndian.Uint32(rest)
+	if n < minLen || n > maxRecByte || int(n) > len(rest)-frameHdr {
+		return nil, false
+	}
+	payload = rest[frameHdr : frameHdr+int(n)]
+	if crc32.Checksum(payload, walCastagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
+		return nil, false
+	}
+	return payload, true
+}
+
 // hasValidFrameAfter reports whether any byte offset strictly after from
 // starts a frame whose checksum validates. CRC32C makes an accidental match
 // on garbage vanishingly unlikely, so a hit means real records survive past
 // the damage point. Only runs on the torn-tail recovery path.
 func hasValidFrameAfter(data []byte, from int64) bool {
 	for off := from + 1; off+int64(frameHdr) <= int64(len(data)); off++ {
-		rest := data[off:]
-		n := binary.LittleEndian.Uint32(rest)
-		if n < opMinBytes || n > maxRecByte || int(n) > len(rest)-frameHdr {
-			continue
-		}
-		sum := binary.LittleEndian.Uint32(rest[4:])
-		if crc32.Checksum(rest[frameHdr:frameHdr+int(n)], walCastagnoli) == sum {
+		if _, ok := readFrame(data[off:], opMinBytes); ok {
 			return true
 		}
 	}

@@ -311,7 +311,7 @@ func TestSnapshotRoundTripAndCorruption(t *testing.T) {
 	dir := t.TempDir()
 	body := bytes.Repeat([]byte("fiat-state"), 100)
 	at := simclock.Epoch.Add(42 * time.Minute)
-	if err := writeSnapshot(dir, 7, encodeSnapshot(7, at, 0xdeadbeef, body), nil, 1); err != nil {
+	if err := writeSnapshot(dir, 7, encodeSnapshot(7, at, 0xdeadbeef, 0, body), nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	h, got, err := loadLatestSnapshot(dir)
@@ -349,7 +349,7 @@ func TestVerifyReadOnly(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSnapshot(dir, 10, encodeSnapshot(10, simclock.Epoch, 1, testProxyImage()), nil, 1); err != nil {
+	if err := writeSnapshot(dir, 10, encodeSnapshot(10, simclock.Epoch, 1, 0, testProxyImage()), nil, 1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -83,9 +83,10 @@ type AdaBoost struct {
 	classes int
 }
 
-// Fit trains the boosted ensemble.
+// Fit trains the boosted ensemble. X is presorted once, and every round's
+// weighted stump is fitted from those orders.
 func (ab *AdaBoost) Fit(X [][]float64, y []int) error {
-	_, k, err := checkXY(X, y)
+	d, k, err := checkXY(X, y)
 	if err != nil {
 		return err
 	}
@@ -101,11 +102,12 @@ func (ab *AdaBoost) Fit(X [][]float64, y []int) error {
 	for i := range w {
 		w[i] = 1 / float64(n)
 	}
+	ps := presort(X, d)
+	order := make([]int32, len(ps.order))
 	for r := 0; r < rounds; r++ {
 		stump := &DecisionTree{MaxDepth: 1, Seed: ab.Seed + int64(r)}
-		if err := stump.FitWeighted(X, y, w); err != nil {
-			return err
-		}
+		copy(order, ps.order)
+		stump.fitPresorted(ps, y, w, k, order)
 		pred := stump.Predict(X)
 		var errW float64
 		for i := range X {
@@ -142,9 +144,10 @@ func (ab *AdaBoost) Fit(X [][]float64, y []int) error {
 	if len(ab.stumps) == 0 {
 		// Degenerate data: fall back to a single unweighted stump.
 		stump := &DecisionTree{MaxDepth: 1, Seed: ab.Seed}
-		if err := stump.Fit(X, y); err != nil {
-			return err
+		for i := range w {
+			w[i] = 1
 		}
+		stump.fitPresorted(ps, y, w, k, ps.order)
 		ab.stumps = append(ab.stumps, stump)
 		ab.alphas = append(ab.alphas, 1)
 	}

@@ -56,32 +56,58 @@ func (t *DecisionTree) FitWeighted(X [][]float64, y []int, w []float64) error {
 	if len(w) != len(X) {
 		return ErrShape
 	}
-	t.classes = k
+	ps := presort(X, d)
+	t.fitPresorted(ps, y, w, k, ps.order) // ps is not reused, so its orders can be permuted in place
+	return nil
+}
+
+// presorted is a training set prepared for fitting: X column by column and
+// the root sample orders. Fits only read it, so one presort serves every
+// tree fitted on the same X — AdaBoost's rounds differ only in their
+// weights.
+type presorted struct {
+	n, d int
+	// col holds X column by column: col[f*n+i] is X[i][f].
+	col []float64
+	// order holds d+1 permutations of the samples, n entries each: order f
+	// sorts them by feature f, and order d keeps them in index order.
+	order []int32
+}
+
+func presort(X [][]float64, d int) *presorted {
 	n := len(X)
-	s := treeFit{
-		t: t, y: y, w: w, n: n, d: d,
-		col:   make([]float64, d*n),
-		order: make([]int32, (d+1)*n),
-		left:  make([]bool, n),
-		spill: make([]int32, n),
-		feats: make([]int, d),
-		sums:  make([]float64, 3*k),
-		rng:   rand.New(rand.NewSource(t.Seed + 1)),
-	}
+	p := &presorted{n: n, d: d, col: make([]float64, d*n), order: make([]int32, (d+1)*n)}
 	for i, row := range X {
 		for f, v := range row {
-			s.col[f*n+i] = v
+			p.col[f*n+i] = v
 		}
 	}
 	for f := 0; f < d; f++ {
-		sortByValue(s.order[f*n:(f+1)*n], s.col[f*n:(f+1)*n])
+		sortByValue(p.order[f*n:(f+1)*n], p.col[f*n:(f+1)*n])
 	}
-	idx := s.order[d*n:]
+	idx := p.order[d*n:]
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	t.root = s.build(0, n, 0)
-	return nil
+	return p
+}
+
+// fitPresorted fits t on a presorted training set with k classes. order
+// holds the working orders, a copy of p.order (or p.order itself when p is
+// not fitted again), which the splits permute.
+func (t *DecisionTree) fitPresorted(p *presorted, y []int, w []float64, k int, order []int32) {
+	t.classes = k
+	s := treeFit{
+		t: t, y: y, w: w, n: p.n, d: p.d,
+		col:   p.col,
+		order: order,
+		left:  make([]bool, p.n),
+		spill: make([]int32, p.n),
+		feats: make([]int, p.d),
+		sums:  make([]float64, 3*k),
+		rng:   rand.New(rand.NewSource(t.Seed + 1)),
+	}
+	t.root = s.build(0, p.n, 0)
 }
 
 // sortByValue sets ord to the samples 0..len(ord)-1 sorted by col. pdqsort's
@@ -108,8 +134,7 @@ type treeFit struct {
 	y    []int
 	w    []float64
 	n, d int
-	// col holds X column by column: col[f*n+i] is X[i][f].
-	col []float64
+	col  []float64 // the presorted columns, read only
 	// order holds d+1 permutations of the samples, n entries each: order f
 	// sorts them by feature f, and order d keeps them in index order for
 	// the majority sums.

@@ -397,3 +397,90 @@ func BenchmarkDecisionTreeFit(b *testing.B) {
 		}
 	}
 }
+
+// tiedData is a k-class set whose features take few distinct values, so
+// most thresholds fall between long runs of ties.
+func tiedData(rng *rand.Rand, n, d, k int) ([][]float64, []int) {
+	X := make([][]float64, n)
+	y := make([]int, n)
+	for i := range X {
+		y[i] = rng.Intn(k)
+		X[i] = make([]float64, d)
+		for f := range X[i] {
+			X[i][f] = float64(rng.Intn(4) + y[i]%2*rng.Intn(2))
+		}
+	}
+	return X, y
+}
+
+// TestPresortedStumpsMatchFitWeighted: stumps fitted from one presort, with
+// the working orders reused across fits as AdaBoost reuses them, match
+// FitWeighted node for node under random weights on tied data.
+func TestPresortedStumpsMatchFitWeighted(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for c := 0; c < 20; c++ {
+		X, y := tiedData(rng, 20+rng.Intn(200), 1+rng.Intn(6), 2+rng.Intn(3))
+		ps := presort(X, len(X[0]))
+		order := make([]int32, len(ps.order))
+		for r := 0; r < 5; r++ {
+			w := make([]float64, len(X))
+			for i := range w {
+				w[i] = float64(1+rng.Intn(3)) / float64(len(X))
+			}
+			_, k, _ := checkXY(X, y)
+			got := DecisionTree{MaxDepth: 1, Seed: int64(r)}
+			copy(order, ps.order)
+			got.fitPresorted(ps, y, w, k, order)
+			ref := DecisionTree{MaxDepth: 1, Seed: int64(r)}
+			if err := ref.FitWeighted(X, y, w); err != nil {
+				t.Fatal(err)
+			}
+			if d := treeDiff(got.root, ref.root, ""); d != "" {
+				t.Fatalf("case %d fit %d: %s", c, r, d)
+			}
+		}
+	}
+}
+
+// TestAdaBoostStumpsMatchPerRoundFit: every stump AdaBoost.Fit keeps is the
+// stump FitWeighted grows from that round's weights, which are replayed
+// here from the kept alphas.
+func TestAdaBoostStumpsMatchPerRoundFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	kept := 0
+	for c := 0; c < 10; c++ {
+		X, y := tiedData(rng, 50+rng.Intn(200), 2+rng.Intn(5), 2+rng.Intn(3))
+		ab := AdaBoost{Rounds: 20, Seed: int64(c)}
+		if err := ab.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		w := make([]float64, len(X))
+		for i := range w {
+			w[i] = 1 / float64(len(X))
+		}
+		kept += len(ab.stumps)
+		for r, stump := range ab.stumps {
+			ref := DecisionTree{MaxDepth: 1, Seed: ab.Seed + int64(r)}
+			if err := ref.FitWeighted(X, y, w); err != nil {
+				t.Fatal(err)
+			}
+			if d := treeDiff(stump.root, ref.root, ""); d != "" {
+				t.Fatalf("case %d round %d: %s", c, r, d)
+			}
+			pred := ref.Predict(X)
+			var total float64
+			for i := range w {
+				if pred[i] != y[i] {
+					w[i] *= math.Exp(ab.alphas[r])
+				}
+				total += w[i]
+			}
+			for i := range w {
+				w[i] /= total
+			}
+		}
+	}
+	if kept < 50 {
+		t.Fatalf("only %d stumps kept over 10 fits; the rounds barely reweighted", kept)
+	}
+}
