@@ -28,8 +28,8 @@ func (i StateArtifactInfo) String() string {
 }
 
 // InspectStateArtifacts checks a proxy image offline with the decoder
-// RestoreStateDetached runs — every section up to the drift detector and
-// the registries, which restore only into a live proxy — then validates
+// RestoreStateDetached runs — every section up to the two registries,
+// which restore only into a live proxy — then validates
 // every artifact blob's envelope and kind and returns dedup statistics. The
 // image is one AppendStateDetached wrote and log holds its audit entries,
 // the form durable snapshots keep. It needs no live proxy and mutates

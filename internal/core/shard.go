@@ -43,10 +43,19 @@ type deviceState struct {
 	// mixed-generation view. nil before the freeze point; a frozen device
 	// always has one (restore rejects a frozen table without an arena).
 	art atomic.Pointer[ruleArtifact]
-	// rl is the in-flight relearning lifecycle (nil while idle); genCounter
-	// is the device's monotonic artifact generation counter and
+	// rl is the in-flight relearning lifecycle (nil while idle), read by
+	// every stage-1 match.
+	rl *relearnState
+	// tally is the device's cumulative drift tallies, bumped where the
+	// pipeline bumps the matching statDelta counters (and the locked-device
+	// gauge); drift is the device's own detector window over them, ticked
+	// at housekeeping. Both are shard-owned, so the relearning lifecycle is
+	// a per-device function of the device's own traffic, the same under
+	// every engine and shard count.
+	tally swap.Sample
+	drift swap.Detector
+	// genCounter is the device's monotonic artifact generation counter and
 	// cooldownUntil pauses drift-triggered relearning after a rollback.
-	rl            *relearnState
 	genCounter    uint64
 	cooldownUntil time.Time
 	// classifier is the enforcement-phase event classifier: the per-device
@@ -231,6 +240,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 	// the inline path keeps real per-match timing.
 	sp.Enter(obs.StageRules)
 	o.delta.ruleMatches++
+	ds.tally.Matches++
 	var matchStart time.Time
 	if w == nil {
 		matchStart = p.metrics.matchStart()
@@ -243,6 +253,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 	}
 	if hit {
 		o.delta.ruleHits++
+		ds.tally.Hits++
 		o.delta.allowed++
 		o.d = Decision{Verdict: Allow, Reason: ReasonRuleHit}
 		return false
@@ -329,9 +340,11 @@ func (p *Proxy) decideManual(ds *deviceState, now time.Time, o *outcome, sp *obs
 	var d Decision
 	if !manual {
 		o.delta.eventsNonManual++
+		ds.tally.NonManual++
 		d = Decision{Verdict: Allow, Reason: ReasonNonManual}
 	} else {
 		o.delta.eventsManual++
+		ds.tally.Manual++
 		sp.Enter(obs.StageAttestCheck)
 		switch {
 		case p.validations.humanRecently(ds.cfg.Name, now):
@@ -393,6 +406,7 @@ func (p *Proxy) registerDrop(ds *deviceState, now time.Time) {
 	ds.drops = append(keep, now)
 	if len(ds.drops) >= p.cfg.LockoutThreshold && !ds.locked {
 		ds.locked = true
+		ds.tally.Lockouts++
 		p.metrics.lockedDevices.Add(1)
 	}
 }

@@ -25,8 +25,11 @@ import (
 // alignment-padded artifact section written once per unique checksum;
 // devices reference artifacts by checksum, carry their mutable rule table
 // length-prefixed (so restore can defer parsing it), and store arrival
-// state as an 8-aligned raw block the zero-copy arm can alias in place.
-const ProxyStateVersion uint16 = 3
+// state as an 8-aligned raw block the zero-copy arm can alias in place. v4
+// moved drift detection into the devices: each device section carries the
+// device's drift tallies and its detector window, and the fleet-wide
+// detector left the tail.
+const ProxyStateVersion uint16 = 4
 
 var stateCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -114,21 +117,6 @@ func appendClassifierTag(b []byte, c EventClassifier) []byte {
 	default:
 		return wire.AppendU8(b, clsTagOther)
 	}
-}
-
-// deviceStates collects every registered device, sorted by name — the
-// canonical iteration order for both the config digest and the state image.
-func (p *Proxy) deviceStates() []*deviceState {
-	var out []*deviceState
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		for _, ds := range sh.devices {
-			out = append(out, ds)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].cfg.Name < out[j].cfg.Name })
-	return out
 }
 
 // AppendState serializes the proxy's complete mutable state: identity
@@ -308,20 +296,14 @@ func readLogEntry(rd *wire.Reader) LogEntry {
 }
 
 // appendSwapState serializes the relearning lifecycle's global half: the
-// drift detector's window position and the swap metrics registry (framed, so
-// the main registry stays the image's final section).
+// swap metrics registry (framed, so the main registry stays the image's
+// final section).
 func (p *Proxy) appendSwapState(b []byte) []byte {
-	b = p.drift.AppendState(b)
 	b, at := wire.BeginBytes(b)
 	return wire.EndBytes(p.swapM.reg.AppendState(b), at)
 }
 
 func (p *Proxy) restoreSwapState(rd *wire.Reader) error {
-	rest, err := p.drift.RestoreState(rd.Rest())
-	if err != nil {
-		return fmt.Errorf("core: restore drift detector: %w", err)
-	}
-	rd.Reset(rest)
 	enc := rd.Bytes()
 	if err := rd.Err(); err != nil {
 		return fmt.Errorf("core: restore swap registry: %w", err)
@@ -472,6 +454,9 @@ func appendDeviceState(b []byte, base int, ds *deviceState, arts *devArtifacts) 
 		b = wire.AppendBool(b, true)
 		b = wire.AppendI64(b, ds.cooldownUntil.UnixNano())
 	}
+	// v4: the device's drift tallies and its detector window.
+	b = ds.tally.Append(b)
+	b = ds.drift.AppendState(b)
 	phase := swap.PhaseIdle
 	if ds.rl != nil {
 		phase = ds.rl.phase
@@ -585,8 +570,8 @@ type stateImage struct {
 	hasGuard          bool
 	guard             []sensors.SeenTag
 
-	// tail holds the drift detector and the swap and main registries, which
-	// restore only into the live proxy's own objects.
+	// tail holds the swap and main registries, which restore only into the
+	// live proxy's own objects.
 	tail []byte
 }
 
@@ -619,6 +604,8 @@ type deviceImage struct {
 	cur           *events.Event
 	genCounter    uint64
 	cooldownUntil time.Time
+	tally         swap.Sample
+	drift         swap.Detector
 	rl            *relearnState // relearn/shadow candidate; nil when idle
 }
 
@@ -632,7 +619,7 @@ type deviceImage struct {
 // An image that fails to decode (wrong version, truncation, or any fault the
 // image shows on its own) leaves the proxy unchanged. An image that decodes
 // but fails to install (config skew, artifact or model disagreement, a bad
-// drift or registry section) may leave the proxy partially restored, and the
+// registry section) may leave the proxy partially restored, and the
 // proxy must then be discarded — the recovery path builds a throwaway proxy
 // per attempt, so there is nothing to roll back.
 func (p *Proxy) RestoreState(data []byte) error {
@@ -883,6 +870,15 @@ func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*image
 	if rd.Bool() {
 		d.cooldownUntil = time.Unix(0, rd.I64()).UTC()
 	}
+	d.tally = swap.ReadSample(rd)
+	if err := rd.Err(); err != nil {
+		return fmt.Errorf("core: device %q drift tallies: %w", name, err)
+	}
+	rest, err := d.drift.RestoreState(rd.Rest())
+	if err != nil {
+		return fmt.Errorf("core: device %q: %w", name, err)
+	}
+	rd.Reset(rest)
 	phase := swap.Phase(rd.U8())
 	if err := rd.Err(); err != nil {
 		return fmt.Errorf("core: device %q: %w", name, err)
@@ -1198,6 +1194,8 @@ func (p *Proxy) installDevice(d *deviceImage) error {
 	ds.rl = d.rl
 	ds.genCounter = d.genCounter
 	ds.cooldownUntil = d.cooldownUntil
+	ds.tally = d.tally
+	ds.drift = d.drift
 	ds.classifier = classifier
 	ds.evPackets = d.evPackets
 	ds.evDecision = d.evDecision

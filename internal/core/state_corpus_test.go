@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -64,30 +66,58 @@ func readRestoreSeed(t *testing.T, name string) (uint8, []byte) {
 	return trace, []byte(image)
 }
 
+// forgedCountTrace is the golden trace whose image the
+// obs-registry-forged-count seed forges.
+var forgedCountTrace = goldenTrace{"ml", 59}
+
+// forgeRegistryCount returns a copy of image whose swap registry — the first
+// of the two obs registries in the tail — claims 2^32-1 counters.
+func forgeRegistryCount(t *testing.T, image []byte) []byte {
+	t.Helper()
+	img, err := decodeState(image, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tail opens with the swap registry's u32 frame length, then the
+	// registry's u16 version and its u32 counter count.
+	at := len(image) - len(img.tail) + 4 + 2
+	out := append([]byte(nil), image...)
+	binary.LittleEndian.PutUint32(out[at:], math.MaxUint32)
+	return out
+}
+
 // TestFuzzCorpusCommitted keeps FuzzProxyRestoreState's golden seeds in step
 // with the encoder: each golden-<kind>-<seed> file must hold its trace's
-// index and the EncodeState image replayGolden leaves, at 1 and 4 shards.
-// With FIAT_WRITE_FUZZ_CORPUS=1 it rewrites them from the 1-shard replay.
+// index and the EncodeState image replayGolden leaves, at 1 and 4 shards,
+// and obs-registry-forged-count must hold forgedCountTrace's image with its
+// swap registry's count forged. With FIAT_WRITE_FUZZ_CORPUS=1 it rewrites
+// them from the 1-shard replay.
 func TestFuzzCorpusCommitted(t *testing.T) {
 	write := os.Getenv("FIAT_WRITE_FUZZ_CORPUS") == "1"
 	for i, g := range goldenTraces {
-		name := fmt.Sprintf("golden-%s-%d", g.kind, g.seed)
 		for _, shards := range []int{1, 4} {
 			_, p := replayGolden(t, g, shards)
-			want := restoreSeedFile(uint8(i), p.EncodeState())
-			path := filepath.Join(restoreCorpusDir, name)
-			if write && shards == 1 {
-				if err := os.WriteFile(path, want, 0o644); err != nil {
-					t.Fatal(err)
+			seeds := map[string][]byte{
+				fmt.Sprintf("golden-%s-%d", g.kind, g.seed): restoreSeedFile(uint8(i), p.EncodeState()),
+			}
+			if g == forgedCountTrace {
+				seeds["obs-registry-forged-count"] = restoreSeedFile(uint8(i), forgeRegistryCount(t, p.EncodeState()))
+			}
+			for name, want := range seeds {
+				path := filepath.Join(restoreCorpusDir, name)
+				if write && shards == 1 {
+					if err := os.WriteFile(path, want, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					continue
 				}
-				continue
-			}
-			got, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("seed %s missing (FIAT_WRITE_FUZZ_CORPUS=1 writes it): %v", name, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("seed %s differs from the %d-shard replay (FIAT_WRITE_FUZZ_CORPUS=1 rewrites it)", name, shards)
+				got, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("seed %s missing (FIAT_WRITE_FUZZ_CORPUS=1 writes it): %v", name, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("seed %s differs from the %d-shard replay (FIAT_WRITE_FUZZ_CORPUS=1 rewrites it)", name, shards)
+				}
 			}
 		}
 	}
@@ -102,7 +132,7 @@ func TestFuzzCorpusCommitted(t *testing.T) {
 func TestFuzzSeedForgedCountReachesRegistry(t *testing.T) {
 	trace, image := readRestoreSeed(t, "obs-registry-forged-count")
 	g := goldenTraces[int(trace)%len(goldenTraces)]
-	if g != (goldenTrace{"ml", 59}) {
+	if g != forgedCountTrace {
 		t.Fatalf("seed restores into %s, want ml-seed=59", g.name())
 	}
 	if _, err := decodeState(image, nil, false); err != nil {

@@ -3,14 +3,17 @@
 //
 //	drift → relearn → compile → shadow → promote/rollback
 //
-// Drift detection (Detector) watches the deployment's existing obs counters
-// in tumbling windows: a rule-miss ratio climbing past threshold, the
-// classifier's manual/non-manual output mix drifting away from its baseline,
-// or a burst of lockouts. Any signal starts background relearning into a
-// fresh mutable table fed by live traffic; the candidate is then compiled
-// and evaluated in shadow mode (ShadowMatrix) — scoring every packet
-// alongside the incumbent without affecting decisions — and promoted only
-// when it matches-or-beats the incumbent over a configurable window.
+// Drift is a property of one device, so each device carries its own
+// detector window (Detector) over its own tallies (Sample: rule matches and
+// hits, manual and non-manual events, lock transitions), judged in tumbling
+// windows: a rule-miss ratio climbing past threshold, the classifier's
+// manual/non-manual output mix drifting away from its baseline, or a burst
+// of lockouts. A signal starts background relearning of that device alone
+// into a fresh mutable table fed by live traffic; the candidate is then
+// compiled and evaluated in shadow mode (ShadowMatrix) — scoring every
+// packet alongside the incumbent without affecting decisions — and
+// promoted only when it matches-or-beats the incumbent over a configurable
+// window.
 //
 // Promotion is a read-copy-update atomic pointer swap under the zero-alloc
 // match path: readers never take a swap-specific lock, and the retired
@@ -63,19 +66,21 @@ type Options struct {
 	// Enabled turns the lifecycle on. Disabled proxies still carry artifact
 	// metadata (generation 1 at freeze) so manual promotion works.
 	Enabled bool
-	// MissRatio triggers relearning when a completed detector window's
-	// rule-miss ratio (1 - hits/matches) exceeds it (default 0.5).
+	// MissRatio triggers a device's relearning when its completed detector
+	// window's rule-miss ratio (1 - hits/matches) exceeds it (default 0.5).
 	MissRatio float64
-	// MarginDrift triggers relearning when the classifier's manual-event
-	// fraction moves at least this far from the first completed window's
-	// baseline — the cheap, deterministic proxy for classifier margin
+	// MarginDrift triggers a device's relearning when its classifier's
+	// manual-event fraction moves at least this far from its first completed
+	// window's baseline — the cheap, deterministic proxy for classifier margin
 	// drift (default 0.4).
 	MarginDrift float64
-	// LockoutBurst triggers relearning when at least this many devices
-	// newly lock out within one detector window (default 1).
+	// LockoutBurst triggers a device's relearning when that device locks
+	// out at least this many times within one of its detector windows
+	// (default 1).
 	LockoutBurst int64
-	// MinSample is how many stage-1 matches complete a detector window;
-	// windows below it are never judged (default 64).
+	// MinSample is how many of one device's stage-1 matches complete that
+	// device's detector window; windows below it are never judged
+	// (default 64).
 	MinSample int64
 	// RelearnFor is how long a candidate table learns from live traffic
 	// before it is frozen and compiled (default 10 minutes).
