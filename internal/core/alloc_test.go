@@ -75,9 +75,9 @@ func TestProcessRuleHitZeroAllocs(t *testing.T) {
 // guard: a full intercept→verdict batch on the ring-fed pipeline — producer
 // enqueue, worker drain, compiled rule match, outcome arena, idx-ordered
 // merge — performs zero heap allocations per batch in steady state, and the
-// event-decision path (grouping, deferred InferBatch classification, audit
-// append) stays under a tight amortized ceiling (the audit log's doubling
-// append is the only allocator left).
+// event-decision path (grouping, compiled classification, audit append)
+// stays under a tight amortized ceiling (the audit log's doubling append is
+// the only allocator left).
 func TestPipelineSteadyStateZeroAllocs(t *testing.T) {
 	clock := simclock.NewVirtual()
 	ks, err := keystore.New(rand.New(rand.NewSource(78)))
@@ -167,9 +167,9 @@ func TestPipelineSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("ring rule-hit batch allocates: measured %v allocs/op, want 0", allocs)
 	}
 
-	// Phase 2: one fresh event per ML device per batch — grouping, deferred
-	// batched inference, verdict, audit append. Warm the deferral arenas
-	// first, then hold the amortized ceiling (audit-log doubling only).
+	// Phase 2: one fresh event per ML device per batch — grouping, compiled
+	// inference, verdict, audit append. Warm up first, then hold the
+	// amortized ceiling (audit-log doubling only).
 	evAt := hbAt.Add(time.Hour)
 	evBatch := func() []PacketIn {
 		batch = batch[:0]

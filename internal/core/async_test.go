@@ -14,10 +14,9 @@ import (
 )
 
 // asyncDiffProxy builds a differential arm: the shared device zoo with half
-// the devices on packet-size rule classifiers (inline even on the ring
-// pipeline) and half wearing the trained compiled model (deferred into
-// InferBatch rounds on the ring pipeline), so a trace exercises both worker
-// paths plus the replay queue behind deferred decisions.
+// the devices on packet-size rule classifiers and half wearing the trained
+// compiled model, so a trace exercises both classifier engines on the ring
+// workers.
 func asyncDiffProxy(t *testing.T, clock *simclock.VirtualClock, ks *keystore.Store, trained *MLClassifier, cfg Config) *Proxy {
 	t.Helper()
 	validator, _, err := sharedValidator()
@@ -85,8 +84,8 @@ func TestAsyncPipelineMatchesSequentialAndSharded(t *testing.T) {
 			}
 
 			// The arms must actually diverge in classifier engine per device:
-			// even-index devices inline rules, odd-index devices wear the
-			// compiled model the ring pipeline defers.
+			// even-index devices wear rules, odd-index devices the compiled
+			// model.
 			for i, d := range diffDevices {
 				ds := arms["sharded"].shardFor(d.name).devices[d.name]
 				_, compiled := ds.classifier.(*compiledEventClassifier)

@@ -107,9 +107,8 @@ func (c *MLClassifier) CompiledEventClassifier() EventClassifier {
 		return nil
 	}
 	return &compiledEventClassifier{
-		model:    c.compiled.Clone(),
-		template: c.compiled,
-		buf:      make([]float64, features.Dim),
+		model: c.compiled.Clone(),
+		buf:   make([]float64, features.Dim),
 	}
 }
 
@@ -119,12 +118,7 @@ func (c *MLClassifier) CompiledEventClassifier() EventClassifier {
 // allocation-free under the shard mutex.
 type compiledEventClassifier struct {
 	model ml.CompiledModel
-	// template is the shared compiled model this clone came from. The async
-	// pipeline groups deferred decisions by template identity so devices
-	// wearing clones of the same model share one InferBatch call; the
-	// template's scratch is never used (only a clone's).
-	template ml.CompiledModel
-	buf      []float64
+	buf   []float64
 }
 
 // IsManual implements EventClassifier on the compiled path.

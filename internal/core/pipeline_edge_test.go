@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -64,30 +65,40 @@ func TestAsyncPendingHoldMergesThroughArena(t *testing.T) {
 	}
 }
 
-// TestAsyncDeferredReplayRounds drives the worker's multi-round drain: a
-// device with several time-gapped events in one batch defers repeatedly, so
-// packets queued behind it are replayed across rounds (and re-queued while
-// the device is still blocked), while devices wearing two different compiled
-// templates interleave their rows across InferBatch groups. The cameras all
-// hash to one shard of a two-shard proxy, so one worker drains them all. A
-// defensive second pass covers the template-less grouping key.
-func TestAsyncDeferredReplayRounds(t *testing.T) {
-	r := newRig(t, Config{Shards: 2})
-	r.proxy.async.ringCap = 2
+// TestAsyncTwoSlotRingEventsMatchSequential decides events on a ring worker
+// draining a two-slot ring: camA's three time-gapped events, plus camE and
+// camC on two different trained models, all hash to one shard of a two-shard
+// proxy, so one worker classifies every event while the producer stalls
+// against the full ring. Decisions, the audit log, stats and the obs
+// snapshot must equal those of a one-shard proxy fed the same batch.
+func TestAsyncTwoSlotRingEventsMatchSequential(t *testing.T) {
 	t1 := trainDiffClassifier(t, 5)
 	t2 := trainDiffClassifier(t, 6)
-	for dev, clf := range map[string]*MLClassifier{"camA": t1, "camE": t2, "camC": t1} {
-		if err := r.proxy.AddDevice(DeviceConfig{Name: dev, Classifier: clf, GraceN: 1}); err != nil {
-			t.Fatal(err)
+	devices := []struct {
+		name string
+		clf  *MLClassifier
+	}{{"camA", t1}, {"camE", t2}, {"camC", t1}}
+	arm := func(shards int) *testRig {
+		r := newRig(t, Config{Shards: shards})
+		r.proxy.async.ringCap = 2
+		for _, d := range devices {
+			if err := r.proxy.AddDevice(DeviceConfig{Name: d.name, Classifier: d.clf, GraceN: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if si := r.proxy.shardIndex(d.name); si != r.proxy.shardIndex("camA") {
+				t.Fatalf("%s on shard %d, want camA's shard", d.name, si)
+			}
+			if _, ok := r.proxy.shardFor(d.name).devices[d.name].classifier.(*compiledEventClassifier); !ok {
+				t.Fatalf("%s does not wear a compiled classifier", d.name)
+			}
 		}
-		if si := r.proxy.shardIndex(dev); si != r.proxy.shardIndex("camA") {
-			t.Fatalf("%s on shard %d, want camA's shard", dev, si)
-		}
+		// Step past bootstrap so decision points fire.
+		r.feedHeartbeats(t, "camA", 25, time.Minute)
+		return r
 	}
-	// Step past bootstrap so decision points fire.
-	r.feedHeartbeats(t, "camA", 25, time.Minute)
+	seq, ring := arm(1), arm(2)
 
-	now := r.clock.Now()
+	now := seq.clock.Now()
 	telemetry := func(dev string, at time.Time) PacketIn {
 		return PacketIn{Device: dev, Rec: flows.Record{
 			Time: at, Size: 230, Proto: "tcp", Dir: flows.DirInbound,
@@ -96,32 +107,37 @@ func TestAsyncDeferredReplayRounds(t *testing.T) {
 		}}
 	}
 	batch := []PacketIn{
-		telemetry("camA", now),                  // round 1 row, template t1
-		telemetry("camE", now),                  // round 1 row, template t2
-		telemetry("camC", now),                  // round 1 row, t1 again — grouped with camA
-		telemetry("camA", now.Add(time.Hour)),   // queued; defers again in round 2
-		telemetry("camA", now.Add(2*time.Hour)), // queued; re-queued behind round 2, decided in round 3
+		telemetry("camA", now),
+		telemetry("camE", now),
+		telemetry("camC", now),
+		telemetry("camA", now.Add(time.Hour)),
+		telemetry("camA", now.Add(2*time.Hour)),
 	}
-	ds := r.proxy.ProcessBatchInto(batch, nil)
-	for i, d := range ds {
+	want := seq.proxy.ProcessBatchInto(batch, nil)
+	got := ring.proxy.ProcessBatchInto(batch, nil)
+	if ring.proxy.async.workers == nil {
+		t.Fatal("two-shard arm never started the ring workers")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decisions: ring %+v, seq %+v", got, want)
+	}
+	for i, d := range got {
 		if d.Verdict != Allow {
 			t.Fatalf("telemetry packet %d = %+v, want allow", i, d)
 		}
 	}
-	st := r.proxy.StatsSnapshot()
+	st := ring.proxy.StatsSnapshot()
 	if st.EventsNonManual != 5 {
-		t.Fatalf("EventsNonManual = %d, want 5 (one per deferred decision)", st.EventsNonManual)
+		t.Fatalf("EventsNonManual = %d, want 5 (one per event)", st.EventsNonManual)
 	}
-
-	// Defensive path: a classifier clone with no template pointer falls back
-	// to grouping by its own model.
-	sh := r.proxy.shardFor("camA")
-	sh.mu.Lock()
-	sh.devices["camA"].classifier.(*compiledEventClassifier).template = nil
-	sh.mu.Unlock()
-	ds = r.proxy.ProcessBatchInto([]PacketIn{telemetry("camA", now.Add(3*time.Hour))}, ds)
-	if ds[0].Verdict != Allow {
-		t.Fatalf("template-less deferred decision = %+v, want allow", ds[0])
+	if wantSt := seq.proxy.StatsSnapshot(); st != wantSt {
+		t.Fatalf("stats: ring %+v, seq %+v", st, wantSt)
+	}
+	if gotLog, wantLog := ring.proxy.Log(), seq.proxy.Log(); !reflect.DeepEqual(gotLog, wantLog) {
+		t.Fatalf("audit log: ring %+v, seq %+v", gotLog, wantLog)
+	}
+	if gotSnap, wantSnap := ring.proxy.Metrics().Snapshot(), seq.proxy.Metrics().Snapshot(); gotSnap != wantSnap {
+		t.Fatalf("obs snapshot diverges:\n%s", firstDiffLine(gotSnap, wantSnap))
 	}
 }
 

@@ -21,12 +21,6 @@ import (
 type shard struct {
 	mu      sync.Mutex
 	devices map[string]*deviceState
-	// scratch is processLocked's reusable outcome slot, guarded by mu. The
-	// pipeline body takes *outcome (the async path parks the pointer in its
-	// deferred-row arena, so the pointee must be heap-resident); routing the
-	// inline path through this slot keeps the per-packet path free of the
-	// heap allocation escape analysis would otherwise insert.
-	scratch outcome
 }
 
 // deviceState is one protected device's pipeline state, owned by exactly one
@@ -73,12 +67,6 @@ type deviceState struct {
 	evDecided  bool
 	drops      []time.Time
 	locked     bool
-	// deferBlocked marks a device whose current event decision is parked in
-	// the async pipeline's batched-inference queue; later packets of the
-	// device queue behind it and replay once the InferBatch round resolves
-	// the decision. It is transient within one async batch (always false
-	// between batches) and never serialized.
-	deferBlocked bool
 }
 
 // statDelta accumulates the stats produced by packets before they are merged
@@ -160,38 +148,41 @@ func (p *Proxy) shardFor(device string) *shard {
 }
 
 // processLocked runs one packet through the Fig 4 pipeline. The caller holds
-// sh.mu; now is the verdict timestamp. A trace span follows the
-// packet across the stages; every packet ends in StageVerdict, so the
-// verdict stage counter equals the packet counter by construction. The span
-// is closed here rather than by a deferred closure so the rule-hit path
-// stays free of heap allocations (TestProcessRuleHitZeroAllocs).
+// sh.mu; now is the verdict timestamp.
 func (p *Proxy) processLocked(sh *shard, device string, rec flows.Record, peer string, now time.Time) outcome {
-	o := &sh.scratch
-	*o = outcome{}
-	sp := p.metrics.tracer.Begin(obs.StageIntercept)
-	p.processSpanned(sh.devices[device], rec, peer, now, &sp, o, nil)
-	sp.Enter(obs.StageVerdict)
-	sp.End()
-	return *o
+	var o outcome
+	p.processTraced(p.metrics.tracer, sh.devices[device], rec, peer, now, &o, nil)
+	return o
 }
 
-// processSpanned is the pipeline body shared by the sequential path and the
-// async ring pipeline. ds is the pre-resolved device state (nil for unknown devices,
-// which fail open); the result lands in *o. When w is non-nil the packet
-// runs on the async pipeline: a device reaching its event decision point
-// with a compiled classifier parks the decision in w's batched-inference
-// queue instead of inferring inline, and processSpanned returns true — the
-// caller must leave the span open and let the InferBatch round finish the
-// packet (see async.go). On the inline path (w == nil) it always returns
-// false.
-func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, now time.Time, sp *obs.Span, o *outcome, w *asyncWorker) bool {
+// processTraced is the per-packet body shared by the sequential path and the
+// async ring workers: a trace span from tr follows the packet across the
+// stages, and every packet ends in StageVerdict, so the verdict stage
+// counter equals the packet counter by construction. The span is closed here
+// rather than by a deferred closure so the rule-hit path stays free of heap
+// allocations (TestProcessRuleHitZeroAllocs). w is the ring worker running
+// the packet, nil on the sequential path.
+func (p *Proxy) processTraced(tr *obs.Tracer, ds *deviceState, rec flows.Record, peer string, now time.Time, o *outcome, w *asyncWorker) {
+	sp := tr.Begin(obs.StageIntercept)
+	p.processSpanned(ds, rec, peer, now, &sp, o, w)
+	sp.Enter(obs.StageVerdict)
+	sp.End()
+}
+
+// processSpanned is the pipeline body inside the packet's trace span. ds is
+// the pre-resolved device state (nil for unknown devices, which fail open);
+// the result lands in *o. When w is non-nil the packet runs on a ring
+// worker, which tallies the match and inference latencies as the
+// coarse-time constant 0 into its private histograms instead of reading the
+// clock; the decisions are the same either way.
+func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, now time.Time, sp *obs.Span, o *outcome, w *asyncWorker) {
 	o.delta.packets++
 	if ds == nil {
 		// Unknown devices are not FIAT-protected; fail open like the
 		// NFQUEUE bypass policy.
 		o.delta.allowed++
 		o.d = Decision{Verdict: Allow, Reason: ReasonBootstrap}
-		return false
+		return
 	}
 
 	// Bootstrap: allow everything, learn rules.
@@ -199,7 +190,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 		ds.rules.Learn(rec)
 		o.delta.allowed++
 		o.d = Decision{Verdict: Allow, Reason: ReasonBootstrap}
-		return false
+		return
 	}
 	// A device has a live artifact exactly when its rule table is frozen:
 	// the freeze point below installs one, promotion swaps in another frozen
@@ -231,7 +222,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 	if peer != "" && p.dag.Allowed(peer, ds.cfg.Name) {
 		o.delta.allowed++
 		o.d = Decision{Verdict: Allow, Reason: ReasonDAGAllowed}
-		return false
+		return
 	}
 
 	// Stage 1: predictable? The async worker tallies the coarse-time
@@ -256,7 +247,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 		ds.tally.Hits++
 		o.delta.allowed++
 		o.d = Decision{Verdict: Allow, Reason: ReasonRuleHit}
-		return false
+		return
 	}
 
 	// Stage 2: event grouping. A finished previous event is recycled into
@@ -278,24 +269,13 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 		if ds.evPackets < ds.cfg.GraceN {
 			o.delta.allowed++
 			o.d = Decision{Verdict: Allow, Reason: ReasonGraceN}
-			return false
+			return
 		}
-		// Async pipeline: a compiled classifier's inference is deferred into
-		// the worker's batch round; locked devices and every other classifier
-		// stay inline.
-		if w != nil && !ds.locked {
-			if cec, ok := ds.classifier.(*compiledEventClassifier); ok {
-				sp.Enter(obs.StageClassify)
-				w.deferDecision(ds, cec, o, sp)
-				ds.deferBlocked = true
-				return true
-			}
-		}
-		d := p.decideEvent(ds, now, o, sp)
+		d := p.decideEvent(ds, now, o, sp, w)
 		ds.evDecision = d
 		ds.evDecided = true
 		o.d = d
-		return false
+		return
 	}
 
 	// Later packets follow the event's verdict.
@@ -303,14 +283,15 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 	d.Reason = ReasonEventFollow
 	o.delta.count(d.Verdict)
 	o.d = d
-	return false
 }
 
-// decideEvent classifies the current event inline and applies the humanness
-// gate, recording the audit entry and stat counts into o and advancing the
-// trace span through classify/attest-check. The caller holds the owning
-// shard's mutex.
-func (p *Proxy) decideEvent(ds *deviceState, now time.Time, o *outcome, sp *obs.Span) Decision {
+// decideEvent classifies the current event and applies the humanness gate,
+// recording the audit entry and stat counts into o and advancing the trace
+// span through classify/attest-check. A held pending decision is recorded
+// into o (not pushed), so the caller commits it in deterministic packet
+// order. w is the ring worker deciding the event, nil inline. The caller
+// holds the owning shard's mutex.
+func (p *Proxy) decideEvent(ds *deviceState, now time.Time, o *outcome, sp *obs.Span, w *asyncWorker) Decision {
 	sp.Enter(obs.StageClassify)
 	ev := ds.grouper.Current()
 	if ev == nil {
@@ -322,21 +303,16 @@ func (p *Proxy) decideEvent(ds *deviceState, now time.Time, o *outcome, sp *obs.
 		o.delta.count(d.Verdict)
 		return d
 	}
-	inferStart := p.metrics.matchStart()
+	var inferStart time.Time
+	if w == nil {
+		inferStart = p.metrics.matchStart()
+	}
 	manual := ds.classifier != nil && ds.classifier.IsManual(ev)
-	p.metrics.inferDone(inferStart)
-	return p.decideManual(ds, now, o, sp, manual, ev.Len())
-}
-
-// decideManual applies the post-classification half of the decision point:
-// the humanness gate for manual events, the audit entry, and the stat
-// counts. It is shared by the inline path (decideEvent, right after
-// IsManual) and the async pipeline (after the batched InferBatch round
-// resolves `manual`). evLen is the event size at the decision point — the
-// async path freezes it when the decision is deferred, exactly the value
-// the inline path would have read. A held pending decision is recorded into
-// o (not pushed), so the caller commits it in deterministic packet order.
-func (p *Proxy) decideManual(ds *deviceState, now time.Time, o *outcome, sp *obs.Span, manual bool, evLen int) Decision {
+	if w == nil {
+		p.metrics.inferDone(inferStart)
+	} else {
+		w.inferNanos.Observe(0)
+	}
 	var d Decision
 	if !manual {
 		o.delta.eventsNonManual++
@@ -359,7 +335,7 @@ func (p *Proxy) decideManual(ds *deviceState, now time.Time, o *outcome, sp *obs
 				device:  ds.cfg.Name,
 				decided: now,
 				expires: now.Add(p.cfg.PendingWindow),
-				packets: evLen,
+				packets: ev.Len(),
 			}
 			o.hasPending = true
 			o.delta.pendingHeld++
@@ -368,7 +344,7 @@ func (p *Proxy) decideManual(ds *deviceState, now time.Time, o *outcome, sp *obs
 			p.registerDrop(ds, now)
 		}
 	}
-	o.note(ds, now, d, evLen)
+	o.note(ds, now, d, ev.Len())
 	o.delta.count(d.Verdict)
 	return d
 }
@@ -383,7 +359,7 @@ func (p *Proxy) flushLocked(ds *deviceState, now time.Time) (outcome, *Decision)
 	}
 	if !ds.evDecided {
 		sp := p.metrics.tracer.Begin(obs.StageClassify)
-		d := p.decideEvent(ds, now, &o, &sp)
+		d := p.decideEvent(ds, now, &o, &sp, nil)
 		sp.End()
 		ds.evDecision = d
 		ds.evDecided = true

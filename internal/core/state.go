@@ -1251,9 +1251,8 @@ func (p *Proxy) restoreModel(ds *deviceState, blob *imageBlob) (EventClassifier,
 		}
 	}
 	return &compiledEventClassifier{
-		model:    model,
-		template: mlc.compiled,
-		buf:      make([]float64, features.Dim),
+		model: model,
+		buf:   make([]float64, features.Dim),
 	}, nil
 }
 

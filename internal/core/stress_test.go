@@ -71,8 +71,8 @@ func runProxyConcurrencyStress(t *testing.T, ringCap int) {
 		dc := DeviceConfig{Name: names[i], Classifier: RuleClassifier{NotificationSize: 235}, GraceN: 1 + i%4}
 		if i%3 == 0 {
 			// A third of the zoo wears the compiled model, so the ring
-			// pipeline's deferred InferBatch rounds and replay queues run
-			// under the race detector too.
+			// workers' compiled event classification runs under the race
+			// detector too.
 			dc.Classifier = trained
 		}
 		if err := proxy.AddDevice(dc); err != nil {

@@ -22,9 +22,6 @@ type CompiledModel interface {
 	// (composed with the folded scaler's Transform when one was compiled
 	// in).
 	Infer(x []float64) int
-	// InferBatch predicts every row of X into out, reusing out's backing
-	// array when it has capacity. It returns the filled slice.
-	InferBatch(X [][]float64, out []int) []int
 	// Clone returns an independent instance sharing the frozen tables but
 	// owning fresh scratch, for a new concurrent owner.
 	Clone() CompiledModel
@@ -98,18 +95,6 @@ func (p *prescaler) clone() prescaler {
 	return c
 }
 
-// inferBatch is the shared InferBatch loop.
-func inferBatch(m CompiledModel, X [][]float64, out []int) []int {
-	if cap(out) < len(X) {
-		out = make([]int, len(X))
-	}
-	out = out[:len(X)]
-	for i, row := range X {
-		out[i] = m.Infer(row)
-	}
-	return out
-}
-
 // --- NearestCentroid ---
 
 // compiledCentroid is the dense centroid matrix: k class means flattened
@@ -148,8 +133,6 @@ func (c *compiledCentroid) Infer(x []float64) int {
 	}
 	return c.classes[bi]
 }
-
-func (c *compiledCentroid) InferBatch(X [][]float64, out []int) []int { return inferBatch(c, X, out) }
 
 func (c *compiledCentroid) Clone() CompiledModel {
 	cp := *c
@@ -285,8 +268,6 @@ func (c *compiledBernoulli) Infer(x []float64) int {
 	}
 	return c.classes[argmax(c.scores)]
 }
-
-func (c *compiledBernoulli) InferBatch(X [][]float64, out []int) []int { return inferBatch(c, X, out) }
 
 func (c *compiledBernoulli) Clone() CompiledModel {
 	cp := *c

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -35,11 +36,47 @@ func compileDataset(rng *rand.Rand, n, d, k int) ([][]float64, []int) {
 	return X, y
 }
 
+// adversarialProbes builds the adversarially-shaped probe set: exact class
+// centers, decision-boundary midpoints, the all-zero row, denormal-scale and
+// huge-magnitude values, negated rows, and clipped integer-looking rows —
+// NaN-free by construction, but positioned to stress tie-breaking and
+// accumulation order wherever compiled inference could diverge from Predict.
+func adversarialProbes(rng *rand.Rand, d int) [][]float64 {
+	fill := func(f func(j int) float64) []float64 {
+		row := make([]float64, d)
+		for j := range row {
+			row[j] = f(j)
+		}
+		return row
+	}
+	probes := [][]float64{
+		fill(func(int) float64 { return 0 }),
+		fill(func(int) float64 { return 1.25 }), // between the class centers
+		fill(func(j int) float64 { return float64(j%3) * 2.5 }),
+		fill(func(int) float64 { return 1e-300 }), // subnormal-adjacent
+		fill(func(int) float64 { return 1e12 }),   // far outside the scaler's range
+		fill(func(int) float64 { return -1e12 }),
+		fill(func(j int) float64 { return math.Ldexp(1, -1022) * float64(1+j) }),
+		fill(func(j int) float64 {
+			if j%2 == 0 {
+				return 5
+			}
+			return -5
+		}),
+	}
+	for i := 0; i < 40; i++ {
+		probes = append(probes, fill(func(int) float64 {
+			return rng.NormFloat64()*float64(1+i%7) + float64(i%5)
+		}))
+	}
+	return probes
+}
+
 // TestCompiledMatchesPredictAllFamilies is the scaler-fusion exactness
-// property: for every compiled family, over random fitted models and random
-// probe rows, compiled Infer(x) must equal Predict(Transform(x)) — not
-// close, equal — because the core differential requires byte-identical
-// decisions.
+// property: for every compiled family, over random fitted models, random
+// probe rows and the adversarial probes, compiled Infer(x) must equal
+// Predict(Transform(x)) — not close, equal — because the core differential
+// requires byte-identical decisions.
 func TestCompiledMatchesPredictAllFamilies(t *testing.T) {
 	for _, seed := range []int64{3, 17, 101} {
 		rng := rand.New(rand.NewSource(seed))
@@ -66,15 +103,11 @@ func TestCompiledMatchesPredictAllFamilies(t *testing.T) {
 				}
 				probes[i] = row
 			}
-			var batch []int
-			batch = cm.InferBatch(probes, batch)
+			probes = append(probes, adversarialProbes(rng, 12)...)
 			for i, x := range probes {
 				want := PredictOne(clf, scaler.Transform([][]float64{x})[0])
 				if got := cm.Infer(x); got != want {
 					t.Fatalf("seed %d %s: probe %d: compiled %d, legacy %d", seed, name, i, got, want)
-				}
-				if batch[i] != want {
-					t.Fatalf("seed %d %s: InferBatch[%d] = %d, want %d", seed, name, i, batch[i], want)
 				}
 			}
 		}
@@ -138,7 +171,10 @@ func TestCompiledCloneIsIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", name, err)
 		}
-		want := template.InferBatch(probes, nil)
+		want := make([]int, len(probes))
+		for i, x := range probes {
+			want[i] = template.Infer(x)
+		}
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
 			wg.Add(1)
