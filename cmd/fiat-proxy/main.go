@@ -31,7 +31,6 @@ import (
 	"syscall"
 	"time"
 
-	"fiat/internal/artifact"
 	"fiat/internal/core"
 	"fiat/internal/durable"
 	"fiat/internal/flows"
@@ -120,13 +119,12 @@ func main() {
 	}
 	// buildProxy performs the complete, deterministic proxy construction.
 	// With -state-dir it doubles as the recovery constructor: durable.Open
-	// rebuilds the same proxy and restores snapshot+WAL state into it,
-	// through the zero-copy artifact store: compiled arenas are shared
-	// views over the mapped snapshot, one per unique arena.
+	// rebuilds the same proxy and restores snapshot+WAL state into it;
+	// compiled arenas are shared views over the mapped snapshot, one per
+	// unique arena.
 	buildProxy := func(c simclock.Clock) (*core.Proxy, error) {
 		p := core.NewProxy(c, ks, validator, core.Config{
 			Bootstrap: *bootstrap, Shards: *shards,
-			Artifacts:     artifact.NewStore(),
 			PendingWindow: *pendingWindow, PendingMax: *pendingMax,
 			Relearn: swap.Options{
 				Enabled:      *relearn,

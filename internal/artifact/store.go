@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -30,12 +29,6 @@ type Store struct {
 	mu     sync.Mutex
 	rules  map[uint32]*rulesEntry
 	models map[uint32]*modelEntry
-	// rtValidated caches rule-table encodings that passed full structural
-	// validation, keyed by CRC32C of the bytes. Hits are confirmed by byte
-	// comparison, so validation only ever transfers between identical
-	// encodings — a checksum collision degrades to a cache miss, never to
-	// trusting unvalidated bytes.
-	rtValidated map[uint32][]byte
 
 	rulesInstalled, rulesDropped, modelsInstalled uint64
 }
@@ -54,32 +47,8 @@ type modelEntry struct {
 // NewStore returns an empty artifact store.
 func NewStore() *Store {
 	return &Store{
-		rules:       make(map[uint32]*rulesEntry),
-		models:      make(map[uint32]*modelEntry),
-		rtValidated: make(map[uint32][]byte),
-	}
-}
-
-// RuleBytesValidated reports whether raw is byte-identical to a rule-table
-// encoding previously recorded with NoteRuleBytesValidated: its structural
-// validation can be skipped because identical bytes decode identically.
-func (s *Store) RuleBytesValidated(raw []byte) bool {
-	sum := crc32.Checksum(raw, castagnoli)
-	s.mu.Lock()
-	cached, ok := s.rtValidated[sum]
-	s.mu.Unlock()
-	return ok && bytes.Equal(cached, raw)
-}
-
-// NoteRuleBytesValidated records a rule-table encoding that passed full
-// validation. The bytes are aliased, not copied — callers hand in snapshot
-// memory that stays immutable and mapped for the process lifetime.
-func (s *Store) NoteRuleBytesValidated(raw []byte) {
-	sum := crc32.Checksum(raw, castagnoli)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.rtValidated[sum]; !ok {
-		s.rtValidated[sum] = raw
+		rules:  make(map[uint32]*rulesEntry),
+		models: make(map[uint32]*modelEntry),
 	}
 }
 

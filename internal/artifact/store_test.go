@@ -120,36 +120,6 @@ func TestStoreModels(t *testing.T) {
 	}
 }
 
-func TestStoreValidatedBytesCache(t *testing.T) {
-	s := NewStore()
-	raw := []byte("pretend rule table encoding")
-	if s.RuleBytesValidated(raw) {
-		t.Fatal("hit on an empty cache")
-	}
-	s.NoteRuleBytesValidated(raw)
-	if !s.RuleBytesValidated(raw) {
-		t.Fatal("miss after noting")
-	}
-	if !s.RuleBytesValidated(append([]byte(nil), raw...)) {
-		t.Fatal("byte-identical copy should hit")
-	}
-	if s.RuleBytesValidated([]byte("something else entirely")) {
-		t.Fatal("hit on different bytes")
-	}
-	// A checksum collision must degrade to a miss, never to trusting
-	// unvalidated bytes: plant different bytes under raw's checksum.
-	sum := crc32.Checksum(raw, castagnoli)
-	s.rtValidated[sum] = []byte("imposter with the same key")
-	if s.RuleBytesValidated(raw) {
-		t.Fatal("trusted bytes that differ from the cached encoding")
-	}
-	// Noting again never replaces the first entry.
-	s.NoteRuleBytesValidated(raw)
-	if string(s.rtValidated[sum]) != "imposter with the same key" {
-		t.Fatal("second note replaced the cached entry")
-	}
-}
-
 // TestAcquireRulesZeroAllocs pins the warm per-device acquisition path at
 // zero allocations — it runs once per device on every zero-copy restart:
 // a shared-view lookup plus rebinding the device's arrival state over its

@@ -374,6 +374,7 @@ func Validate(blob []byte) (kind uint8, err error) {
 // alive) for the view's lifetime.
 func RulesView(blob []byte) (*flows.CompiledRules, error) { return decodeRules(blob, true) }
 
-// DecodeRulesCopy decodes a rules blob into a fully-owned CompiledRules —
-// the legacy copied-load arm. The result shares no memory with blob.
+// DecodeRulesCopy decodes a rules blob into a fully-owned CompiledRules that
+// shares no memory with blob. It is the copying twin FuzzRulesView checks
+// RulesView against; restore always uses RulesView.
 func DecodeRulesCopy(blob []byte) (*flows.CompiledRules, error) { return decodeRules(blob, false) }

@@ -79,14 +79,6 @@ type Scenario struct {
 	ShiftAt    time.Duration
 	ShiftEvery time.Duration
 	ShiftSize  int
-	// ZeroCopyRestore gives the proxies built by the durable harnesses a
-	// content-addressed artifact store, selecting the zero-copy restore arm:
-	// recovery builds compiled-rule and classifier views over the snapshot
-	// bytes instead of recompiling. Decisions and state images are
-	// arm-invariant, so every oracle in this package applies unchanged —
-	// running a crash matrix with and without this flag is the differential
-	// proof.
-	ZeroCopyRestore bool
 }
 
 func (s *Scenario) defaults() {

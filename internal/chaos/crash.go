@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"fiat/internal/artifact"
 	"fiat/internal/core"
 	"fiat/internal/durable"
 	"fiat/internal/keystore"
@@ -110,19 +109,12 @@ func buildReplayProxy(s Scenario) durable.BuildProxy {
 		if err != nil {
 			return nil, err
 		}
-		var store *artifact.Store
-		if s.ZeroCopyRestore {
-			// A fresh store per build: each recovery owns its views, and the
-			// config checksum is store-independent so the arms interchange.
-			store = artifact.NewStore()
-		}
 		proxy := core.NewProxy(clock, ks, validator, core.Config{
 			Bootstrap:     s.Bootstrap,
 			Shards:        s.Shards,
 			PendingWindow: s.PendingWindow,
 			Relearn:       s.Relearn,
 			Obs:           obs.NewRegistry(),
-			Artifacts:     store,
 		})
 		if err := proxy.AddDevice(core.DeviceConfig{
 			Name: "plug", Classifier: core.RuleClassifier{NotificationSize: 235}, GraceN: 1,

@@ -123,34 +123,6 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryMatrixZeroCopy re-runs the full kill-point matrix with
-// the zero-copy restore arm selected: recovery builds artifact views over
-// the mapped snapshot instead of recompiling, and must still reconcile
-// byte-for-byte with the uninterrupted reference. Together with
-// TestCrashRecoveryMatrix this is the differential proof that the copied and
-// zero-copy arms are indistinguishable under every crash point.
-func TestCrashRecoveryMatrixZeroCopy(t *testing.T) {
-	s := crashScenario()
-	s.ZeroCopyRestore = true
-	reports, err := CrashMatrix(s, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 6 {
-		t.Fatalf("matrix covered %d kill points, want 6", len(reports))
-	}
-	for _, r := range reports {
-		if r.CrashOp < 0 {
-			t.Errorf("%s: kill point never fired", r.Point)
-			continue
-		}
-		if !r.Identical {
-			t.Errorf("%s: zero-copy recovery NOT identical to reference (crash at op %d, replayed %d, resumed %d)",
-				r.Point, r.CrashOp, r.Replayed, r.Resumed)
-		}
-	}
-}
-
 // TestCrashRecoveryTornTailCounted pins the torn-tail accounting: a
 // mid-append crash leaves exactly one torn artifact for recovery to
 // truncate, and it is reported through the recovery metrics.

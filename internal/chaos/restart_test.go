@@ -140,39 +140,3 @@ func TestRestartUnderLoad(t *testing.T) {
 		}
 	})
 }
-
-// TestRestartUnderLoadZeroCopy is the cross-arm differential under live
-// load: the same twice-restarted scenario recovered through the zero-copy
-// artifact path must match the plain reference on every decision-bearing
-// surface AND produce a final state image byte-identical to the copied-arm
-// recovery's. Restores happen mid-scenario, so the recovered views carry the
-// rest of the run — arrival updates mutate aliased snapshot memory.
-func TestRestartUnderLoadZeroCopy(t *testing.T) {
-	s := crashScenario()
-	ref, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restartAt := []time.Duration{30 * time.Second, 60 * time.Second}
-	copied, repC, err := RunDurable(s, t.TempDir(), restartAt, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.ZeroCopyRestore = true
-	zero, repZ, err := RunDurable(s, t.TempDir(), restartAt, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repZ.Restarts != len(restartAt) {
-		t.Fatalf("completed %d restarts, want %d", repZ.Restarts, len(restartAt))
-	}
-	if repZ.Replayed == 0 {
-		t.Fatal("zero-copy restarts replayed no WAL operations; recovery was vacuous")
-	}
-	compareToReference(t, "zero-copy-durable", ref, zero)
-	compareToReference(t, "copied-durable", ref, copied)
-	if !bytes.Equal(repC.State, repZ.State) {
-		t.Errorf("zero-copy state image (%d bytes) != copied state image (%d bytes)",
-			len(repZ.State), len(repC.State))
-	}
-}

@@ -6,19 +6,18 @@ import (
 	"testing"
 	"time"
 
-	"fiat/internal/artifact"
 	"fiat/internal/flows"
 )
 
 // TestInspectStateArtifactsFleetDedup: a fleet of identically-learning
 // devices freezes one rule template, so the v3 image carries one arena that
 // every device references. The offline inspector must count that dedup
-// exactly, the zero-copy restore must share one store entry across the
-// fleet, and it must re-encode to the same bytes as the copied arm.
+// exactly, the restore must share one store entry across the fleet, and it
+// must re-encode to the image it restored.
 func TestInspectStateArtifactsFleetDedup(t *testing.T) {
 	const n = 8
-	build := func(store *artifact.Store) *testRig {
-		r := newRig(t, Config{Shards: 1, Bootstrap: time.Minute, Artifacts: store})
+	build := func() *testRig {
+		r := newRig(t, Config{Shards: 1, Bootstrap: time.Minute})
 		for i := 0; i < n; i++ {
 			if err := r.proxy.AddDevice(DeviceConfig{
 				Name: fmt.Sprintf("plug-%d", i), Classifier: RuleClassifier{NotificationSize: 235}, GraceN: 1,
@@ -29,7 +28,7 @@ func TestInspectStateArtifactsFleetDedup(t *testing.T) {
 		return r
 	}
 
-	src := build(nil)
+	src := build()
 	for tick := 0; tick < 9; tick++ { // 10 s beats; bootstrap ends at 60 s
 		src.clock.Advance(10 * time.Second)
 		for i := 0; i < n; i++ {
@@ -59,19 +58,14 @@ func TestInspectStateArtifactsFleetDedup(t *testing.T) {
 		t.Fatalf("SavedBytes = %d, want (n-1)*ArenaBytes = %d", info.SavedBytes, want)
 	}
 
-	copied := build(nil)
-	if err := copied.proxy.RestoreState(enc); err != nil {
+	dst := build()
+	if err := dst.proxy.RestoreState(append([]byte(nil), enc...)); err != nil {
 		t.Fatal(err)
 	}
-	store := artifact.NewStore()
-	zero := build(store)
-	if err := zero.proxy.RestoreState(enc); err != nil {
-		t.Fatal(err)
-	}
-	if st := store.Stats(); st.UniqueRules != 1 || st.RuleRefs != n {
+	if st := dst.proxy.cfg.Artifacts.Stats(); st.UniqueRules != 1 || st.RuleRefs != n {
 		t.Fatalf("store holds %d arenas with %d refs, want 1 with %d", st.UniqueRules, st.RuleRefs, n)
 	}
-	if !bytes.Equal(zero.proxy.EncodeState(), copied.proxy.EncodeState()) {
-		t.Fatal("zero-copy restore re-encodes differently from the copied arm")
+	if !bytes.Equal(dst.proxy.EncodeState(), enc) {
+		t.Fatal("restored fleet re-encodes differently")
 	}
 }

@@ -147,15 +147,12 @@ type Config struct {
 	// always on; pass a shared registry to merge proxy metrics with
 	// transport and fault-fabric metrics in one snapshot.
 	Obs *obs.Registry
-	// Artifacts selects the zero-copy restore arm: RestoreState installs
-	// each unique compiled arena and classifier template from the
-	// snapshot's deduplicated artifact section into this content-addressed
-	// store once, and every device adopts a shared refcounted view instead
-	// of decoding its own copy — cold restart skips recompilation entirely.
-	// Nil keeps the legacy copied-load arm (per-device decode plus the
-	// recompile-and-compare identity check), which the differential tests
-	// hold byte-identical to this arm. Like Shards, the choice of
-	// arm is engine-invariant and excluded from ConfigChecksum.
+	// Artifacts is the content-addressed store RestoreState installs each
+	// unique compiled arena and classifier template into, so every device
+	// adopts a shared refcounted view instead of decoding its own copy. Nil
+	// creates a private store. The field exists only because the gateway
+	// benchmark harness still sets it; leave it nil. Like Shards, it is
+	// excluded from ConfigChecksum.
 	Artifacts *artifact.Store
 }
 
@@ -264,6 +261,9 @@ func NewProxy(clock simclock.Clock, ks *keystore.Store, human *sensors.Validator
 	cfg.defaults()
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
+	}
+	if cfg.Artifacts == nil {
+		cfg.Artifacts = artifact.NewStore()
 	}
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {

@@ -25,7 +25,7 @@ import (
 // alignment-padded artifact section written once per unique checksum;
 // devices reference artifacts by checksum, carry their mutable rule table
 // length-prefixed (so restore can defer parsing it), and store arrival
-// state as an 8-aligned raw block the zero-copy arm can alias in place. v4
+// state as an 8-aligned raw block restore can alias in place. v4
 // moved drift detection into the devices: each device section carries the
 // device's drift tallies and its detector window, and the fleet-wide
 // detector left the tail.
@@ -350,7 +350,7 @@ func skipPad8(rd *wire.Reader, pos int) {
 // unique compiled rule arena and classifier template, as relocatable blobs,
 // exactly once. Blobs are ordered by checksum so the section is canonical,
 // and each rules blob is padded to an 8-byte boundary (relative to base) so
-// the zero-copy arm can alias its arenas in place. Model blobs are decoded,
+// restore can alias its arenas in place. Model blobs are decoded,
 // not aliased, and need no padding.
 func appendArtifactSection(b []byte, base int, arenas, models map[uint32][]byte) []byte {
 	sortedSums := func(m map[uint32][]byte) []uint32 {
@@ -383,7 +383,7 @@ func appendArtifactSection(b []byte, base int, arenas, models map[uint32][]byte)
 
 func appendDeviceState(b []byte, base int, ds *deviceState, arts *devArtifacts) []byte {
 	b = wire.AppendString(b, ds.cfg.Name)
-	// Length-prefixed since v3: the zero-copy arm keeps the raw bytes and
+	// Length-prefixed since v3: restore keeps the raw bytes and
 	// materializes the table lazily, so the decoder must know the span
 	// without parsing it.
 	b, at := wire.BeginBytes(b)
@@ -585,7 +585,7 @@ type imageBlob struct {
 // deviceImage is one decoded device section.
 type deviceImage struct {
 	name  string
-	rules []byte // serialized rule table; the restore arm parses it at install
+	rules []byte // serialized rule table, validated by decode; install wraps it unparsed
 
 	// arena is the live compiled artifact's blob (nil: the device has none);
 	// the raw arrival block and the identity belong to it.
@@ -622,6 +622,12 @@ type deviceImage struct {
 // registry section) may leave the proxy partially restored, and the
 // proxy must then be discarded — the recovery path builds a throwaway proxy
 // per attempt, so there is nothing to roll back.
+//
+// The restored proxy keeps data: rule tables and compiled arenas alias it,
+// and each device's arrival state is bound over it and written in place as
+// packets arrive, the way a recovery writes into the copy-on-write pages of
+// a MAP_PRIVATE snapshot mapping. data must not be modified by the caller
+// or handed to another proxy afterwards.
 func (p *Proxy) RestoreState(data []byte) error {
 	img, err := decodeState(data, nil, false)
 	if err != nil {
@@ -633,7 +639,9 @@ func (p *Proxy) RestoreState(data []byte) error {
 // RestoreStateDetached is RestoreState for an image AppendStateDetached
 // wrote, with its audit entries supplied separately (decoded by
 // DecodeLogEntries from wherever the caller kept them). The entry count
-// must equal the one the image records. The proxy takes ownership of log.
+// must equal the one the image records. The proxy takes ownership of log,
+// and of body as RestoreState does of its image: arrival state is written
+// into body in place.
 func (p *Proxy) RestoreStateDetached(body []byte, log []LogEntry) error {
 	img, err := decodeState(body, log, true)
 	if err != nil {
@@ -648,9 +656,10 @@ func (p *Proxy) RestoreStateDetached(body []byte, log []LogEntry) error {
 // RestoreState's proxy unchanged. Beyond framing it rejects a repeated
 // artifact checksum or device, a reference to an arena or model the
 // artifact section lacks, an unknown classifier kind or lifecycle phase, a
-// rule table frozen without an arena (or an arena over an unfrozen table),
-// and identities, candidates and generation counters that disagree with
-// each other.
+// rule table that fails full validation, a rule table frozen without an
+// arena (or an arena over an unfrozen table), an arena that is not the
+// compilation of its device's rule table, and identities, candidates and
+// generation counters that disagree with each other.
 //
 // With detached set, the image is one AppendStateDetached wrote: its log
 // section holds only the entry count, which must equal len(log), and log
@@ -718,9 +727,10 @@ func decodeState(data []byte, log []LogEntry, detached bool) (*stateImage, error
 	}
 	img.devices = make([]deviceImage, ndev)
 	seen := make(map[string]bool, ndev)
+	checked := make(map[string]ruleCheck)
 	for i := range img.devices {
 		d := &img.devices[i]
-		if err := decodeDevice(rd, data, arenas, models, d); err != nil {
+		if err := decodeDevice(rd, data, arenas, models, checked, d); err != nil {
 			return nil, err
 		}
 		if seen[d.name] {
@@ -738,8 +748,8 @@ func decodeState(data []byte, log []LogEntry, detached bool) (*stateImage, error
 
 // decodeBlobs parses one table of the artifact section, returning its blobs
 // in image order and indexed by checksum. Rules blobs are padded to an
-// 8-byte boundary relative to the image start so the zero-copy arm can
-// alias their arenas in place.
+// 8-byte boundary relative to the image start so restore can alias their
+// arenas in place.
 func decodeBlobs(rd *wire.Reader, data []byte, padded bool) ([]imageBlob, map[uint32]*imageBlob, error) {
 	n := int(rd.U32())
 	if rd.Err() != nil || n > rd.Len()/8 {
@@ -768,9 +778,34 @@ func decodeBlobs(rd *wire.Reader, data []byte, padded bool) ([]imageBlob, map[ui
 	return blobs, index, nil
 }
 
+// ruleCheck is what decoding learned from one distinct rule-table encoding.
+type ruleCheck struct {
+	frozen bool
+	sum    uint32 // checksum of the table's compilation; set when frozen
+}
+
+// checkRules fully validates a rule-table encoding and, when it is frozen,
+// recompiles it. checked carries the results across an image's devices, so
+// a fleet sharing one encoding pays the walk and the compile once.
+func checkRules(raw []byte, checked map[string]ruleCheck) (ruleCheck, error) {
+	if rc, ok := checked[string(raw)]; ok {
+		return rc, nil
+	}
+	rt, err := flows.NewRawRuleTable(raw)
+	if err != nil {
+		return ruleCheck{}, err
+	}
+	rc := ruleCheck{frozen: rt.Frozen()}
+	if rc.frozen {
+		rc.sum = rt.Compiled().Checksum()
+	}
+	checked[string(raw)] = rc
+	return rc, nil
+}
+
 // decodeDevice parses one device section into d, resolving its artifact
 // references against the section's indexes.
-func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*imageBlob, d *deviceImage) error {
+func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*imageBlob, checked map[string]ruleCheck, d *deviceImage) error {
 	d.name = rd.String()
 	name := d.name
 	rtLen := int(rd.U32())
@@ -778,7 +813,7 @@ func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*image
 		return fmt.Errorf("core: device %q rules: %w", name, wire.ErrTruncated)
 	}
 	d.rules = rd.Take(rtLen)
-	frozen, err := flows.RuleTableFrozen(d.rules)
+	rc, err := checkRules(d.rules, checked)
 	if err != nil {
 		return fmt.Errorf("core: device %q rules: %w", name, err)
 	}
@@ -791,8 +826,13 @@ func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*image
 		if d.arena = arenas[sum]; d.arena == nil {
 			return fmt.Errorf("core: device %q references arena %08x missing from artifact section", name, sum)
 		}
-		if !frozen {
+		if !rc.frozen {
 			return fmt.Errorf("core: device %q has a compiled arena but an unfrozen rule table", name)
+		}
+		// The arena must be the compilation of the restored rule table, not
+		// merely self-consistent: the device enforces what it learned.
+		if rc.sum != sum {
+			return fmt.Errorf("core: device %q arena %08x does not match recompiled rules %08x", name, sum, rc.sum)
 		}
 		// The aligned raw arrival block: width, padding, 8*width bytes of
 		// last-arrival values, width bytes of the has bitmap.
@@ -816,7 +856,7 @@ func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*image
 		if d.meta.RulesSum != sum {
 			return fmt.Errorf("core: device %q artifact meta rules digest %08x does not match arena %08x", name, d.meta.RulesSum, sum)
 		}
-	} else if frozen {
+	} else if rc.frozen {
 		// Stage 1 matches only through the compiled arena, which the freeze
 		// point installs; a frozen table without one cannot enforce.
 		return fmt.Errorf("core: device %q has a frozen rule table but no compiled arena", name)
@@ -910,7 +950,7 @@ func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*image
 // matrices mid-shadow. The candidate's compiled form is not serialized: it
 // is rebuilt from the frozen table and fails closed when its digest
 // disagrees with the serialized identity — the same recompile discipline
-// the copied arm applies to the live arena.
+// checkRules applies to the live arena.
 func decodeCandidate(rd *wire.Reader, name string, phase swap.Phase) (*relearnState, error) {
 	started := time.Unix(0, rd.I64()).UTC()
 	ct, rest, err := flows.DecodeRuleTable(rd.Rest())
@@ -1039,11 +1079,11 @@ func readPendingList(rd *wire.Reader) ([]pendingDecision, error) {
 
 // install checks a decoded image against the live proxy and moves it in.
 // The checks that touch nothing come first: config checksum, device count,
-// replay-guard presence. On the zero-copy arm every unique blob is then
-// installed into Config.Artifacts — view construction, identity
-// verification and model decoding happen once per unique checksum, never
-// per device. Devices follow under their shard locks, then the header and
-// the stores, and last the tail sections that restore into live objects.
+// replay-guard presence. Every unique blob is then installed into
+// Config.Artifacts — view construction, checksum verification and model
+// decoding happen once per unique checksum, never per device. Devices
+// follow under their shard locks, then the header and the stores, and last
+// the tail sections that restore into live objects.
 func (p *Proxy) install(img *stateImage) error {
 	if want := p.ConfigChecksum(); img.configSum != want {
 		return fmt.Errorf("core: snapshot config checksum %08x does not match live config %08x", img.configSum, want)
@@ -1054,16 +1094,15 @@ func (p *Proxy) install(img *stateImage) error {
 	if img.hasGuard != (p.guard != nil) {
 		return fmt.Errorf("core: snapshot replay-guard presence %v does not match live config %v", img.hasGuard, p.guard != nil)
 	}
-	if store := p.cfg.Artifacts; store != nil {
-		for _, b := range img.arenas {
-			if _, err := store.InstallRules(b.sum, b.data); err != nil {
-				return fmt.Errorf("core: install arena %08x: %w", b.sum, err)
-			}
+	store := p.cfg.Artifacts
+	for _, b := range img.arenas {
+		if _, err := store.InstallRules(b.sum, b.data); err != nil {
+			return fmt.Errorf("core: install arena %08x: %w", b.sum, err)
 		}
-		for _, b := range img.models {
-			if _, err := store.InstallModel(b.sum, b.data); err != nil {
-				return fmt.Errorf("core: install model %08x: %w", b.sum, err)
-			}
+	}
+	for _, b := range img.models {
+		if _, err := store.InstallModel(b.sum, b.data); err != nil {
+			return fmt.Errorf("core: install model %08x: %w", b.sum, err)
 		}
 	}
 	for i := range img.devices {
@@ -1111,15 +1150,11 @@ func (p *Proxy) install(img *stateImage) error {
 }
 
 // installDevice moves one decoded device section into the live deviceState
-// of the same name, under its shard lock.
-//
-// Two arms share it. The copied arm (Config.Artifacts == nil) reproduces
-// the v2 discipline per device: decode an owned arena copy from the
-// referenced blob, materialize the rule table, recompile it, and compare
-// digests. The zero-copy arm adopts the shared store view install put in
-// the store (identity already verified once per unique arena), wraps the
-// rule-table bytes unparsed, and aliases the arrival block in place —
-// per-device work collapses to a store lookup plus slice binding.
+// of the same name, under its shard lock. Decode already validated the rule
+// table and checked the arena against its compilation, so the device wraps
+// the rule-table bytes unparsed, adopts the shared store view install put
+// in the store, and aliases the arrival block in place: per-device work is
+// a store lookup plus slice binding.
 func (p *Proxy) installDevice(d *deviceImage) error {
 	name := d.name
 	sh := p.shardFor(name)
@@ -1129,55 +1164,19 @@ func (p *Proxy) installDevice(d *deviceImage) error {
 	if !ok {
 		return fmt.Errorf("core: snapshot device %q not registered in live proxy", name)
 	}
-	store := p.cfg.Artifacts
 
-	var rt *flows.RuleTable
-	var err error
-	if store != nil {
-		// Validation dedups by content: a fleet restored from one template
-		// carries byte-identical rule-table sections, and only the first
-		// pays the deep structural walk.
-		if store.RuleBytesValidated(d.rules) {
-			rt, err = flows.NewRawRuleTableTrusted(d.rules)
-		} else if rt, err = flows.NewRawRuleTable(d.rules); err == nil {
-			store.NoteRuleBytesValidated(d.rules)
-		}
-		if err != nil {
-			return fmt.Errorf("core: device %q rules: %w", name, err)
-		}
-	} else {
-		var rest []byte
-		if rt, rest, err = flows.DecodeRuleTable(d.rules); err != nil {
-			return fmt.Errorf("core: device %q rules: %w", name, err)
-		}
-		if len(rest) != 0 {
-			return fmt.Errorf("core: device %q rules have %d trailing bytes", name, len(rest))
-		}
+	rt, err := flows.NewRawRuleTableTrusted(d.rules)
+	if err != nil {
+		return fmt.Errorf("core: device %q rules: %w", name, err)
 	}
-
 	var art *ruleArtifact
 	if d.arena != nil {
-		art = &ruleArtifact{meta: d.meta}
-		if store != nil {
-			if art.compiled = store.AcquireRules(d.arena.sum); art.compiled == nil {
-				return fmt.Errorf("core: device %q arena %08x not installed in artifact store", name, d.arena.sum)
-			}
-			art.store, art.storeSum = store, d.arena.sum
-		} else {
-			// Copied arm: an owned decode per device, then the v2 identity
-			// discipline — the arena must be the compilation of the restored
-			// rule table, not merely self-consistent.
-			if art.compiled, err = artifact.DecodeRulesCopy(d.arena.data); err != nil {
-				return fmt.Errorf("core: device %q arena: %w", name, err)
-			}
-			if rsum, asum := rt.Compiled().Checksum(), art.compiled.Checksum(); rsum != asum {
-				return fmt.Errorf("core: device %q arena checksum %08x does not match recompiled rules %08x", name, asum, rsum)
-			}
-			if asum := art.compiled.Checksum(); asum != d.arena.sum {
-				return fmt.Errorf("core: device %q arena checksum %08x filed under %08x", name, asum, d.arena.sum)
-			}
+		store := p.cfg.Artifacts
+		art = &ruleArtifact{meta: d.meta, store: store, storeSum: d.arena.sum}
+		if art.compiled = store.AcquireRules(d.arena.sum); art.compiled == nil {
+			return fmt.Errorf("core: device %q arena %08x not installed in artifact store", name, d.arena.sum)
 		}
-		if art.arrival, err = bindArrival(d, art.compiled.NumKeys(), store != nil); err != nil {
+		if art.arrival, err = bindArrival(d, art.compiled.NumKeys()); err != nil {
 			return fmt.Errorf("core: device %q arrival state: %w", name, err)
 		}
 	}
@@ -1221,47 +1220,24 @@ func (p *Proxy) restoreModel(ds *deviceState, blob *imageBlob) (EventClassifier,
 	if cfgSum != blob.sum {
 		return nil, fmt.Errorf("model %08x does not match config model %08x", blob.sum, cfgSum)
 	}
-	var model ml.CompiledModel
-	if store := p.cfg.Artifacts; store != nil {
-		// Shared template decoded once at install; the clone gives this
-		// device private scratch over the shared frozen tables.
-		shared, ok := store.AcquireModel(blob.sum)
-		if !ok {
-			return nil, fmt.Errorf("model %08x not installed in artifact store", blob.sum)
-		}
-		model = shared.Clone()
-	} else {
-		enc, err := artifact.ModelPayload(blob.data)
-		if err != nil {
-			return nil, err
-		}
-		var trail []byte
-		if model, trail, err = ml.DecodeCompiled(enc); err != nil {
-			return nil, err
-		}
-		if len(trail) != 0 {
-			return nil, fmt.Errorf("%d trailing bytes", len(trail))
-		}
-		snapSum, err := ml.CompiledChecksum(model)
-		if err != nil {
-			return nil, err
-		}
-		if snapSum != blob.sum {
-			return nil, fmt.Errorf("model %08x filed under %08x", snapSum, blob.sum)
-		}
+	// Shared template decoded once at install; the clone gives this device
+	// private scratch over the shared frozen tables.
+	shared, ok := p.cfg.Artifacts.AcquireModel(blob.sum)
+	if !ok {
+		return nil, fmt.Errorf("model %08x not installed in artifact store", blob.sum)
 	}
 	return &compiledEventClassifier{
-		model: model,
+		model: shared.Clone(),
 		buf:   make([]float64, features.Dim),
 	}, nil
 }
 
 // bindArrival builds a device's live arrival state from its raw block. The
-// width must match the compiled arena the arrival evolves against. On the
-// zero-copy arm the slices alias the image wherever alignment allows (the
-// mmap'd snapshot's copy-on-write pages absorb later arrival updates);
-// otherwise — and always on the copied arm — they are fresh.
-func bindArrival(d *deviceImage, nkeys int, zeroCopy bool) (*flows.ArrivalState, error) {
+// width must match the compiled arena the arrival evolves against. The
+// slices alias the image wherever alignment allows, so later arrival
+// updates write into it (a mapped snapshot's copy-on-write pages absorb
+// them); a misaligned last-arrival block is copied.
+func bindArrival(d *deviceImage, nkeys int) (*flows.ArrivalState, error) {
 	n := len(d.arrivalHas)
 	if n != nkeys {
 		return nil, fmt.Errorf("arrival state width %d does not match %d keys", n, nkeys)
@@ -1269,26 +1245,13 @@ func bindArrival(d *deviceImage, nkeys int, zeroCopy bool) (*flows.ArrivalState,
 	if n == 0 {
 		return &flows.ArrivalState{}, nil
 	}
-	var last []int64
-	var has []bool
-	if zeroCopy {
-		var ok bool
-		if last, ok = artifact.AliasI64s(d.arrivalLast, n); !ok {
-			last = decodeI64Block(d.arrivalLast, n)
-		}
-		var err error
-		if has, err = artifact.AliasBools(d.arrivalHas, n); err != nil {
-			return nil, err
-		}
-	} else {
+	last, ok := artifact.AliasI64s(d.arrivalLast, n)
+	if !ok {
 		last = decodeI64Block(d.arrivalLast, n)
-		has = make([]bool, n)
-		for i, v := range d.arrivalHas {
-			if v > 1 {
-				return nil, fmt.Errorf("arrival has-bitmap byte %d is %d", i, v)
-			}
-			has[i] = v == 1
-		}
+	}
+	has, err := artifact.AliasBools(d.arrivalHas, n)
+	if err != nil {
+		return nil, err
 	}
 	return flows.ArrivalFromRaw(last, has)
 }

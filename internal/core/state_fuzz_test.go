@@ -26,9 +26,11 @@ var (
 // restore never panics; an image decodeState rejects leaves the proxy's
 // encoding unchanged; an accepted image re-encodes to bytes that restore
 // into a fresh proxy and re-encode identically; and the restored proxy
-// survives a batch.
+// survives a batch. Restore binds arrival state into the image and writes
+// into it, so the proxy restores from a private copy of the input.
 func FuzzProxyRestoreState(f *testing.F) {
-	f.Fuzz(func(t *testing.T, trace uint8, image []byte) {
+	f.Fuzz(func(t *testing.T, trace uint8, input []byte) {
+		image := append([]byte(nil), input...)
 		fuzzKSOnce.Do(func() { fuzzKS, fuzzKSErr = keystore.New(rand.New(rand.NewSource(1))) })
 		if fuzzKSErr != nil {
 			t.Fatal(fuzzKSErr)

@@ -23,10 +23,10 @@ type ruleArtifact struct {
 	arrival  *flows.ArrivalState
 
 	// Content-addressed store linkage. When compiled is a shared view
-	// checked out of Config.Artifacts (zero-copy restore), store/storeSum
-	// name the reference to return once the artifact retires through the
-	// graveyard and no shard can still observe the pointer. Artifacts
-	// compiled in-process (bootstrap freeze, promotion) carry no reference.
+	// checked out of Config.Artifacts by a restore, store/storeSum name the
+	// reference to return once the artifact retires through the graveyard
+	// and no shard can still observe the pointer. Artifacts compiled
+	// in-process (bootstrap freeze, promotion) carry no reference.
 	store    *artifact.Store
 	storeSum uint32
 }

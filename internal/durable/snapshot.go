@@ -213,9 +213,9 @@ func syncDir(dir string) error {
 // snapshot is whole, so damage there means the store cannot be trusted.
 //
 // The file is memory-mapped where the platform supports it (one ReadFile
-// otherwise), and the returned body aliases that single load — the
-// zero-copy restore arm builds its artifact views directly over these
-// bytes. The mapping is never torn down (see artifact.MapFile), so views
+// otherwise), and the returned body aliases that single load — restore
+// builds its artifact views directly over these bytes and binds restored
+// arrival state into them. The mapping is never torn down (see artifact.MapFile), so views
 // stay valid even after the manager closes or the snapshot is pruned.
 func loadLatestSnapshot(dir string) (SnapshotHeader, []byte, error) {
 	seqs, err := listSnapshots(dir)

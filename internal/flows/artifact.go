@@ -101,10 +101,10 @@ func AssembleCompiled(mode KeyMode, quantum time.Duration, keys []Key, offsets [
 func (st *ArrivalState) Raw() (last []int64, has []bool) { return st.last, st.has }
 
 // ArrivalFromRaw adopts externally-owned arrival slices without copying —
-// the zero-copy restore path binds a device's arrival state directly over
-// the snapshot mapping. The slices must have equal length (the caller
-// checks the width against its compiled table) and must not be shared with
-// another arrival state.
+// restore binds a device's arrival state directly over the snapshot
+// mapping. The slices must have equal length (the caller checks the width
+// against its compiled table) and must not be shared with another arrival
+// state.
 func ArrivalFromRaw(last []int64, has []bool) (*ArrivalState, error) {
 	if len(last) != len(has) {
 		return nil, fmt.Errorf("flows: arrival slices disagree on width (%d vs %d)", len(last), len(has))
@@ -131,8 +131,8 @@ func (st *ArrivalState) BindArrival(last []int64, has []bool) error {
 // mutation happens, AppendState re-emits the original bytes, which the
 // validation guarantees are exactly what a materialize-and-re-encode would
 // produce. data must contain exactly one table (no trailing bytes) and must
-// stay immutable for the table's lifetime — the zero-copy restore path
-// aliases it into the snapshot buffer.
+// stay immutable for the table's lifetime — restore aliases it into the
+// snapshot buffer.
 func NewRawRuleTable(data []byte) (*RuleTable, error) {
 	mode, quantum, frozen, err := validateRuleTableBytes(data)
 	if err != nil {
@@ -143,28 +143,15 @@ func NewRawRuleTable(data []byte) (*RuleTable, error) {
 
 // NewRawRuleTableTrusted wraps data like NewRawRuleTable but only parses the
 // fixed header, skipping the deep structural walk. The caller must guarantee
-// data is byte-identical to an encoding that already passed full validation —
-// the zero-copy restore path proves this by content comparison against its
-// store's validated-bytes cache, so a fleet of devices sharing one template
-// pays the walk once instead of once per device.
+// data already passed NewRawRuleTable — restore validates each distinct
+// encoding once while decoding the image, then wraps every device's bytes
+// with this.
 func NewRawRuleTableTrusted(data []byte) (*RuleTable, error) {
 	mode, quantum, frozen, err := ruleTableHeader(data)
 	if err != nil {
 		return nil, fmt.Errorf("flows: trusted rule table: %w", err)
 	}
 	return &RuleTable{mode: mode, quantum: quantum, frozen: frozen, raw: data}, nil
-}
-
-// RuleTableFrozen reports whether a serialized rule table is frozen, reading
-// only its fixed header — the proxy image decoder checks the frozen flag
-// against the presence of a compiled arena before either restore arm parses
-// the table.
-func RuleTableFrozen(data []byte) (bool, error) {
-	_, _, frozen, err := ruleTableHeader(data)
-	if err != nil {
-		return false, fmt.Errorf("flows: rule table header: %w", err)
-	}
-	return frozen, nil
 }
 
 // ruleTableHeader parses a serialized rule table's fixed header.
