@@ -321,7 +321,7 @@ func benchValidator(b *testing.B) *sensors.Validator {
 // iteration advances the virtual clock one heartbeat period and decides one
 // batch carrying a periodic heartbeat per device. With shards=1 ProcessBatch
 // runs inline, so the 1-vs-GOMAXPROCS pair is exactly the sequential vs
-// ring-pipeline comparison; speedup needs real cores (on a single-CPU
+// shard-worker comparison; speedup needs real cores (on a single-CPU
 // runner the sharded rows only pay the worker handoff).
 func benchShardedProxy(b *testing.B, nDev, shards int) {
 	clock := simclock.NewVirtual()

@@ -45,7 +45,7 @@ type Scenario struct {
 	// Seed drives every random stream of the run (default 1).
 	Seed int64
 	// Shards selects the proxy engine width (default 1, the sequential
-	// reference; more shards run batches on the ring pipeline). Decisions
+	// reference; more shards run batches on the shard workers). Decisions
 	// are shard-invariant, so every oracle in this package applies unchanged.
 	Shards int
 	// Bootstrap is the proxy learning window (default 2 minutes).

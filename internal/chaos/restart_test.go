@@ -9,7 +9,7 @@ import (
 	"fiat/internal/core"
 )
 
-// TestScenarioShardedMatchesSequential: the ring-fed multi-shard engine
+// TestScenarioShardedMatchesSequential: the multi-shard worker engine
 // driven through the full netsim fabric — gateway batching, courier faults,
 // partitions, pending sweeps — produces a Result identical to the
 // sequential engine on every surface, including the shared metrics snapshot.
@@ -89,8 +89,8 @@ func compareToReference(t *testing.T, arm string, ref, got *Result) {
 // reference, and its final encoded state must be byte-identical to the
 // uninterrupted durable arm's.
 func TestRestartUnderLoad(t *testing.T) {
-	// crashScenario runs two shards, so the proxy batches on the ring
-	// pipeline.
+	// crashScenario runs two shards, so the proxy batches on the shard
+	// workers.
 	t.Run("sharded", func(t *testing.T) {
 		s := crashScenario()
 		ref, err := Run(s)

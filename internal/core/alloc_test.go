@@ -72,9 +72,9 @@ func TestProcessRuleHitZeroAllocs(t *testing.T) {
 }
 
 // TestPipelineSteadyStateZeroAllocs is the multi-shard engine's allocation
-// guard: a full intercept→verdict batch on the ring-fed pipeline — producer
-// enqueue, worker drain, compiled rule match, outcome arena, idx-ordered
-// merge — performs zero heap allocations per batch in steady state, and the
+// guard: a full intercept→verdict batch on the shard workers — producer
+// index lists, worker decisions, compiled rule match, outcome arena,
+// idx-ordered merge — performs zero heap allocations per batch in steady state, and the
 // event-decision path (grouping, compiled classification, audit append)
 // stays under a tight amortized ceiling (the audit log's doubling append is
 // the only allocator left).
@@ -164,7 +164,7 @@ func TestPipelineSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("%d measured packets were not rule hits; the guard measured the wrong path", misses)
 	}
 	if allocs != 0 {
-		t.Fatalf("ring rule-hit batch allocates: measured %v allocs/op, want 0", allocs)
+		t.Fatalf("sharded rule-hit batch allocates: measured %v allocs/op, want 0", allocs)
 	}
 
 	// Phase 2: one fresh event per ML device per batch — grouping, compiled

@@ -1,27 +1,21 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
 	"fiat/internal/obs"
 )
 
-// ringCapacity is the per-shard ring size. A full ring backpressures the
-// producer, which wakes the worker and yields with runtime.Gosched until the
-// worker drains a slot.
-const ringCapacity = 1024
-
 // asyncPipeline is the multi-shard engine behind ProcessBatch: one
-// persistent worker goroutine per shard, each fed through a fixed-capacity
-// SPSC ring, draining packets into a shared per-batch outcome arena. The
-// workers start on the first multi-shard batch, so building a proxy starts
-// no goroutine. A worker runs each packet through the same pipeline body as
-// the sequential path (processTraced), event decisions included; only its
-// metric tallies differ, being goroutine-private and clock-free. In steady
-// state a packet traverses intercept → verdict with zero heap allocations
-// (TestPipelineSteadyStateZeroAllocs).
+// persistent worker goroutine per shard, each handed the batch indices of
+// its shard's packets, deciding them into a shared per-batch outcome arena.
+// The workers start on the first multi-shard batch, so building a proxy
+// starts no goroutine. A worker runs each packet through the same pipeline
+// body as the sequential path (processTraced), event decisions included;
+// only its metric tallies differ, being goroutine-private and clock-free.
+// In steady state a packet traverses intercept → verdict with zero heap
+// allocations (TestPipelineSteadyStateZeroAllocs).
 //
 // Determinism: outcomes land in arena slots indexed by batch position, so
 // the merge — decisions out, audit entries appended, pending holds pushed,
@@ -34,13 +28,12 @@ type asyncPipeline struct {
 	p *Proxy
 	// mu serializes whole batches against each other and against close:
 	// concurrent ProcessBatch callers take turns, because the outcome arena
-	// and the rings are single-producer.
+	// and the workers' index lists belong to one batch at a time.
 	mu      sync.Mutex
-	ringCap int            // per-shard ring capacity, read when the workers start
 	workers []*asyncWorker // nil until the first batch, and again after close
 	closed  bool
 	stop    chan struct{}
-	batch   sync.WaitGroup // workers still draining the current batch
+	batch   sync.WaitGroup // workers still deciding the current batch
 	exited  sync.WaitGroup // worker goroutines still running
 	out     []outcome      // per-batch outcome arena, slot i = batch index i
 }
@@ -57,7 +50,6 @@ func (a *asyncPipeline) start() {
 			a:    a,
 			sh:   sh,
 			si:   i,
-			ring: newPacketRing(a.ringCap),
 			wake: make(chan struct{}, 1),
 		}
 		// The worker's metrics are goroutine-private tallies, flushed once
@@ -95,13 +87,12 @@ func (a *asyncPipeline) close() {
 
 // run executes one batch on the pipeline, writing decisions into dst
 // (len(dst) == len(batch)), and reports false without touching anything
-// once the pipeline is closed. The producer streams the packets' batch
-// indices into the shard rings in batch order, terminates each ring with a
-// marker, wakes each worker once its ring holds its whole share, and waits.
-// A full ring wakes its worker at once and backpressures the producer, which
-// yields until the worker drains a slot. The workers read the packets from
-// batch itself, which stays put until run returns. Nothing here allocates
-// once the arenas have warmed to the workload's batch size.
+// once the pipeline is closed. The producer appends each packet's batch
+// index to its owning shard's list, in batch order, then wakes every worker
+// once — an empty list included, so every shard crosses its swap boundary
+// once per batch — and waits. The workers read the packets from batch
+// itself, which stays put until run returns. Nothing here allocates once
+// the arena and the lists have warmed to the workload's batch size.
 func (a *asyncPipeline) run(batch []PacketIn, dst []Decision, now time.Time) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -118,20 +109,19 @@ func (a *asyncPipeline) run(batch []PacketIn, dst []Decision, now time.Time) boo
 	}
 	out := a.out[:n]
 
-	a.batch.Add(len(a.workers))
 	for _, w := range a.workers {
 		w.now = now
 		w.out = out
 		w.batch = batch
-		w.woken = false
+		w.idx = w.idx[:0]
 	}
 	for i := range batch {
 		w := a.workers[p.shardIndex(batch[i].Device)]
-		w.push(int32(i))
+		w.idx = append(w.idx, int32(i))
 	}
+	a.batch.Add(len(a.workers))
 	for _, w := range a.workers {
-		w.push(ringMarker)
-		w.wakeOnce()
+		w.wake <- struct{}{}
 	}
 	a.batch.Wait()
 	for _, w := range a.workers {
@@ -161,23 +151,21 @@ func (a *asyncPipeline) run(batch []PacketIn, dst []Decision, now time.Time) boo
 	return true
 }
 
-// asyncWorker drains one shard's ring. All fields below the ring are either
-// producer-owned (woken), producer-published batch context (now, out, batch
-// — written before the wake send, read only after receiving it) or
-// worker-owned metric tallies.
+// asyncWorker decides one shard's share of each batch. The batch context
+// (now, out, batch, idx) is written by the producer before the wake send
+// and read by the worker only after receiving it; the metric tallies are
+// worker-owned.
 type asyncWorker struct {
 	p    *Proxy
 	a    *asyncPipeline
 	sh   *shard
 	si   int // shard index, for the post-batch epoch advance
-	ring *packetRing
 	wake chan struct{}
-
-	woken bool // this batch's wake has been sent
 
 	now   time.Time
 	out   []outcome
 	batch []PacketIn
+	idx   []int32 // batch indices of this shard's packets, in batch order
 
 	// Goroutine-private metric tallies, folded into the proxy's registry
 	// at the end of each runBatch. tracer reads time from batchNow.
@@ -197,44 +185,18 @@ func (w *asyncWorker) loop() {
 	}
 }
 
-// push enqueues one batch index (or the marker) into the worker's ring. A
-// full ring wakes the worker, if this batch has not already, so it can
-// drain; the producer yields until a slot frees. Producer-only.
-func (w *asyncWorker) push(idx int32) {
-	for !w.ring.push(idx) {
-		w.wakeOnce()
-		runtime.Gosched()
-	}
-}
-
-// wakeOnce sends the worker this batch's one wake. Producer-only.
-func (w *asyncWorker) wakeOnce() {
-	if !w.woken {
-		w.woken = true
-		w.wake <- struct{}{}
-	}
-}
-
-// runBatch drains the ring until the batch marker, deciding each packet in
-// place, and folds the batch's metric tallies into the registry, so every
-// metric is complete when ProcessBatch returns. The shard mutex is held for
-// the whole batch, so concurrent Process/FlushEvent/AddDevice callers
-// serialize at batch granularity and the ring never deadlocks (the producer
-// takes no shard locks).
+// runBatch decides the shard's packets of the batch in place and folds the
+// batch's metric tallies into the registry, so every metric is complete
+// when ProcessBatch returns. The shard mutex is held for the whole batch,
+// so concurrent Process/FlushEvent/AddDevice callers serialize at batch
+// granularity (the producer takes no shard locks, so it cannot deadlock
+// against them).
 func (w *asyncWorker) runBatch() {
 	sh := w.sh
 	sh.mu.Lock()
-	for {
-		idx, ok := w.ring.pop()
-		if !ok {
-			runtime.Gosched()
-			continue
-		}
-		if idx == ringMarker {
-			break
-		}
-		pk := &w.batch[idx]
-		o := &w.out[idx]
+	for _, i := range w.idx {
+		pk := &w.batch[i]
+		o := &w.out[i]
 		*o = outcome{}
 		w.p.processTraced(w.tracer, sh.devices[pk.Device], pk.Rec, pk.Peer, w.now, o, w)
 	}

@@ -74,7 +74,7 @@ func shadowMatrix(p *Proxy, device string) (swap.ShadowMatrix, bool) {
 // idle on generation 1 throughout. A fleet-wide detector would send every
 // frozen device into a relearn window. The run is repeated on the
 // sequential engine (Shards 1), on 4 shards fed one packet at a time, and
-// on the 4-shard ring pipeline; decisions and the swap registry must be
+// on the 4-shard worker pipeline; decisions and the swap registry must be
 // identical across the three.
 func TestOneDeviceDriftsOneDeviceRelearns(t *testing.T) {
 	const drifted = "tv"

@@ -14,11 +14,10 @@ type PacketIn struct {
 	Peer   string
 }
 
-// ProcessBatch runs a batch of packets through the pipeline. With one shard,
-// or when ExtraVerdictDelay is configured (the §6 delay experiment's serial
-// sleep semantics matter more than throughput), the batch runs inline on
-// the sequential path; otherwise it runs on the ring pipeline's per-shard
-// workers (async.go), which start on the first such batch.
+// ProcessBatch runs a batch of packets through the pipeline. With one shard
+// the batch runs inline on the sequential path; otherwise it runs on the
+// pipeline's per-shard workers (async.go), which start on the first such
+// batch.
 //
 // Determinism contract: ProcessBatch(batch) returns exactly the decisions —
 // and appends exactly the audit entries, in the same order, with the same
@@ -47,7 +46,7 @@ func (p *Proxy) ProcessBatchInto(batch []PacketIn, dst []Decision) []Decision {
 		dst = dst[:len(batch)]
 	}
 	start := p.clock.Now()
-	if len(p.shards) == 1 || p.cfg.ExtraVerdictDelay > 0 || !p.async.run(batch, dst, start) {
+	if len(p.shards) == 1 || !p.async.run(batch, dst, start) {
 		p.processBatchSequential(batch, dst)
 	}
 	// Batch-level observability: size and wall latency (0 under a virtual
@@ -60,8 +59,8 @@ func (p *Proxy) ProcessBatchInto(batch []PacketIn, dst []Decision) []Decision {
 	return dst
 }
 
-// processBatchSequential is the inline path: one shard, the delay
-// experiment, or a batch after Close.
+// processBatchSequential is the inline path: one shard, or a batch after
+// Close.
 func (p *Proxy) processBatchSequential(batch []PacketIn, dst []Decision) {
 	for i, pk := range batch {
 		dst[i] = p.Process(pk.Device, pk.Rec, pk.Peer)

@@ -159,7 +159,7 @@ func readGolden(t *testing.T) map[string]string {
 }
 
 // TestGoldenDigests replays each golden trace through the sequential engine
-// (1 shard) and the ring pipeline (4 shards); both must reproduce the
+// (1 shard) and the shard workers (4 shards); both must reproduce the
 // committed digests byte for byte. The digests were recorded when the
 // serialized RuleTable.Match and MLClassifier.IsManual paths could still run
 // a whole proxy, and both paths produced them, so they pin the compiled

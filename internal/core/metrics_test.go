@@ -19,7 +19,7 @@ import (
 // end. Counters are sums, reason counters follow the deterministically merged
 // log, gauges settle at deterministic points, and under the virtual clock
 // every duration observes zero — so any byte of divergence is a determinism
-// bug. The per-step comparison also pins that the ring workers fold their
+// bug. The per-step comparison also pins that the shard workers fold their
 // goroutine-private metric tallies in before ProcessBatch returns.
 func TestMetricsSnapshotShardInvariant(t *testing.T) {
 	clock := simclock.NewVirtual()
@@ -114,7 +114,7 @@ func TestMetricsSnapshotShardInvariant(t *testing.T) {
 // TestRingBatchMetricsCompleteOnReturn: one 2-shard ProcessBatch of N
 // rule-hit packets, read with no other call in between, already shows all N
 // packets in the stage counters and one match-latency observation per rule
-// match. The ring workers tally these privately, so this pins the flush at
+// match. The shard workers tally these privately, so this pins the flush at
 // the end of every batch.
 func TestRingBatchMetricsCompleteOnReturn(t *testing.T) {
 	clock := simclock.NewVirtual()

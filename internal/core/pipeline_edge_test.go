@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,13 +9,11 @@ import (
 
 	"fiat/internal/events"
 	"fiat/internal/flows"
-	"fiat/internal/keystore"
 	"fiat/internal/ml"
-	"fiat/internal/simclock"
 )
 
 // TestAsyncPendingHoldMergesThroughArena: a degraded-mode hold produced
-// inside a ring shard worker must be committed through the outcome arena's
+// inside a shard worker must be committed through the outcome arena's
 // merge (the inline path commits holds on its own), and a later
 // attestation must admit only the attested device's holds, keeping the
 // other device's in the queue.
@@ -65,13 +62,13 @@ func TestAsyncPendingHoldMergesThroughArena(t *testing.T) {
 	}
 }
 
-// TestAsyncTwoSlotRingEventsMatchSequential decides events on a ring worker
-// draining a two-slot ring: camA's three time-gapped events, plus camE and
-// camC on two different trained models, all hash to one shard of a two-shard
-// proxy, so one worker classifies every event while the producer stalls
-// against the full ring. Decisions, the audit log, stats and the obs
-// snapshot must equal those of a one-shard proxy fed the same batch.
-func TestAsyncTwoSlotRingEventsMatchSequential(t *testing.T) {
+// TestAsyncWorkerEventsMatchSequential decides events on a shard worker:
+// camA's three time-gapped events, plus camE and camC on two different
+// trained models, all hash to one shard of a two-shard proxy, so one worker
+// classifies every event while the other is woken with an empty index list.
+// Decisions, the audit log, stats and the obs snapshot must equal those of a
+// one-shard proxy fed the same batch.
+func TestAsyncWorkerEventsMatchSequential(t *testing.T) {
 	t1 := trainDiffClassifier(t, 5)
 	t2 := trainDiffClassifier(t, 6)
 	devices := []struct {
@@ -80,7 +77,6 @@ func TestAsyncTwoSlotRingEventsMatchSequential(t *testing.T) {
 	}{{"camA", t1}, {"camE", t2}, {"camC", t1}}
 	arm := func(shards int) *testRig {
 		r := newRig(t, Config{Shards: shards})
-		r.proxy.async.ringCap = 2
 		for _, d := range devices {
 			if err := r.proxy.AddDevice(DeviceConfig{Name: d.name, Classifier: d.clf, GraceN: 1}); err != nil {
 				t.Fatal(err)
@@ -96,7 +92,7 @@ func TestAsyncTwoSlotRingEventsMatchSequential(t *testing.T) {
 		r.feedHeartbeats(t, "camA", 25, time.Minute)
 		return r
 	}
-	seq, ring := arm(1), arm(2)
+	seq, sharded := arm(1), arm(2)
 
 	now := seq.clock.Now()
 	telemetry := func(dev string, at time.Time) PacketIn {
@@ -114,66 +110,30 @@ func TestAsyncTwoSlotRingEventsMatchSequential(t *testing.T) {
 		telemetry("camA", now.Add(2*time.Hour)),
 	}
 	want := seq.proxy.ProcessBatchInto(batch, nil)
-	got := ring.proxy.ProcessBatchInto(batch, nil)
-	if ring.proxy.async.workers == nil {
-		t.Fatal("two-shard arm never started the ring workers")
+	got := sharded.proxy.ProcessBatchInto(batch, nil)
+	if sharded.proxy.async.workers == nil {
+		t.Fatal("two-shard arm never started the shard workers")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decisions: ring %+v, seq %+v", got, want)
+		t.Fatalf("decisions: sharded %+v, seq %+v", got, want)
 	}
 	for i, d := range got {
 		if d.Verdict != Allow {
 			t.Fatalf("telemetry packet %d = %+v, want allow", i, d)
 		}
 	}
-	st := ring.proxy.StatsSnapshot()
+	st := sharded.proxy.StatsSnapshot()
 	if st.EventsNonManual != 5 {
 		t.Fatalf("EventsNonManual = %d, want 5 (one per event)", st.EventsNonManual)
 	}
 	if wantSt := seq.proxy.StatsSnapshot(); st != wantSt {
-		t.Fatalf("stats: ring %+v, seq %+v", st, wantSt)
+		t.Fatalf("stats: sharded %+v, seq %+v", st, wantSt)
 	}
-	if gotLog, wantLog := ring.proxy.Log(), seq.proxy.Log(); !reflect.DeepEqual(gotLog, wantLog) {
-		t.Fatalf("audit log: ring %+v, seq %+v", gotLog, wantLog)
+	if gotLog, wantLog := sharded.proxy.Log(), seq.proxy.Log(); !reflect.DeepEqual(gotLog, wantLog) {
+		t.Fatalf("audit log: sharded %+v, seq %+v", gotLog, wantLog)
 	}
-	if gotSnap, wantSnap := ring.proxy.Metrics().Snapshot(), seq.proxy.Metrics().Snapshot(); gotSnap != wantSnap {
+	if gotSnap, wantSnap := sharded.proxy.Metrics().Snapshot(), seq.proxy.Metrics().Snapshot(); gotSnap != wantSnap {
 		t.Fatalf("obs snapshot diverges:\n%s", firstDiffLine(gotSnap, wantSnap))
-	}
-}
-
-// sleepingClock makes a virtual clock satisfy simclock.Sleeper by advancing
-// through the requested duration, standing in for a real clock under the §6
-// verdict-delay experiment.
-type sleepingClock struct{ *simclock.VirtualClock }
-
-func (c sleepingClock) Sleep(d time.Duration) { c.Advance(d) }
-
-// TestBatchExtraVerdictDelayDispatch: ExtraVerdictDelay forces the batched
-// engine onto the sequential path regardless of shard count, and the
-// single-packet path sleeps through the injected delay when the clock can.
-func TestBatchExtraVerdictDelayDispatch(t *testing.T) {
-	clock := simclock.NewVirtual()
-	ks, err := keystore.New(rand.New(rand.NewSource(100)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	validator, _, err := sharedValidator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewProxy(sleepingClock{clock}, ks, validator, Config{Shards: 2, ExtraVerdictDelay: 3 * time.Millisecond})
-	defer p.Close()
-	if err := p.AddDevice(DeviceConfig{Name: "plug", Classifier: RuleClassifier{NotificationSize: 235}, GraceN: 1}); err != nil {
-		t.Fatal(err)
-	}
-	ds := p.ProcessBatchInto([]PacketIn{{Device: "plug", Rec: mkRec(clock.Now(), 64, flows.CategoryAutomated)}}, nil)
-	if ds[0].Verdict != Allow {
-		t.Fatalf("bootstrap batch packet = %+v, want allow", ds[0])
-	}
-	before := clock.Now()
-	p.Process("plug", mkRec(clock.Now(), 64, flows.CategoryAutomated), "")
-	if got := clock.Now().Sub(before); got < 3*time.Millisecond {
-		t.Fatalf("verdict delay advanced the clock %v, want >= 3ms", got)
 	}
 }
 

@@ -106,15 +106,12 @@ type Config struct {
 	// brute-force protection). Defaults: 3 within 1 minute.
 	LockoutThreshold int
 	LockoutWindow    time.Duration
-	// ExtraVerdictDelay artificially delays every verdict — the §6 "how
-	// slow can FIAT afford to be" experiment.
-	ExtraVerdictDelay time.Duration
 	// Shards is the number of per-device state shards the engine runs
 	// (default GOMAXPROCS). Devices are hash-assigned to shards. Shards = 1
 	// runs every batch inline on the sequential path; more shards run
-	// ProcessBatch on one ring-fed worker per shard (see asyncPipeline),
-	// started by the first batch — call Proxy.Close to stop them. Decisions
-	// are identical either way, so Shards is excluded from ConfigChecksum: a
+	// ProcessBatch on one worker per shard (see asyncPipeline), started by
+	// the first batch — call Proxy.Close to stop them. Decisions are
+	// identical either way, so Shards is excluded from ConfigChecksum: a
 	// snapshot restores into any shard count.
 	Shards int
 	// PendingWindow, when positive, enables the degraded-mode attestation
@@ -290,7 +287,7 @@ func NewProxy(clock simclock.Clock, ks *keystore.Store, human *sensors.Validator
 		epochs:      swap.NewEpochs(cfg.Shards),
 		swapM:       newSwapMetrics(),
 	}
-	p.async = &asyncPipeline{p: p, ringCap: ringCapacity}
+	p.async = &asyncPipeline{p: p}
 	return p
 }
 
@@ -514,11 +511,6 @@ func (p *Proxy) Bootstrapped() bool {
 // pipeline and returns the verdict. peer names the LAN peer for
 // device-to-device DAG checks ("" when the peer is the WAN).
 func (p *Proxy) Process(device string, rec flows.Record, peer string) Decision {
-	if p.cfg.ExtraVerdictDelay > 0 {
-		if s, ok := p.clock.(simclock.Sleeper); ok {
-			s.Sleep(p.cfg.ExtraVerdictDelay)
-		}
-	}
 	p.configSum()
 	si := p.shardIndex(device)
 	sh := p.shards[si]

@@ -338,15 +338,6 @@ func TestFlushEventDecidesShortEvents(t *testing.T) {
 	}
 }
 
-func TestExtraVerdictDelayAppliesOnVirtualClock(t *testing.T) {
-	r := newRig(t, Config{ExtraVerdictDelay: 0}) // virtual clock is not a Sleeper; just ensure no panic
-	r.proxy.cfg.ExtraVerdictDelay = time.Second
-	if err := r.proxy.AddDevice(DeviceConfig{Name: "plug", GraceN: 1}); err != nil {
-		t.Fatal(err)
-	}
-	r.proxy.Process("plug", mkRec(r.clock.Now(), 1, flows.CategoryUnknown), "")
-}
-
 func TestClientAppLocalCost(t *testing.T) {
 	c := NewClientApp(simclock.NewVirtual(), nil)
 	warm := c.LocalCost(true)

@@ -156,11 +156,11 @@ func (p *Proxy) processLocked(sh *shard, device string, rec flows.Record, peer s
 }
 
 // processTraced is the per-packet body shared by the sequential path and the
-// async ring workers: a trace span from tr follows the packet across the
+// shard workers: a trace span from tr follows the packet across the
 // stages, and every packet ends in StageVerdict, so the verdict stage
 // counter equals the packet counter by construction. The span is closed here
 // rather than by a deferred closure so the rule-hit path stays free of heap
-// allocations (TestProcessRuleHitZeroAllocs). w is the ring worker running
+// allocations (TestProcessRuleHitZeroAllocs). w is the shard worker running
 // the packet, nil on the sequential path.
 func (p *Proxy) processTraced(tr *obs.Tracer, ds *deviceState, rec flows.Record, peer string, now time.Time, o *outcome, w *asyncWorker) {
 	sp := tr.Begin(obs.StageIntercept)
@@ -171,7 +171,7 @@ func (p *Proxy) processTraced(tr *obs.Tracer, ds *deviceState, rec flows.Record,
 
 // processSpanned is the pipeline body inside the packet's trace span. ds is
 // the pre-resolved device state (nil for unknown devices, which fail open);
-// the result lands in *o. When w is non-nil the packet runs on a ring
+// the result lands in *o. When w is non-nil the packet runs on a shard
 // worker, which tallies the match and inference latencies as the
 // coarse-time constant 0 into its private histograms instead of reading the
 // clock; the decisions are the same either way.
@@ -289,7 +289,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 // recording the audit entry and stat counts into o and advancing the trace
 // span through classify/attest-check. A held pending decision is recorded
 // into o (not pushed), so the caller commits it in deterministic packet
-// order. w is the ring worker deciding the event, nil inline. The caller
+// order. w is the shard worker deciding the event, nil inline. The caller
 // holds the owning shard's mutex.
 func (p *Proxy) decideEvent(ds *deviceState, now time.Time, o *outcome, sp *obs.Span, w *asyncWorker) Decision {
 	sp.Enter(obs.StageClassify)

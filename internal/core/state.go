@@ -65,7 +65,8 @@ func (p *Proxy) appendConfig(b []byte) []byte {
 	b = wire.AppendI64(b, int64(c.EventGap))
 	b = wire.AppendI64(b, int64(c.LockoutThreshold))
 	b = wire.AppendI64(b, int64(c.LockoutWindow))
-	b = wire.AppendI64(b, int64(c.ExtraVerdictDelay))
+	// A retired verdict-delay knob, always 0, kept so ConfigChecksum holds.
+	b = wire.AppendI64(b, 0)
 	b = wire.AppendI64(b, int64(c.PendingWindow))
 	b = wire.AppendI64(b, int64(c.PendingMax))
 	b = wire.AppendI64(b, int64(c.AttestWindow))
@@ -727,10 +728,9 @@ func decodeState(data []byte, log []LogEntry, detached bool) (*stateImage, error
 	}
 	img.devices = make([]deviceImage, ndev)
 	seen := make(map[string]bool, ndev)
-	checked := make(map[string]ruleCheck)
 	for i := range img.devices {
 		d := &img.devices[i]
-		if err := decodeDevice(rd, data, arenas, models, checked, d); err != nil {
+		if err := decodeDevice(rd, data, arenas, models, d); err != nil {
 			return nil, err
 		}
 		if seen[d.name] {
@@ -778,34 +778,24 @@ func decodeBlobs(rd *wire.Reader, data []byte, padded bool) ([]imageBlob, map[ui
 	return blobs, index, nil
 }
 
-// ruleCheck is what decoding learned from one distinct rule-table encoding.
-type ruleCheck struct {
-	frozen bool
-	sum    uint32 // checksum of the table's compilation; set when frozen
-}
-
-// checkRules fully validates a rule-table encoding and, when it is frozen,
-// recompiles it. checked carries the results across an image's devices, so
-// a fleet sharing one encoding pays the walk and the compile once.
-func checkRules(raw []byte, checked map[string]ruleCheck) (ruleCheck, error) {
-	if rc, ok := checked[string(raw)]; ok {
-		return rc, nil
-	}
+// checkRules fully validates a device's rule-table encoding and, when it is
+// frozen, recompiles it and returns the compilation's checksum. Each device
+// pays its own walk: the tables carry per-bucket arrival and histogram
+// state, so devices rarely share an encoding.
+func checkRules(raw []byte) (frozen bool, sum uint32, err error) {
 	rt, err := flows.NewRawRuleTable(raw)
 	if err != nil {
-		return ruleCheck{}, err
+		return false, 0, err
 	}
-	rc := ruleCheck{frozen: rt.Frozen()}
-	if rc.frozen {
-		rc.sum = rt.Compiled().Checksum()
+	if !rt.Frozen() {
+		return false, 0, nil
 	}
-	checked[string(raw)] = rc
-	return rc, nil
+	return true, rt.Compiled().Checksum(), nil
 }
 
 // decodeDevice parses one device section into d, resolving its artifact
 // references against the section's indexes.
-func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*imageBlob, checked map[string]ruleCheck, d *deviceImage) error {
+func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*imageBlob, d *deviceImage) error {
 	d.name = rd.String()
 	name := d.name
 	rtLen := int(rd.U32())
@@ -813,7 +803,7 @@ func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*image
 		return fmt.Errorf("core: device %q rules: %w", name, wire.ErrTruncated)
 	}
 	d.rules = rd.Take(rtLen)
-	rc, err := checkRules(d.rules, checked)
+	frozen, rulesSum, err := checkRules(d.rules)
 	if err != nil {
 		return fmt.Errorf("core: device %q rules: %w", name, err)
 	}
@@ -826,13 +816,13 @@ func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*image
 		if d.arena = arenas[sum]; d.arena == nil {
 			return fmt.Errorf("core: device %q references arena %08x missing from artifact section", name, sum)
 		}
-		if !rc.frozen {
+		if !frozen {
 			return fmt.Errorf("core: device %q has a compiled arena but an unfrozen rule table", name)
 		}
 		// The arena must be the compilation of the restored rule table, not
 		// merely self-consistent: the device enforces what it learned.
-		if rc.sum != sum {
-			return fmt.Errorf("core: device %q arena %08x does not match recompiled rules %08x", name, sum, rc.sum)
+		if rulesSum != sum {
+			return fmt.Errorf("core: device %q arena %08x does not match recompiled rules %08x", name, sum, rulesSum)
 		}
 		// The aligned raw arrival block: width, padding, 8*width bytes of
 		// last-arrival values, width bytes of the has bitmap.
@@ -856,7 +846,7 @@ func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*image
 		if d.meta.RulesSum != sum {
 			return fmt.Errorf("core: device %q artifact meta rules digest %08x does not match arena %08x", name, d.meta.RulesSum, sum)
 		}
-	} else if rc.frozen {
+	} else if frozen {
 		// Stage 1 matches only through the compiled arena, which the freeze
 		// point installs; a frozen table without one cannot enforce.
 		return fmt.Errorf("core: device %q has a frozen rule table but no compiled arena", name)

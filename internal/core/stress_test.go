@@ -17,24 +17,24 @@ import (
 // packet paths (Process, ProcessBatch, FlushEvent), the attestation path
 // mutating the shared freshness window, and the control-plane readers and
 // writers (Locked/Unlock around the lockout counters, Log, StatsSnapshot,
-// Rules, DAG edits). Concurrent ProcessBatch callers serialize on the ring
+// Rules, DAG edits). Concurrent ProcessBatch callers serialize on the
 // pipeline's mutex while single-packet Process and FlushEvent interleave
 // with worker-held shard locks. Run under -race it checks the
-// producer/worker handoff and arena reuse publish correctly; without -race
-// it still checks the merged counters balance. This arm keeps the default
-// ring size, so producers rarely wait on a full ring.
+// producer/worker hand-off and arena reuse publish correctly; without -race
+// it still checks the merged counters balance.
 func TestShardedProxyConcurrencyStress(t *testing.T) {
-	runProxyConcurrencyStress(t, ringCapacity)
+	runProxyConcurrencyStress(t, 8)
 }
 
-// TestAsyncProxyConcurrencyStress is the same hammer with a 4-slot ring per
-// shard, so the producer's backpressure spin stays hot and workers drain
-// and reuse arena slots while the control plane churns.
+// TestAsyncProxyConcurrencyStress is the same hammer on a one-shard proxy,
+// where concurrent ProcessBatch callers run the sequential Process loop
+// against each other and against the single-packet and control-plane
+// callers, with no worker to serialize them.
 func TestAsyncProxyConcurrencyStress(t *testing.T) {
-	runProxyConcurrencyStress(t, 4)
+	runProxyConcurrencyStress(t, 1)
 }
 
-func runProxyConcurrencyStress(t *testing.T, ringCap int) {
+func runProxyConcurrencyStress(t *testing.T, shards int) {
 	clock := simclock.NewVirtual()
 	ks, err := keystore.New(rand.New(rand.NewSource(300)))
 	if err != nil {
@@ -59,10 +59,9 @@ func runProxyConcurrencyStress(t *testing.T, ringCap int) {
 		Bootstrap: time.Minute,
 		// Tight lockout so the drop/lock/unlock shared state churns.
 		LockoutThreshold: 2, LockoutWindow: time.Hour,
-		Shards: 8,
+		Shards: shards,
 	})
 	defer proxy.Close()
-	proxy.async.ringCap = ringCap
 	const devices = 16
 	trained := trainDiffClassifier(t, 11)
 	names := make([]string, devices)
@@ -70,9 +69,8 @@ func runProxyConcurrencyStress(t *testing.T, ringCap int) {
 		names[i] = fmt.Sprintf("dev%02d", i)
 		dc := DeviceConfig{Name: names[i], Classifier: RuleClassifier{NotificationSize: 235}, GraceN: 1 + i%4}
 		if i%3 == 0 {
-			// A third of the zoo wears the compiled model, so the ring
-			// workers' compiled event classification runs under the race
-			// detector too.
+			// A third of the zoo wears the compiled model, so compiled
+			// event classification runs under the race detector too.
 			dc.Classifier = trained
 		}
 		if err := proxy.AddDevice(dc); err != nil {

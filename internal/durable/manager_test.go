@@ -663,7 +663,7 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // TestManagerAbortStopsShardWorkers: the managed two-shard proxy starts its
-// ring workers on its first batch, and a recovering Open starts them again
+// shard workers on its first batch, and a recovering Open starts them again
 // while it replays the WAL. Each Abort must stop them, so the goroutine
 // count returns to its pre-Open baseline and no parked worker pins the
 // proxy's device state.

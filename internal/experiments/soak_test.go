@@ -20,7 +20,7 @@ import (
 
 // The soak differential drives a full-proxy world — learned heartbeat rules,
 // compiled event classifiers, audit log, metrics — through the sequential
-// engine and the multi-shard ring engine in lockstep on virtual clocks, with
+// engine and the multi-shard worker engine in lockstep on virtual clocks, with
 // randomized mixed traffic, and requires byte-identical decisions, encoded
 // state, and metrics snapshots.
 
@@ -168,7 +168,7 @@ func newSoakWorld(t *testing.T, seed int64, shards, ruleDevices, mlDevices int) 
 
 // TestSoakDifferential drives randomized mixed traffic — on-period
 // heartbeats, missed beats, telemetry events, manual-shaped packets, bursts —
-// through a sequential arm and a four-shard ring arm in lockstep on virtual
+// through a sequential arm and a four-shard worker arm in lockstep on virtual
 // clocks, and requires byte-identical decisions, encoded state, and metrics
 // snapshots across three seeds.
 func TestSoakDifferential(t *testing.T) {

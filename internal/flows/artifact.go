@@ -112,17 +112,6 @@ func ArrivalFromRaw(last []int64, has []bool) (*ArrivalState, error) {
 	return &ArrivalState{last: last, has: has}, nil
 }
 
-// BindArrival repoints an existing arrival state at externally-owned slices
-// — the allocation-free variant of ArrivalFromRaw for callers that manage
-// the ArrivalState struct themselves.
-func (st *ArrivalState) BindArrival(last []int64, has []bool) error {
-	if len(last) != len(has) {
-		return fmt.Errorf("flows: arrival slices disagree on width (%d vs %d)", len(last), len(has))
-	}
-	st.last, st.has = last, has
-	return nil
-}
-
 // NewRawRuleTable wraps a serialized mutable rule table without
 // materializing its bucket maps or compiling it: the bytes are fully
 // validated up front (same structural checks as DecodeRuleTable, plus the
@@ -143,9 +132,8 @@ func NewRawRuleTable(data []byte) (*RuleTable, error) {
 
 // NewRawRuleTableTrusted wraps data like NewRawRuleTable but only parses the
 // fixed header, skipping the deep structural walk. The caller must guarantee
-// data already passed NewRawRuleTable — restore validates each distinct
-// encoding once while decoding the image, then wraps every device's bytes
-// with this.
+// data already passed NewRawRuleTable — restore validates each device's
+// encoding while decoding the image, then wraps the same bytes with this.
 func NewRawRuleTableTrusted(data []byte) (*RuleTable, error) {
 	mode, quantum, frozen, err := ruleTableHeader(data)
 	if err != nil {

@@ -20,21 +20,11 @@ type Clock interface {
 	Now() time.Time
 }
 
-// Sleeper is implemented by clocks that can block until a deadline.
-type Sleeper interface {
-	Clock
-	// Sleep blocks until d has elapsed on this clock.
-	Sleep(d time.Duration)
-}
-
 // RealClock reads the wall clock.
 type RealClock struct{}
 
 // Now implements Clock.
 func (RealClock) Now() time.Time { return time.Now() }
-
-// Sleep implements Sleeper.
-func (RealClock) Sleep(d time.Duration) { time.Sleep(d) }
 
 // VirtualClock is a manually advanced clock with an event queue. It is safe
 // for concurrent use. The zero value is not ready; use NewVirtual.
