@@ -54,6 +54,10 @@ type MLClassifier struct {
 	// BernoulliNB, the one FIAT deploys, and NearestCentroid; the others
 	// classify through IsManual.
 	compiled ml.CompiledModel
+	// sum is compiled's checksum (ml.CompiledChecksum), computed once when
+	// the model is compiled: a compiled model never changes, and config and
+	// state identity read the sum at every checkpoint.
+	sum uint32
 }
 
 // TrainMLClassifier fits the classifier on labeled events and compiles the
@@ -76,8 +80,13 @@ func TrainMLClassifier(evs []*events.Event, factory func() ml.Classifier) (*MLCl
 	if err := c.model.Fit(Xs, y); err != nil {
 		return nil, err
 	}
+	// A model that compiles but has no codec could be neither checksummed
+	// nor snapshotted, so it classifies through IsManual instead. Every
+	// family the compiler emits has a codec.
 	if cm, err := ml.Compile(c.model, &c.scaler); err == nil {
-		c.compiled = cm
+		if sum, err := ml.CompiledChecksum(cm); err == nil {
+			c.compiled, c.sum = cm, sum
+		}
 	}
 	return c, nil
 }
@@ -108,6 +117,7 @@ func (c *MLClassifier) CompiledEventClassifier() EventClassifier {
 	}
 	return &compiledEventClassifier{
 		model: c.compiled.Clone(),
+		sum:   c.sum,
 		buf:   make([]float64, features.Dim),
 	}
 }
@@ -118,6 +128,7 @@ func (c *MLClassifier) CompiledEventClassifier() EventClassifier {
 // allocation-free under the shard mutex.
 type compiledEventClassifier struct {
 	model ml.CompiledModel
+	sum   uint32 // model's checksum, taken from its template or image
 	buf   []float64
 }
 

@@ -108,9 +108,10 @@ type Config struct {
 	LockoutWindow    time.Duration
 	// Shards is the number of per-device state shards the engine runs
 	// (default GOMAXPROCS). Devices are hash-assigned to shards. Shards = 1
-	// runs every batch inline on the sequential path; more shards run
-	// ProcessBatch on one worker per shard (see asyncPipeline), started by
-	// the first batch — call Proxy.Close to stop them. Decisions are
+	// runs every batch inline on the sequential path; N > 1 shards run
+	// ProcessBatch on one worker per shard (see asyncPipeline): N−1 worker
+	// goroutines, started by the first batch, plus the calling goroutine,
+	// which runs shard 0 — call Proxy.Close to stop them. Decisions are
 	// identical either way, so Shards is excluded from ConfigChecksum: a
 	// snapshot restores into any shard count.
 	Shards int

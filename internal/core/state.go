@@ -109,10 +109,8 @@ func appendClassifierTag(b []byte, c EventClassifier) []byte {
 		return wire.AppendI64(b, int64(c.NotificationSize))
 	case *MLClassifier:
 		if c != nil && c.compiled != nil {
-			if sum, err := ml.CompiledChecksum(c.compiled); err == nil {
-				b = wire.AppendU8(b, clsTagCompiledML)
-				return wire.AppendU32(b, sum)
-			}
+			b = wire.AppendU8(b, clsTagCompiledML)
+			return wire.AppendU32(b, c.sum)
 		}
 		return wire.AppendU8(b, clsTagLegacyML)
 	default:
@@ -202,16 +200,18 @@ func (p *Proxy) appendState(b []byte, detached bool) ([]byte, int) {
 			}
 		}
 		if cec, ok := ds.classifier.(*compiledEventClassifier); ok {
-			// An unencodable compiled model cannot exist (every family the
-			// compiler emits has a codec); falling back to the config
-			// classifier keeps encode total rather than panicking.
-			if enc, err := ml.EncodeCompiled(cec.model); err == nil {
-				sum := crc32.Checksum(enc, stateCastagnoli)
-				arts[i].modelSum = sum
-				arts[i].hasModel = true
-				if _, ok := modelBlobs[sum]; !ok {
-					modelBlobs[sum] = artifact.EncodeModel(enc)
+			// The model's sum is known, so only the first device wearing a
+			// model encodes it. An unencodable compiled model cannot exist
+			// (every family the compiler emits has a codec); falling back to
+			// the config classifier keeps encode total rather than panicking.
+			if _, ok := modelBlobs[cec.sum]; !ok {
+				if enc, err := ml.EncodeCompiled(cec.model); err == nil {
+					modelBlobs[cec.sum] = artifact.EncodeModel(enc)
 				}
+			}
+			if _, ok := modelBlobs[cec.sum]; ok {
+				arts[i].modelSum = cec.sum
+				arts[i].hasModel = true
 			}
 		}
 		sh.mu.Unlock()
@@ -1203,12 +1203,8 @@ func (p *Proxy) restoreModel(ds *deviceState, blob *imageBlob) (EventClassifier,
 	if !ok || mlc.compiled == nil {
 		return nil, fmt.Errorf("snapshot carries a compiled classifier but live config provides none")
 	}
-	cfgSum, err := ml.CompiledChecksum(mlc.compiled)
-	if err != nil {
-		return nil, fmt.Errorf("config classifier: %w", err)
-	}
-	if cfgSum != blob.sum {
-		return nil, fmt.Errorf("model %08x does not match config model %08x", blob.sum, cfgSum)
+	if mlc.sum != blob.sum {
+		return nil, fmt.Errorf("model %08x does not match config model %08x", blob.sum, mlc.sum)
 	}
 	// Shared template decoded once at install; the clone gives this device
 	// private scratch over the shared frozen tables.
@@ -1218,6 +1214,7 @@ func (p *Proxy) restoreModel(ds *deviceState, blob *imageBlob) (EventClassifier,
 	}
 	return &compiledEventClassifier{
 		model: shared.Clone(),
+		sum:   blob.sum,
 		buf:   make([]float64, features.Dim),
 	}, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"fiat/internal/artifact"
 	"fiat/internal/flows"
-	"fiat/internal/ml"
 	"fiat/internal/obs"
 	"fiat/internal/swap"
 )
@@ -352,9 +351,7 @@ func (p *Proxy) SwapPhase(device string) swap.Phase {
 // identity (0 when the device classifies through an uncompiled path).
 func (ds *deviceState) modelSum() uint32 {
 	if cec, ok := ds.classifier.(*compiledEventClassifier); ok {
-		if sum, err := ml.CompiledChecksum(cec.model); err == nil {
-			return sum
-		}
+		return cec.sum
 	}
 	return 0
 }

@@ -69,6 +69,11 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
+// observeZeros records n observations of 0, which leave the sum alone.
+func (h *Histogram) observeZeros(n int64) {
+	h.counts[h.bucketFor(0)].Add(n)
+}
+
 // HistogramTally is a goroutine-private tally of observations bound for one
 // Histogram: plain int64 bucket counts and sum, folded into the histogram by
 // Flush with one atomic add per non-zero cell. A goroutine observing once per

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"net/netip"
@@ -127,6 +128,23 @@ func TestTLSHandshakeRecord(t *testing.T) {
 	tls := p.TLS()
 	if tls == nil || tls.ContentType != TLSHandshake {
 		t.Fatalf("handshake not detected: %+v", tls)
+	}
+}
+
+// TestTLSAppDataBytes pins TLSAppData's record, header and body, against a
+// byte-at-a-time fill of the 16-byte body pattern for every body length
+// from 0 to 1,500.
+func TestTLSAppDataBytes(t *testing.T) {
+	for n := 0; n <= 1500; n++ {
+		want := []byte{TLSApplicationData, 0, 0, 0, 0}
+		binary.BigEndian.PutUint16(want[1:3], VersionTLS12)
+		binary.BigEndian.PutUint16(want[3:5], uint16(n))
+		for i := 0; i < n; i++ {
+			want = append(want, byte(0xa0+i%16))
+		}
+		if got := TLSAppData(VersionTLS12, n); !bytes.Equal(got, want) {
+			t.Fatalf("body length %d: record differs from the byte-loop fill", n)
+		}
 	}
 }
 

@@ -105,8 +105,13 @@ func TLSAppData(version uint16, bodyLen int) []byte {
 	rec[0] = TLSApplicationData
 	binary.BigEndian.PutUint16(rec[1:3], version)
 	binary.BigEndian.PutUint16(rec[3:5], uint16(bodyLen))
-	for i := 0; i < bodyLen; i++ {
-		rec[5+i] = byte(0xa0 + i%16)
+	// Lay down one 16-byte period, then double the filled prefix with copy.
+	body := rec[5:]
+	for i := 0; i < len(body) && i < 16; i++ {
+		body[i] = byte(0xa0 + i)
+	}
+	for n := 16; n < len(body); n *= 2 {
+		copy(body[n:], body[:n])
 	}
 	return rec
 }

@@ -26,33 +26,45 @@ func FeatureNames() []string {
 	return out
 }
 
-// Features computes the 48-dimensional statistical vector for a window.
+// numAxes is the number of series a window carries: accelerometer x, y, z,
+// then gyroscope x, y, z, in feature-vector order.
+const numAxes = 6
+
+// reading returns sample s's value on axis a (0..5, in numAxes order).
+func reading(s *Sample, a int) float64 {
+	if a < 3 {
+		return s.Accel[a]
+	}
+	return s.Gyro[a-3]
+}
+
+// Features computes the 48-dimensional statistical vector for a window: for
+// each of the six axes, in numAxes order, the eight statNames statistics.
+// It reads every axis straight from the samples and writes only the
+// returned vector, its one allocation. An empty window yields all zeros.
 func Features(w Window) []float64 {
-	out := make([]float64, 0, FeatureDim)
-	for sensor := 0; sensor < 2; sensor++ {
-		for axis := 0; axis < 3; axis++ {
-			series := make([]float64, len(w.Samples))
-			for i, s := range w.Samples {
-				if sensor == 0 {
-					series[i] = s.Accel[axis]
-				} else {
-					series[i] = s.Gyro[axis]
-				}
-			}
-			out = append(out, axisStats(series)...)
-		}
+	out := make([]float64, FeatureDim)
+	if len(w.Samples) == 0 {
+		return out
+	}
+	for a := 0; a < numAxes; a++ {
+		axisStats(out[a*len(statNames):(a+1)*len(statNames)], w.Samples, a)
 	}
 	return out
 }
 
-func axisStats(x []float64) []float64 {
-	n := len(x)
-	if n == 0 {
-		return make([]float64, len(statNames))
-	}
-	var sum float64
+// axisStats writes axis a's eight statistics over the non-empty samples
+// into o. Two sweeps: the first accumulates the sum, extremes, sum of
+// squares and absolute first differences, the second the mean-dependent
+// variance and zero crossings. The accumulators are scalars, so they stay
+// in registers; a single sweep carrying all six axes' accumulators measured
+// slower, because those live in memory.
+func axisStats(o []float64, samples []Sample, a int) {
+	n := float64(len(samples))
+	var sum, sq, jerk, prev float64
 	minV, maxV := math.Inf(1), math.Inf(-1)
-	for _, v := range x {
+	for i := range samples {
+		v := reading(&samples[i], a)
 		sum += v
 		if v < minV {
 			minV = v
@@ -60,36 +72,28 @@ func axisStats(x []float64) []float64 {
 		if v > maxV {
 			maxV = v
 		}
-	}
-	mean := sum / float64(n)
-	var varSum, sq float64
-	for _, v := range x {
-		d := v - mean
-		varSum += d * d
 		sq += v * v
+		// Mean absolute first difference ("jerk" proxy).
+		if i > 0 {
+			jerk += math.Abs(v - prev)
+		}
+		prev = v
 	}
-	std := math.Sqrt(varSum / float64(n))
-	rms := math.Sqrt(sq / float64(n))
-	// Mean absolute first difference ("jerk" proxy).
-	var jerk float64
-	for i := 1; i < n; i++ {
-		jerk += math.Abs(x[i] - x[i-1])
-	}
-	if n > 1 {
-		jerk /= float64(n - 1)
-	}
-	// Zero-crossing rate of the mean-removed signal.
-	var zc float64
-	prev := x[0] - mean
-	for i := 1; i < n; i++ {
-		cur := x[i] - mean
-		if (prev < 0 && cur >= 0) || (prev >= 0 && cur < 0) {
+	mean := sum / n
+	var varSum, zc float64
+	for i := range samples {
+		d := reading(&samples[i], a) - mean
+		varSum += d * d
+		// Zero-crossing rate of the mean-removed signal.
+		if i > 0 && ((prev < 0 && d >= 0) || (prev >= 0 && d < 0)) {
 			zc++
 		}
-		prev = cur
+		prev = d
 	}
-	if n > 1 {
-		zc /= float64(n - 1)
+	o[0], o[1] = mean, math.Sqrt(varSum/n)
+	o[2], o[3], o[4] = minV, maxV, maxV-minV
+	o[5] = math.Sqrt(sq / n)
+	if len(samples) > 1 {
+		o[6], o[7] = jerk/(n-1), zc/(n-1)
 	}
-	return []float64{mean, std, minV, maxV, maxV - minV, rms, jerk, zc}
 }

@@ -95,8 +95,14 @@ func TestFeaturesEmptyWindow(t *testing.T) {
 	}
 }
 
+// TestAxisStatsKnownSeries checks the eight statistics of one known series,
+// carried on the accelerometer's x axis of an otherwise still window.
 func TestAxisStatsKnownSeries(t *testing.T) {
-	s := axisStats([]float64{1, -1, 1, -1})
+	var w Window
+	for _, v := range []float64{1, -1, 1, -1} {
+		w.Samples = append(w.Samples, Sample{Accel: [3]float64{v, 0, 0}})
+	}
+	s := Features(w)[:len(statNames)]
 	// mean 0, std 1, min -1, max 1, range 2, rms 1, jerk 2, zcr 1.
 	want := []float64{0, 1, -1, 1, 2, 1, 2, 1}
 	for i, w := range want {
