@@ -164,8 +164,7 @@ func main() {
 		for _, rec := range recs {
 			rt.Learn(rec)
 		}
-		rt.Freeze()
-		profile := mud.FromRules("device", *mudURL, rt, recs[len(recs)-1].Time)
+		profile := mud.FromRules("device", *mudURL, rt.Keys(), recs[len(recs)-1].Time)
 		data, err := profile.Encode()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fiat-analyze: MUD export:", err)

@@ -351,14 +351,14 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// exportMUD writes the plug's learned rule table as an RFC 8520 profile.
+// exportMUD writes the plug's learned rules as an RFC 8520 profile.
 func exportMUD(path string, proxy *core.Proxy) {
-	rt, ok := proxy.Rules("plug")
+	keys, ok := proxy.RuleKeys("plug")
 	if !ok {
 		fmt.Fprintln(os.Stderr, "fiat-proxy: no rules to export")
 		return
 	}
-	profile := mud.FromRules("plug", "https://fiat.example/plug.json", rt, time.Now())
+	profile := mud.FromRules("plug", "https://fiat.example/plug.json", keys, time.Now())
 	data, err := profile.Encode()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fiat-proxy: MUD export:", err)

@@ -39,7 +39,6 @@ func (p *Proxy) ProcessBatchInto(batch []PacketIn, dst []Decision) []Decision {
 	if len(batch) == 0 {
 		return dst[:0]
 	}
-	p.configSum()
 	if cap(dst) < len(batch) {
 		dst = make([]Decision, len(batch))
 	} else {

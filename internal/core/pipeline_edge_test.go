@@ -10,6 +10,7 @@ import (
 	"fiat/internal/events"
 	"fiat/internal/flows"
 	"fiat/internal/ml"
+	"fiat/internal/simclock"
 )
 
 // TestAsyncPendingHoldMergesThroughArena: a degraded-mode hold produced
@@ -158,7 +159,7 @@ func TestProxySmallSurfaces(t *testing.T) {
 	}
 	r.proxy.RegisterPairingAlias("phone-2")
 	r.proxy.RegisterPairingAlias("phone-2") // duplicate: must not double-register
-	if _, ok := r.proxy.Rules("ghost"); ok {
+	if _, ok := r.proxy.RuleKeys("ghost"); ok {
 		t.Fatal("rules reported for unknown device")
 	}
 	if d := r.proxy.FlushEvent("ghost"); d != nil {
@@ -215,7 +216,9 @@ func TestProxySmallSurfaces(t *testing.T) {
 // TestProxyRestoreTruncationSweep feeds every strict prefix of a populated
 // state image to RestoreState: each must fail closed (no prefix may decode
 // as a complete image), and none may panic. This sweeps the truncation
-// branch of every section decoder.
+// branch of every section decoder. Each prefix restores into a fresh proxy
+// configured like the source, built over the source's keystore and
+// validator so no prefix pays for a pairing.
 func TestProxyRestoreTruncationSweep(t *testing.T) {
 	clf := trainDiffClassifier(t, 3)
 	src := buildStateRig(t, 1, clf)
@@ -224,8 +227,24 @@ func TestProxyRestoreTruncationSweep(t *testing.T) {
 	if len(enc) < 100 {
 		t.Fatalf("state image implausibly small: %d bytes", len(enc))
 	}
+	target := func() *Proxy {
+		p := NewProxy(simclock.NewVirtual(), src.proxy.ks, src.proxy.human, stateRigConfig(1))
+		if err := p.AddDevice(DeviceConfig{Name: "plug", Classifier: RuleClassifier{NotificationSize: 235}, GraceN: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AddDevice(DeviceConfig{Name: "cam", Classifier: clf, GraceN: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.DAG().Allow("hub", "plug"); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if err := target().RestoreState(append([]byte(nil), enc...)); err != nil {
+		t.Fatalf("the whole image does not restore into a target: %v", err)
+	}
 	for l := 0; l < len(enc); l++ {
-		if err := buildStateRig(t, 1, clf).proxy.RestoreState(enc[:l]); err == nil {
+		if err := target().RestoreState(enc[:l]); err == nil {
 			t.Fatalf("truncated image of %d/%d bytes accepted", l, len(enc))
 		}
 	}

@@ -212,11 +212,6 @@ type Proxy struct {
 	// readers load it without a lock and never sort (see deviceStates).
 	devs atomic.Pointer[[]*deviceState]
 
-	// cfgSum caches ConfigChecksum for artifact identity; computed once,
-	// before any shard lock. See configSum.
-	cfgSumOnce sync.Once
-	cfgSum     uint32
-
 	// Test hooks (nil in production): swapHook observes every artifact the
 	// match path loads; releaseHook observes every reclaimed generation.
 	swapHook    func(device string, art *ruleArtifact)
@@ -465,7 +460,6 @@ func (p *Proxy) PendingDepth() int { return p.pending.depth() }
 // periodically — the chaos runner and cmd/fiat-proxy tick it about once a
 // second.
 func (p *Proxy) SweepPending() int {
-	p.configSum()
 	now := p.clock.Now()
 	expired := p.pending.expire(now)
 	for _, pd := range expired {
@@ -512,7 +506,6 @@ func (p *Proxy) Bootstrapped() bool {
 // pipeline and returns the verdict. peer names the LAN peer for
 // device-to-device DAG checks ("" when the peer is the WAN).
 func (p *Proxy) Process(device string, rec flows.Record, peer string) Decision {
-	p.configSum()
 	si := p.shardIndex(device)
 	sh := p.shards[si]
 	sh.mu.Lock()
@@ -598,9 +591,11 @@ func (p *Proxy) StatsSnapshot() ProxyStats {
 	return p.Stats
 }
 
-// Rules exposes a device's learned rule table (for inspection and RFC 8520
-// export).
-func (p *Proxy) Rules(device string) (*flows.RuleTable, bool) {
+// RuleKeys returns the bucket keys of a device's learned rules, the flows
+// holding at least one recurring interval (for inspection and RFC 8520
+// export): the live arena's once the device has frozen, the learning
+// table's before that.
+func (p *Proxy) RuleKeys(device string) ([]flows.Key, bool) {
 	sh := p.shardFor(device)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -608,7 +603,10 @@ func (p *Proxy) Rules(device string) (*flows.RuleTable, bool) {
 	if !ok {
 		return nil, false
 	}
-	return ds.rules, true
+	if art := ds.art.Load(); art != nil {
+		return art.compiled.Keys(), true
+	}
+	return ds.rules.Keys(), true
 }
 
 // CompiledRules exposes a device's immutable enforcement-phase rule engine

@@ -26,7 +26,9 @@ type shard struct {
 // deviceState is one protected device's pipeline state, owned by exactly one
 // shard.
 type deviceState struct {
-	cfg     DeviceConfig
+	cfg DeviceConfig
+	// rules is the bootstrap learning table. The freeze point compiles it
+	// into art and drops it, so exactly one of rules and art is non-nil.
 	rules   *flows.RuleTable
 	grouper *events.Grouper
 	// art is the enforcement-phase rule engine, installed at the freeze
@@ -34,8 +36,7 @@ type deviceState struct {
 	// arrival-state block, and the artifact's versioned identity, published
 	// as ONE atomic pointer so the frozen match path takes no lock,
 	// allocates nothing, and a hot swap (see swap.go) can never expose a
-	// mixed-generation view. nil before the freeze point; a frozen device
-	// always has one (restore rejects a frozen table without an arena).
+	// mixed-generation view. nil before the freeze point.
 	art atomic.Pointer[ruleArtifact]
 	// rl is the in-flight relearning lifecycle (nil while idle), read by
 	// every stage-1 match.
@@ -185,28 +186,28 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 		return
 	}
 
-	// Bootstrap: allow everything, learn rules.
+	// Bootstrap: allow everything, learn rules. A device already past its
+	// freeze point (the clock read behind its freeze) has no table left to
+	// learn into and is allowed all the same.
 	if now.Sub(p.started) < p.cfg.Bootstrap {
-		ds.rules.Learn(rec)
+		if ds.rules != nil {
+			ds.rules.Learn(rec)
+		}
 		o.delta.allowed++
 		o.d = Decision{Verdict: Allow, Reason: ReasonBootstrap}
 		return
 	}
-	// A device has a live artifact exactly when its rule table is frozen:
-	// the freeze point below installs one, promotion swaps in another frozen
-	// table's, and restore rejects a mismatch. Testing the artifact instead
-	// of the table keeps the RuleTable mutex off the per-packet path.
 	art := ds.art.Load()
 	if art == nil {
-		// Freeze point: end learning and install the compiled engine as
-		// generation 1.
-		ds.rules.Freeze()
-		cr := ds.rules.Compiled()
+		// Freeze point: compile the learned table, install it as generation
+		// 1, and drop the table. From here on the artifact is the device's
+		// rules.
+		cr := ds.rules.Compile()
+		ds.rules = nil
 		ds.genCounter = 1
 		art = &ruleArtifact{
 			meta: swap.Meta{
 				Generation: 1,
-				ConfigSum:  p.cfgSum,
 				RulesSum:   cr.Checksum(),
 				ModelSum:   ds.modelSum(),
 			},

@@ -28,8 +28,12 @@ import (
 // state as an 8-aligned raw block restore can alias in place. v4
 // moved drift detection into the devices: each device section carries the
 // device's drift tallies and its detector window, and the fleet-wide
-// detector left the tail.
-const ProxyStateVersion uint16 = 4
+// detector left the tail. v5 keeps one representation of a device's rules:
+// a device section carries its learning table before the freeze point and
+// only the arena reference, arrival block and identity after it, and a
+// mid-shadow candidate carries its compiled arena in place of its frozen
+// table.
+const ProxyStateVersion uint16 = 5
 
 var stateCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -120,10 +124,10 @@ func appendClassifierTag(b []byte, c EventClassifier) []byte {
 
 // AppendState serializes the proxy's complete mutable state: identity
 // (started instant, pairing aliases), the audit log and stats, every
-// device's pipeline state (rule table, compiled arena + arrival block,
-// compiled classifier, in-flight event, lockout bookkeeping), the
-// validation/pending/channel/replay-guard stores, and finally the metrics
-// registry. The encoding is canonical — equal state produces equal bytes —
+// device's pipeline state (learning table, or compiled arena + arrival
+// block once frozen; compiled classifier, in-flight event, lockout
+// bookkeeping), the validation/pending/channel/replay-guard stores, and
+// finally the metrics registry. The encoding is canonical — equal state produces equal bytes —
 // which is what lets crash-recovery oracles compare a restored proxy against
 // an uninterrupted reference byte-for-byte.
 //
@@ -384,11 +388,8 @@ func appendArtifactSection(b []byte, base int, arenas, models map[uint32][]byte)
 
 func appendDeviceState(b []byte, base int, ds *deviceState, arts *devArtifacts) []byte {
 	b = wire.AppendString(b, ds.cfg.Name)
-	// Length-prefixed since v3: restore keeps the raw bytes and
-	// materializes the table lazily, so the decoder must know the span
-	// without parsing it.
-	b, at := wire.BeginBytes(b)
-	b = wire.EndBytes(ds.rules.AppendState(b), at)
+	// A frozen device is its artifact; before the freeze point it is its
+	// learning table.
 	if art := ds.art.Load(); art != nil {
 		b = wire.AppendBool(b, true)
 		b = wire.AppendU32(b, arts.rulesSum)
@@ -410,6 +411,7 @@ func appendDeviceState(b []byte, base int, ds *deviceState, arts *devArtifacts) 
 		b = art.meta.Append(b)
 	} else {
 		b = wire.AppendBool(b, false)
+		b = appendLearningTable(b, ds.rules)
 	}
 	if arts.hasModel {
 		b = wire.AppendU8(b, 1)
@@ -443,11 +445,10 @@ func appendDeviceState(b []byte, base int, ds *deviceState, arts *devArtifacts) 
 		b = wire.AppendBool(b, false)
 	}
 	// v2: relearning lifecycle — generation counter, rollback cooldown, and
-	// the in-flight candidate (mutable table mid-relearn; frozen table +
+	// the in-flight candidate (mutable table mid-relearn; compiled arena +
 	// identity + arrival + shadow matrices mid-shadow), so a durable restart
-	// resumes mid-lifecycle exactly. The candidate's compiled form is NOT
-	// serialized: restore recompiles the frozen table and fails closed when
-	// the digest disagrees with the serialized identity.
+	// resumes mid-lifecycle exactly. The candidate's arena is written inline,
+	// not into the artifact section: it is never shared.
 	b = wire.AppendU64(b, ds.genCounter)
 	if ds.cooldownUntil.IsZero() {
 		b = wire.AppendBool(b, false)
@@ -465,8 +466,10 @@ func appendDeviceState(b []byte, base int, ds *deviceState, arts *devArtifacts) 
 	b = wire.AppendU8(b, uint8(phase))
 	if rl := ds.rl; rl != nil {
 		b = wire.AppendI64(b, rl.started.UnixNano())
-		b = rl.table.AppendState(b)
-		if rl.phase == swap.PhaseShadow {
+		if rl.phase == swap.PhaseRelearn {
+			b = appendLearningTable(b, rl.table)
+		} else {
+			b = rl.compiled.AppendArena(b)
 			b = rl.meta.Append(b)
 			b = flows.AppendArrival(b, rl.arrival)
 			b = rl.matrix.Append(b)
@@ -474,6 +477,13 @@ func appendDeviceState(b []byte, base int, ds *deviceState, arts *devArtifacts) 
 		}
 	}
 	return b
+}
+
+// appendLearningTable writes a learning table length-prefixed, so decode
+// can require the table to fill its frame exactly.
+func appendLearningTable(b []byte, rt *flows.RuleTable) []byte {
+	b, at := wire.BeginBytes(b)
+	return wire.EndBytes(rt.AppendState(b), at)
 }
 
 func (p *Proxy) appendValidations(b []byte) []byte {
@@ -547,9 +557,8 @@ func (p *Proxy) appendGuard(b []byte) []byte {
 }
 
 // stateImage is a decoded proxy image, up to the sections that restore only
-// into live objects. Artifact blobs, rule-table bytes and arrival blocks
-// alias the decoded buffer; everything else is owned and moves into the
-// proxy at install.
+// into live objects. Artifact blobs and arrival blocks alias the decoded
+// buffer; everything else is owned and moves into the proxy at install.
 type stateImage struct {
 	configSum uint32
 	started   time.Time
@@ -585,11 +594,12 @@ type imageBlob struct {
 
 // deviceImage is one decoded device section.
 type deviceImage struct {
-	name  string
-	rules []byte // serialized rule table, validated by decode; install wraps it unparsed
+	name string
 
-	// arena is the live compiled artifact's blob (nil: the device has none);
-	// the raw arrival block and the identity belong to it.
+	// A device carries exactly one of its learning table (before the freeze
+	// point) and its live compiled artifact's blob, which the raw arrival
+	// block and the identity belong to.
+	rules       *flows.RuleTable
 	arena       *imageBlob
 	arrivalLast []byte
 	arrivalHas  []byte
@@ -624,8 +634,8 @@ type deviceImage struct {
 // proxy must then be discarded — the recovery path builds a throwaway proxy
 // per attempt, so there is nothing to roll back.
 //
-// The restored proxy keeps data: rule tables and compiled arenas alias it,
-// and each device's arrival state is bound over it and written in place as
+// The restored proxy keeps data: compiled arenas alias it, and each
+// device's arrival state is bound over it and written in place as
 // packets arrive, the way a recovery writes into the copy-on-write pages of
 // a MAP_PRIVATE snapshot mapping. data must not be modified by the caller
 // or handed to another proxy afterwards.
@@ -657,10 +667,9 @@ func (p *Proxy) RestoreStateDetached(body []byte, log []LogEntry) error {
 // RestoreState's proxy unchanged. Beyond framing it rejects a repeated
 // artifact checksum or device, a reference to an arena or model the
 // artifact section lacks, an unknown classifier kind or lifecycle phase, a
-// rule table that fails full validation, a rule table frozen without an
-// arena (or an arena over an unfrozen table), an arena that is not the
-// compilation of its device's rule table, and identities, candidates and
-// generation counters that disagree with each other.
+// learning table that is not in canonical form, is frozen or has trailing
+// bytes, and identities, arenas, candidates and generation counters that
+// disagree with each other.
 //
 // With detached set, the image is one AppendStateDetached wrote: its log
 // section holds only the entry count, which must equal len(log), and log
@@ -778,36 +787,12 @@ func decodeBlobs(rd *wire.Reader, data []byte, padded bool) ([]imageBlob, map[ui
 	return blobs, index, nil
 }
 
-// checkRules fully validates a device's rule-table encoding and, when it is
-// frozen, recompiles it and returns the compilation's checksum. Each device
-// pays its own walk: the tables carry per-bucket arrival and histogram
-// state, so devices rarely share an encoding.
-func checkRules(raw []byte) (frozen bool, sum uint32, err error) {
-	rt, err := flows.NewRawRuleTable(raw)
-	if err != nil {
-		return false, 0, err
-	}
-	if !rt.Frozen() {
-		return false, 0, nil
-	}
-	return true, rt.Compiled().Checksum(), nil
-}
-
 // decodeDevice parses one device section into d, resolving its artifact
 // references against the section's indexes.
 func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*imageBlob, d *deviceImage) error {
 	d.name = rd.String()
 	name := d.name
-	rtLen := int(rd.U32())
-	if rd.Err() != nil || rtLen > rd.Len() {
-		return fmt.Errorf("core: device %q rules: %w", name, wire.ErrTruncated)
-	}
-	d.rules = rd.Take(rtLen)
-	frozen, rulesSum, err := checkRules(d.rules)
-	if err != nil {
-		return fmt.Errorf("core: device %q rules: %w", name, err)
-	}
-
+	var err error
 	if rd.Bool() {
 		sum := rd.U32()
 		if err := rd.Err(); err != nil {
@@ -815,14 +800,6 @@ func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*image
 		}
 		if d.arena = arenas[sum]; d.arena == nil {
 			return fmt.Errorf("core: device %q references arena %08x missing from artifact section", name, sum)
-		}
-		if !frozen {
-			return fmt.Errorf("core: device %q has a compiled arena but an unfrozen rule table", name)
-		}
-		// The arena must be the compilation of the restored rule table, not
-		// merely self-consistent: the device enforces what it learned.
-		if rulesSum != sum {
-			return fmt.Errorf("core: device %q arena %08x does not match recompiled rules %08x", name, sum, rulesSum)
 		}
 		// The aligned raw arrival block: width, padding, 8*width bytes of
 		// last-arrival values, width bytes of the has bitmap.
@@ -846,10 +823,8 @@ func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*image
 		if d.meta.RulesSum != sum {
 			return fmt.Errorf("core: device %q artifact meta rules digest %08x does not match arena %08x", name, d.meta.RulesSum, sum)
 		}
-	} else if frozen {
-		// Stage 1 matches only through the compiled arena, which the freeze
-		// point installs; a frozen table without one cannot enforce.
-		return fmt.Errorf("core: device %q has a frozen rule table but no compiled arena", name)
+	} else if d.rules, err = readLearningTable(rd); err != nil {
+		return fmt.Errorf("core: device %q rules: %w", name, err)
 	}
 
 	switch kind := rd.U8(); kind {
@@ -935,34 +910,49 @@ func decodeDevice(rd *wire.Reader, data []byte, arenas, models map[uint32]*image
 	return nil
 }
 
-// decodeCandidate parses the relearning lifecycle's in-flight candidate: the
-// mutable table mid-relearn; the frozen table, identity, arrival and shadow
-// matrices mid-shadow. The candidate's compiled form is not serialized: it
-// is rebuilt from the frozen table and fails closed when its digest
-// disagrees with the serialized identity — the same recompile discipline
-// checkRules applies to the live arena.
-func decodeCandidate(rd *wire.Reader, name string, phase swap.Phase) (*relearnState, error) {
-	started := time.Unix(0, rd.I64()).UTC()
-	ct, rest, err := flows.DecodeRuleTable(rd.Rest())
-	if err != nil {
-		return nil, fmt.Errorf("core: device %q candidate rules: %w", name, err)
+// readLearningTable reads a table appendLearningTable wrote. The table must
+// fill its frame and must not be frozen: a frozen device is its artifact and
+// a candidate leaving relearn is its compiled arena, so an image holding a
+// frozen table was not written by this encoder.
+func readLearningTable(rd *wire.Reader) (*flows.RuleTable, error) {
+	n := int(rd.U32())
+	if rd.Err() != nil || n > rd.Len() {
+		return nil, wire.ErrTruncated
 	}
-	rd.Reset(rest)
-	rl := &relearnState{phase: phase, started: started, table: ct}
+	rt, rest, err := flows.DecodeRuleTable(rd.Take(n))
+	switch {
+	case err != nil:
+		return nil, err
+	case len(rest) != 0:
+		return nil, fmt.Errorf("%d trailing bytes after the learning table", len(rest))
+	case rt.Frozen():
+		return nil, fmt.Errorf("learning table is frozen")
+	}
+	return rt, nil
+}
+
+// decodeCandidate parses the relearning lifecycle's in-flight candidate: the
+// learning table mid-relearn; the compiled arena, identity, arrival and
+// shadow matrices mid-shadow. The arena fails closed unless its digest is
+// the one the identity names.
+func decodeCandidate(rd *wire.Reader, name string, phase swap.Phase) (*relearnState, error) {
+	rl := &relearnState{phase: phase, started: time.Unix(0, rd.I64()).UTC()}
+	var err error
 	if phase == swap.PhaseRelearn {
-		if ct.Frozen() {
-			return nil, fmt.Errorf("core: device %q mid-relearn candidate is already frozen", name)
+		if rl.table, err = readLearningTable(rd); err != nil {
+			return nil, fmt.Errorf("core: device %q candidate rules: %w", name, err)
 		}
 		return rl, nil
 	}
-	if !ct.Frozen() {
-		return nil, fmt.Errorf("core: device %q mid-shadow candidate is not frozen", name)
+	var rest []byte
+	if rl.compiled, rest, err = flows.DecodeCompiledRules(rd.Rest()); err != nil {
+		return nil, fmt.Errorf("core: device %q candidate arena: %w", name, err)
 	}
+	rd.Reset(rest)
 	if rl.meta, rest, err = swap.DecodeMeta(rd.Rest()); err != nil {
 		return nil, fmt.Errorf("core: device %q candidate meta: %w", name, err)
 	}
 	rd.Reset(rest)
-	rl.compiled = ct.Compiled()
 	if rl.compiled.Checksum() != rl.meta.RulesSum {
 		return nil, fmt.Errorf("core: device %q candidate digest %08x does not match meta %08x", name, rl.compiled.Checksum(), rl.meta.RulesSum)
 	}
@@ -1140,11 +1130,11 @@ func (p *Proxy) install(img *stateImage) error {
 }
 
 // installDevice moves one decoded device section into the live deviceState
-// of the same name, under its shard lock. Decode already validated the rule
-// table and checked the arena against its compilation, so the device wraps
-// the rule-table bytes unparsed, adopts the shared store view install put
-// in the store, and aliases the arrival block in place: per-device work is
-// a store lookup plus slice binding.
+// of the same name, under its shard lock. Decode already decoded the
+// learning table and checked the identity against the arena, so a frozen
+// device adopts the shared store view install put in the store and aliases
+// the arrival block in place: per-device work is a store lookup plus slice
+// binding.
 func (p *Proxy) installDevice(d *deviceImage) error {
 	name := d.name
 	sh := p.shardFor(name)
@@ -1155,11 +1145,8 @@ func (p *Proxy) installDevice(d *deviceImage) error {
 		return fmt.Errorf("core: snapshot device %q not registered in live proxy", name)
 	}
 
-	rt, err := flows.NewRawRuleTableTrusted(d.rules)
-	if err != nil {
-		return fmt.Errorf("core: device %q rules: %w", name, err)
-	}
 	var art *ruleArtifact
+	var err error
 	if d.arena != nil {
 		store := p.cfg.Artifacts
 		art = &ruleArtifact{meta: d.meta, store: store, storeSum: d.arena.sum}
@@ -1178,7 +1165,7 @@ func (p *Proxy) installDevice(d *deviceImage) error {
 		}
 	}
 
-	ds.rules = rt
+	ds.rules = d.rules
 	ds.art.Store(art)
 	ds.rl = d.rl
 	ds.genCounter = d.genCounter

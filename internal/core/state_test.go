@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"fiat/internal/artifact"
 	"fiat/internal/flows"
+	"fiat/internal/simclock"
+	"fiat/internal/swap"
+	"fiat/internal/wire"
 )
 
 // stateRigConfig is the shared configuration for the snapshot round-trip
@@ -232,36 +236,42 @@ func TestProxyStateRoundTripZeroCopy(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsForeignArena: an image whose camera carries the plug's
-// compiled arena, arrival state and identity over the camera's own frozen
-// rule table is self-consistent in every reference and digest, but the
-// arena is not the compilation of the table the camera learned. Decode must
-// reject it, so RestoreState leaves the proxy untouched and the offline
-// inspector (-verify-state) refuses the detached body.
+// TestRestoreRejectsForeignArena: a frozen device is its artifact, so the
+// arena, the identity naming it and the arrival state evolving against it
+// must belong together. An image whose camera identity names the plug's
+// arena digest is rejected in decode: RestoreState leaves the proxy
+// untouched and the offline inspector (-verify-state) refuses the detached
+// body. An image pairing the camera's arena with the plug's arrival state
+// decodes, but its width disagrees with the arena, so RestoreState fails.
 func TestRestoreRejectsForeignArena(t *testing.T) {
 	clf := trainDiffClassifier(t, 3)
 	src := buildStateRig(t, 1, clf)
 	src.populateState(t)
-	plug := src.proxy.shardFor("plug").devices["plug"]
+	plugArt := src.proxy.shardFor("plug").devices["plug"].art.Load()
 	cam := src.proxy.shardFor("cam").devices["cam"]
-	if !cam.rules.Frozen() || plug.art.Load() == nil {
+	camArt := cam.art.Load()
+	if plugArt == nil || camArt == nil {
 		t.Fatal("rig did not freeze both devices")
 	}
-	cam.art.Store(plug.art.Load())
-	enc := src.proxy.EncodeState()
+	if plugArt.compiled.NumKeys() == camArt.compiled.NumKeys() {
+		t.Fatal("rig devices share an arena width; the arrival forgery would go unseen")
+	}
 
-	if _, err := decodeState(enc, nil, false); err == nil || !strings.Contains(err.Error(), "recompiled rules") {
-		t.Fatalf("decode err = %v, want the arena/rule-table identity rejection", err)
+	foreign := *camArt
+	foreign.meta.RulesSum = plugArt.meta.RulesSum
+	cam.art.Store(&foreign)
+	enc := src.proxy.EncodeState()
+	if _, err := decodeState(enc, nil, false); err == nil || !strings.Contains(err.Error(), "does not match arena") {
+		t.Fatalf("decode err = %v, want the identity/arena rejection", err)
 	}
 	dst := buildStateRig(t, 1, clf)
 	before := dst.proxy.EncodeState()
 	if err := dst.proxy.RestoreState(enc); err == nil {
-		t.Fatal("image pairing cam's rules with plug's arena restored")
+		t.Fatal("image naming the plug's arena in the camera's identity restored")
 	}
 	if !bytes.Equal(dst.proxy.EncodeState(), before) {
 		t.Fatal("rejected image changed the proxy")
 	}
-
 	body, n := src.proxy.AppendStateDetached(nil)
 	log, err := DecodeLogEntries([][]byte{src.proxy.AppendLogEntries(nil, 0, n)})
 	if err != nil {
@@ -269,6 +279,46 @@ func TestRestoreRejectsForeignArena(t *testing.T) {
 	}
 	if _, err := InspectStateArtifacts(body, log); err == nil {
 		t.Fatal("inspector accepted the forged image")
+	}
+
+	widths := *camArt
+	widths.arrival = plugArt.arrival
+	cam.art.Store(&widths)
+	enc = src.proxy.EncodeState()
+	err = buildStateRig(t, 1, clf).proxy.RestoreState(enc)
+	if err == nil || !strings.Contains(err.Error(), "arrival state width") {
+		t.Fatalf("restore err = %v, want the arrival-width rejection", err)
+	}
+}
+
+// TestRestoreRejectsForeignCandidate: a mid-shadow candidate is written as
+// its compiled arena, identity and arrival state. Decode must reject an
+// identity naming another arena and an arrival block of another width.
+func TestRestoreRejectsForeignCandidate(t *testing.T) {
+	clock := simclock.NewVirtual()
+	p, _, at := swapGuardProxy(t, clock, 41)
+	t.Cleanup(p.Close)
+	injectShadow(t, p, "plug", swap.PhaseShadow, at.Add(-4*time.Minute))
+	if _, err := decodeState(p.EncodeState(), nil, false); err != nil {
+		t.Fatalf("intact mid-shadow image rejected: %v", err)
+	}
+	rl := p.shardFor("plug").devices["plug"].rl
+	intact := *rl
+
+	rl.meta.RulesSum ^= 1
+	if _, err := decodeState(p.EncodeState(), nil, false); err == nil || !strings.Contains(err.Error(), "candidate digest") {
+		t.Fatalf("decode err = %v, want the candidate identity rejection", err)
+	}
+
+	*rl = intact
+	n := rl.compiled.NumKeys() + 1
+	wide, err := flows.ArrivalFromRaw(make([]int64, n), make([]bool, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl.arrival = wide
+	if _, err := decodeState(p.EncodeState(), nil, false); err == nil || !strings.Contains(err.Error(), "candidate arrival") {
+		t.Fatalf("decode err = %v, want the candidate arrival-width rejection", err)
 	}
 }
 
@@ -310,10 +360,11 @@ func TestProxyStateDetachedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProxyRestoreRejectsFrozenRulesWithoutArena: stage 1 matches only
-// through the compiled arena the freeze point installs, so an image whose
-// device has a frozen rule table but no arena must fail closed instead of
-// restoring a device that cannot enforce.
+// TestProxyRestoreRejectsFrozenRulesWithoutArena: the image holds a rule
+// table only where learning goes on, before a device's freeze point and in a
+// relearn candidate. A frozen table forged into either slot would be a
+// device that cannot enforce, or a candidate that cannot learn, so decode
+// must reject it.
 func TestProxyRestoreRejectsFrozenRulesWithoutArena(t *testing.T) {
 	mk := func() *testRig {
 		r := newRig(t, stateRigConfig(1))
@@ -323,18 +374,89 @@ func TestProxyRestoreRejectsFrozenRulesWithoutArena(t *testing.T) {
 		return r
 	}
 	src := mk()
-	src.feedHeartbeats(t, "plug", 25, time.Minute)
-	src.proxy.Process("plug", mkRec(src.clock.Now(), 128, flows.CategoryControl), "")
+	src.feedHeartbeats(t, "plug", 10, time.Minute)
 	ds := src.proxy.shardFor("plug").devices["plug"]
-	if !ds.rules.Frozen() || ds.art.Load() == nil {
-		t.Fatal("plug did not reach the freeze point")
+	if ds.rules == nil || ds.art.Load() != nil {
+		t.Fatal("plug left its bootstrap window")
 	}
 	if err := mk().proxy.RestoreState(src.proxy.EncodeState()); err != nil {
-		t.Fatalf("intact image rejected: %v", err)
+		t.Fatalf("intact pre-freeze image rejected: %v", err)
 	}
-	ds.art.Store(nil)
-	if err := mk().proxy.RestoreState(src.proxy.EncodeState()); err == nil {
-		t.Fatal("frozen rule table without a compiled arena restored")
+	ds.rules.Freeze()
+	if _, err := decodeState(src.proxy.EncodeState(), nil, false); err == nil || !strings.Contains(err.Error(), "frozen") {
+		t.Fatalf("decode err = %v, want a frozen pre-freeze table rejected", err)
+	}
+
+	src = mk()
+	src.feedHeartbeats(t, "plug", 25, time.Minute)
+	src.proxy.Process("plug", mkRec(src.clock.Now(), 128, flows.CategoryControl), "")
+	injectShadow(t, src.proxy, "plug", swap.PhaseRelearn, src.clock.Now())
+	if err := mk().proxy.RestoreState(src.proxy.EncodeState()); err != nil {
+		t.Fatalf("intact mid-relearn image rejected: %v", err)
+	}
+	src.proxy.shardFor("plug").devices["plug"].rl.table.Freeze()
+	if _, err := decodeState(src.proxy.EncodeState(), nil, false); err == nil || !strings.Contains(err.Error(), "frozen") {
+		t.Fatalf("decode err = %v, want a frozen relearn candidate rejected", err)
+	}
+}
+
+// TestFrozenDeviceIsItsArtifact: once a device freezes, its compiled
+// artifact is its only rule state. After populateState neither device keeps
+// a learning table; PromoteIdentical clones the live arena, keeping its
+// RulesSum and the decisions that follow; and no golden image carries a
+// learning table for a frozen device.
+func TestFrozenDeviceIsItsArtifact(t *testing.T) {
+	clf := trainDiffClassifier(t, 3)
+	src := buildStateRig(t, 1, clf)
+	src.populateState(t)
+	twin := buildStateRig(t, 1, clf)
+	twin.populateState(t)
+	for _, name := range []string{"plug", "cam"} {
+		ds := twin.proxy.shardFor(name).devices[name]
+		if ds.rules != nil || ds.art.Load() == nil {
+			t.Fatalf("%s: frozen device keeps a learning table (%v) or lacks an artifact", name, ds.rules != nil)
+		}
+		old, _ := twin.proxy.ArtifactMeta(name)
+		meta, err := twin.proxy.PromoteIdentical(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.RulesSum != old.RulesSum || meta.Generation != old.Generation+1 || meta.Parent != old.Generation {
+			t.Fatalf("%s: identical promotion %+v from %+v", name, meta, old)
+		}
+		if ds.rules != nil {
+			t.Fatalf("%s: promotion brought back a learning table", name)
+		}
+	}
+	twin.clock.AdvanceTo(src.clock.Now())
+	want, got := src.driveAfter(t), twin.driveAfter(t)
+	if len(got) != len(want) {
+		t.Fatalf("decision counts differ: %d vs %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("decision %d differs after identical promotion: %+v vs %+v", i, want[i], got[i])
+		}
+	}
+
+	for _, g := range goldenTraces {
+		_, p := replayGolden(t, g, 1)
+		img, err := decodeState(p.EncodeState(), nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frozen := 0
+		for _, d := range img.devices {
+			if d.arena != nil {
+				frozen++
+				if d.rules != nil {
+					t.Fatalf("%s: frozen device %s carries a learning table", g.name(), d.name)
+				}
+			}
+		}
+		if frozen == 0 {
+			t.Fatalf("%s: no frozen device in the image", g.name())
+		}
 	}
 }
 
@@ -424,5 +546,43 @@ func TestProxyRestoreRejectsCorruption(t *testing.T) {
 	}
 	if err := fresh().RestoreState(nil); err == nil {
 		t.Fatal("empty image accepted")
+	}
+}
+
+// TestRuleKeysAcrossFreeze: RuleKeys reads the learning table before the
+// freeze point and the live arena after it, and both name the same learned
+// flows, so a MUD export does not change when a device freezes.
+func TestRuleKeysAcrossFreeze(t *testing.T) {
+	r := newRig(t, stateRigConfig(1))
+	if err := r.proxy.AddDevice(DeviceConfig{Name: "plug", Classifier: RuleClassifier{NotificationSize: 235}, GraceN: 1}); err != nil {
+		t.Fatal(err)
+	}
+	r.feedHeartbeats(t, "plug", 10, time.Minute)
+	learning, ok := r.proxy.RuleKeys("plug")
+	if !ok || len(learning) != 1 {
+		t.Fatalf("pre-freeze keys %v ok=%v, want the heartbeat flow", learning, ok)
+	}
+	r.clock.Advance(20 * time.Minute)
+	r.proxy.Process("plug", mkRec(r.clock.Now(), 128, flows.CategoryControl), "")
+	if _, frozen := r.proxy.ArtifactMeta("plug"); !frozen {
+		t.Fatal("plug did not freeze")
+	}
+	compiled, ok := r.proxy.RuleKeys("plug")
+	if !ok || !reflect.DeepEqual(compiled, learning) {
+		t.Fatalf("post-freeze keys %v, pre-freeze %v", compiled, learning)
+	}
+}
+
+// TestReadLearningTableFillsItsFrame: a learning table must fill its
+// length-prefixed frame; a frame with a byte past the table is rejected.
+func TestReadLearningTableFillsItsFrame(t *testing.T) {
+	rt := flows.NewRuleTable(flows.ModePortLess)
+	rt.Learn(mkRec(simclock.Epoch, 128, flows.CategoryControl))
+	if _, err := readLearningTable(wire.NewReader(appendLearningTable(nil, rt))); err != nil {
+		t.Fatalf("intact frame rejected: %v", err)
+	}
+	padded := wire.AppendBytes(nil, append(rt.EncodeState(), 0))
+	if _, err := readLearningTable(wire.NewReader(padded)); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("err = %v, want a trailing-bytes rejection", err)
 	}
 }

@@ -152,7 +152,7 @@ func runProxyConcurrencyStress(t *testing.T, shards int) {
 					if i%29 == 0 {
 						proxy.Log()
 					}
-					proxy.Rules(dev)
+					proxy.RuleKeys(dev)
 					proxy.Bootstrapped()
 					from, to := names[rng.Intn(devices)], names[rng.Intn(devices)]
 					if from != to && proxy.DAG().Allow(from, to) == nil {

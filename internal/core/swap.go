@@ -31,14 +31,15 @@ type ruleArtifact struct {
 }
 
 // relearnState is a device's in-flight relearning lifecycle: the candidate
-// mutable table while learning, plus the compiled candidate, its identity,
-// and its shadow matrix once it enters shadow evaluation. Owned by the
-// device's shard (mutated only under sh.mu); nil while the device is idle.
+// mutable table while learning; the compiled candidate, its identity, and
+// its shadow matrix once it enters shadow evaluation, which drops the table.
+// Owned by the device's shard (mutated only under sh.mu); nil while the
+// device is idle.
 type relearnState struct {
 	phase   swap.Phase
 	started time.Time
 
-	table *flows.RuleTable
+	table *flows.RuleTable // PhaseRelearn only
 
 	meta     swap.Meta
 	compiled *flows.CompiledRules
@@ -89,17 +90,6 @@ func newSwapMetrics() *swapMetrics {
 // SwapMetrics exposes the relearning lifecycle's private registry (see
 // swapMetrics for why it is not merged into the main one).
 func (p *Proxy) SwapMetrics() *obs.Registry { return p.swapM.reg }
-
-// configSum returns the cached config checksum, computing it on first use.
-// Process, ProcessBatchInto, SweepPending, and PromoteIdentical all call it
-// at entry, before taking a shard lock, so by the time any code under a
-// shard lock reads p.cfgSum the value is pinned. The cache freezes the
-// checksum at first traffic — artifact identity wants the deployment-time
-// configuration, and devices are registered before traffic flows.
-func (p *Proxy) configSum() uint32 {
-	p.cfgSumOnce.Do(func() { p.cfgSum = p.ConfigChecksum() })
-	return p.cfgSum
-}
 
 // matchRules runs the stage-1 predictability check through art, the
 // device's live compiled artifact as the caller loaded it for this packet
@@ -190,21 +180,20 @@ func (p *Proxy) deviceSwapTickLocked(ds *deviceState, now time.Time) {
 	}
 }
 
-// compileCandidateLocked freezes the candidate table, compiles it, carries
+// compileCandidateLocked compiles the candidate table and drops it, carries
 // the live arrival positions over for the buckets both generations know, and
 // enters shadow evaluation under the next generation number. The caller
 // holds the owning shard's mutex.
 func (p *Proxy) compileCandidateLocked(ds *deviceState, rl *relearnState, now time.Time) {
 	live := ds.art.Load()
-	rl.table.Freeze()
-	compiled := rl.table.Compiled()
+	compiled := rl.table.Compile()
+	rl.table = nil
 	arrival := compiled.NewArrivalState()
 	flows.TransferArrival(compiled, arrival, live.compiled, live.arrival)
 	ds.genCounter++
 	rl.meta = swap.Meta{
 		Generation: ds.genCounter,
 		Parent:     live.meta.Generation,
-		ConfigSum:  p.cfgSum,
 		RulesSum:   compiled.Checksum(),
 		ModelSum:   live.meta.ModelSum,
 	}
@@ -229,14 +218,10 @@ func (p *Proxy) flushShadowLocked(rl *relearnState) {
 // promoteLocked installs the shadow candidate as the live artifact: one
 // atomic pointer store readers pick up at their next packet, with the old
 // generation retired into the graveyard until every shard's epoch proves no
-// reader can still hold it. The live mutable table becomes the candidate's —
-// the restore path's fail-closed check recompiles ds.rules and compares it
-// against the serialized arena, so the two must stay the same lineage. The
-// caller holds the owning shard's mutex.
+// reader can still hold it. The caller holds the owning shard's mutex.
 func (p *Proxy) promoteLocked(ds *deviceState, rl *relearnState) {
 	old := ds.art.Load()
 	ds.art.Store(&ruleArtifact{meta: rl.meta, compiled: rl.compiled, arrival: rl.arrival})
-	ds.rules = rl.table
 	ds.rl = nil
 	p.retireArtifact(old)
 	p.swapM.promotions.Inc()
@@ -280,16 +265,15 @@ func (p *Proxy) reclaimArtifacts() {
 	p.swapM.graveyardDepth.Set(int64(p.graveyard.Pending()))
 }
 
-// PromoteIdentical recompiles the device's frozen rule table into a fresh
-// artifact of the next generation, transfers the live arrival state, and hot
-// swaps it in — a semantic no-op whose decisions, audit log, stats, and main
+// PromoteIdentical clones the device's live arena into a fresh artifact of
+// the next generation, transfers the live arrival state, and hot swaps it
+// in — a semantic no-op whose decisions, audit log, stats, and main
 // metrics are byte-identical to never swapping (the four-way differential
 // enforces it). It is the manual half of the lifecycle: the path a fleet
 // control plane distributing re-signed artifacts would drive, and the lever
 // the property and differential suites use to exercise the RCU swap without
 // waiting for drift.
 func (p *Proxy) PromoteIdentical(device string) (swap.Meta, error) {
-	p.configSum()
 	sh := p.shardFor(device)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -301,14 +285,19 @@ func (p *Proxy) PromoteIdentical(device string) (swap.Meta, error) {
 	if old == nil {
 		return swap.Meta{}, fmt.Errorf("core: device %q has no compiled artifact to swap", device)
 	}
-	compiled := ds.rules.Compile()
+	// The clone goes through the canonical arena codec, so it is a fresh
+	// in-process artifact that holds no store reference, like the freeze
+	// point's.
+	compiled, _, err := flows.DecodeCompiledRules(old.compiled.EncodeArena())
+	if err != nil {
+		return swap.Meta{}, fmt.Errorf("core: device %q clone arena: %w", device, err)
+	}
 	arrival := compiled.NewArrivalState()
 	flows.TransferArrival(compiled, arrival, old.compiled, old.arrival)
 	ds.genCounter++
 	meta := swap.Meta{
 		Generation: ds.genCounter,
 		Parent:     old.meta.Generation,
-		ConfigSum:  p.cfgSum,
 		RulesSum:   compiled.Checksum(),
 		ModelSum:   old.meta.ModelSum,
 	}

@@ -78,15 +78,14 @@ func injectShadow(t *testing.T, p *Proxy, dev string, phase swap.Phase, hbStart 
 			})
 			at = at.Add(time.Minute)
 		}
-		tbl.Freeze()
-		cc := tbl.Compiled()
+		cc := tbl.Compile()
+		rl.table = nil
 		ar := cc.NewArrivalState()
 		flows.TransferArrival(cc, ar, live.compiled, live.arrival)
 		ds.genCounter++
 		rl.meta = swap.Meta{
 			Generation: ds.genCounter,
 			Parent:     live.meta.Generation,
-			ConfigSum:  live.meta.ConfigSum,
 			RulesSum:   cc.Checksum(),
 			ModelSum:   live.meta.ModelSum,
 		}

@@ -16,11 +16,7 @@ func learnedCompiled(t *testing.T) (*RuleTable, *CompiledRules) {
 		rt.Learn(r)
 	}
 	rt.Freeze()
-	c := rt.Compiled()
-	if c == nil {
-		t.Fatal("Compiled() = nil after Freeze")
-	}
-	return rt, c
+	return rt, rt.Compile()
 }
 
 func TestCompiledMatchesLegacyVerbatim(t *testing.T) {
@@ -75,7 +71,7 @@ func TestCompiledAddrFallbackMatchesUnresolvedDomain(t *testing.T) {
 		at = at.Add(30 * time.Second)
 	}
 	rt.Freeze()
-	c := rt.Compiled()
+	c := rt.Compile()
 	st := c.NewArrivalState()
 	hit := Record{Time: at, Size: 150, Proto: "udp", Dir: DirOutbound, RemoteIP: otherIP}
 	if !rt.Match(hit) {
@@ -169,7 +165,7 @@ func TestCompiledMatchZeroAllocs(t *testing.T) {
 		at = at.Add(time.Minute)
 	}
 	rt.Freeze()
-	c := rt.Compiled()
+	c := rt.Compile()
 	st := c.NewArrivalState()
 
 	probes := []Record{

@@ -22,11 +22,10 @@ const DefaultBootstrap = 20 * time.Minute
 // before Freeze, Match after. Pre-freeze, Match is a read-only probe that
 // always reports false and leaves arrival state untouched — a packet fed to
 // both Learn and Match during bootstrap must register exactly one arrival,
-// not two (see TestPreFreezeMatchDoesNotPerturbLearning). Freeze also
-// compiles the table into its immutable enforcement form; the proxy's hot
-// path matches against that CompiledRules (no lock, no allocation) while
-// this mutable table remains as the learning phase and the legacy
-// serialized matcher.
+// not two (see TestPreFreezeMatchDoesNotPerturbLearning). Compile builds the
+// immutable enforcement form; the proxy compiles a device's table at its
+// freeze point, matches against that CompiledRules (no lock, no
+// allocation), and drops the table.
 //
 // RuleTable is safe for concurrent use; the proxy consults it from the
 // verdict-queue goroutine while the attestation listener runs beside it.
@@ -34,16 +33,9 @@ type RuleTable struct {
 	mode    KeyMode
 	quantum time.Duration
 
-	mu       sync.Mutex
-	frozen   bool
-	buckets  map[Key]*ruleBucket
-	compiled *CompiledRules
-
-	// raw holds the validated serialized state of a lazily-materialized
-	// table (NewRawRuleTable): buckets == nil means "not yet parsed".
-	// Mutations materialize and then drop raw; until then AppendState
-	// re-emits it verbatim, which validation guarantees is canonical.
-	raw []byte
+	mu      sync.Mutex
+	frozen  bool
+	buckets map[Key]*ruleBucket
 }
 
 type ruleBucket struct {
@@ -68,8 +60,6 @@ func (rt *RuleTable) Learn(r Record) {
 	if rt.frozen {
 		return
 	}
-	rt.ensureLocked()
-	rt.raw = nil
 	key := KeyOf(rt.mode, r)
 	b := rt.buckets[key]
 	if b == nil {
@@ -87,38 +77,21 @@ func (rt *RuleTable) Learn(r Record) {
 	b.hasLast = true
 }
 
-// Freeze ends the learning phase and compiles the table into its immutable
-// enforcement form, available via Compiled. Freezing twice is a no-op (the
-// first compile stands).
+// Freeze ends the learning phase: Learn becomes a no-op and Match starts
+// reporting hits. Freezing twice is a no-op.
 func (rt *RuleTable) Freeze() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.frozen {
-		return
-	}
-	rt.ensureLocked()
-	rt.raw = nil
 	rt.frozen = true
-	rt.compiled = rt.compileLocked()
-}
-
-// Compiled returns the immutable form built at Freeze (nil before then).
-func (rt *RuleTable) Compiled() *CompiledRules {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.compiled == nil && rt.frozen && rt.raw != nil {
-		rt.ensureLocked()
-	}
-	return rt.compiled
 }
 
 // Compile builds an immutable snapshot of the table's current state without
-// ending the learning phase — the differential and property tests use it to
-// compare a mid-learning table against its compiled image.
+// ending the learning phase. The proxy compiles a device's table at its
+// freeze point; the tests also compile mid-learning tables to compare them
+// against their compiled image.
 func (rt *RuleTable) Compile() *CompiledRules {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.ensureLocked()
 	return rt.compileLocked()
 }
 
@@ -144,8 +117,6 @@ func (rt *RuleTable) Match(r Record) bool {
 	if !rt.frozen {
 		return false
 	}
-	rt.ensureLocked()
-	rt.raw = nil
 	key := KeyOf(rt.mode, r)
 	b, ok := rt.buckets[key]
 	if !ok {
@@ -166,7 +137,6 @@ func (rt *RuleTable) Match(r Record) bool {
 func (rt *RuleTable) Rules() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.ensureLocked()
 	n := 0
 	for _, b := range rt.buckets {
 		if len(b.periods) > 0 {
@@ -180,7 +150,6 @@ func (rt *RuleTable) Rules() int {
 func (rt *RuleTable) Keys() []Key {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.ensureLocked()
 	var out []Key
 	for k, b := range rt.buckets {
 		if len(b.periods) > 0 {
@@ -195,7 +164,6 @@ func (rt *RuleTable) Keys() []Key {
 func (rt *RuleTable) Periods(k Key) []int64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.ensureLocked()
 	b, ok := rt.buckets[k]
 	if !ok || len(b.periods) == 0 {
 		return nil

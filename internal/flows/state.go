@@ -292,11 +292,6 @@ func (c *CompiledRules) DecodeArrival(data []byte) (*ArrivalState, []byte, error
 func (rt *RuleTable) AppendState(b []byte) []byte {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.raw != nil {
-		// Lazily-materialized table with no mutations since restore: the
-		// validated raw bytes are exactly the canonical re-encoding.
-		return append(b, rt.raw...)
-	}
 	b = wire.AppendU16(b, RuleTableVersion)
 	b = wire.AppendU8(b, uint8(rt.mode))
 	b = wire.AppendI64(b, int64(rt.quantum))
@@ -340,24 +335,28 @@ func (rt *RuleTable) AppendState(b []byte) []byte {
 func (rt *RuleTable) EncodeState() []byte { return rt.AppendState(nil) }
 
 // DecodeRuleTable reconstructs a learning table from its serialized state
-// and returns the remaining bytes. A frozen table is recompiled on the spot
-// — compilation is deterministic, so the rebuilt CompiledRules is
-// structurally identical to the one serialized alongside it (the caller
-// verifies that via Checksum).
+// and returns the remaining bytes. It accepts only the canonical form
+// AppendState writes: sorted unique buckets, a zero arrival reference on a
+// bucket with none, sorted unique seen histograms with positive counts, and
+// sorted unique periods. So a decoded table re-encodes to the bytes it was
+// read from, up to the spelling of a true boolean (any non-zero byte).
 func DecodeRuleTable(data []byte) (*RuleTable, []byte, error) {
 	r := wire.NewReader(data)
+	fail := func(err error) (*RuleTable, []byte, error) {
+		return nil, nil, fmt.Errorf("flows: decode rule table: %w", err)
+	}
 	if v := r.U16(); r.Err() == nil && v != RuleTableVersion {
 		return nil, nil, fmt.Errorf("flows: rule-table format version %d, want %d", v, RuleTableVersion)
 	}
 	rt := &RuleTable{
 		mode:    KeyMode(r.U8()),
 		quantum: time.Duration(r.I64()),
+		frozen:  r.Bool(),
 		buckets: make(map[Key]*ruleBucket),
 	}
-	frozen := r.Bool()
 	n := int(r.U32())
 	if r.Err() != nil {
-		return nil, nil, fmt.Errorf("flows: decode rule table: %w", r.Err())
+		return fail(r.Err())
 	}
 	if rt.mode != ModeClassic && rt.mode != ModePortLess {
 		return nil, nil, fmt.Errorf("flows: bad key mode %d", rt.mode)
@@ -366,13 +365,13 @@ func DecodeRuleTable(data []byte) (*RuleTable, []byte, error) {
 		return nil, nil, fmt.Errorf("flows: bad quantum %d", rt.quantum)
 	}
 	if n > r.Len() {
-		return nil, nil, fmt.Errorf("flows: decode rule table: %w", wire.ErrTruncated)
+		return fail(wire.ErrTruncated)
 	}
 	var prev Key
 	for i := 0; i < n; i++ {
 		k, err := readKey(r)
 		if err != nil {
-			return nil, nil, fmt.Errorf("flows: decode rule table bucket %d: %w", i, err)
+			return fail(fmt.Errorf("bucket %d: %w", i, err))
 		}
 		if i > 0 && !keyLess(prev, k) {
 			return nil, nil, fmt.Errorf("flows: buckets not sorted/unique at %d", i)
@@ -383,36 +382,43 @@ func DecodeRuleTable(data []byte) (*RuleTable, []byte, error) {
 		last := r.I64()
 		if bk.hasLast {
 			bk.lastTime = time.Unix(0, last).UTC()
+		} else if last != 0 {
+			return nil, nil, fmt.Errorf("flows: bucket %d has non-zero absent arrival", i)
 		}
 		nseen := int(r.U32())
 		if r.Err() != nil {
-			return nil, nil, fmt.Errorf("flows: decode rule table: %w", r.Err())
+			return fail(r.Err())
 		}
 		if nseen > r.Len()/16 {
-			return nil, nil, fmt.Errorf("flows: decode rule table: %w", wire.ErrTruncated)
+			return fail(wire.ErrTruncated)
 		}
+		var prevQ int64
 		for j := 0; j < nseen; j++ {
 			q := r.I64()
 			cnt := r.I64()
+			if r.Err() != nil {
+				return fail(r.Err())
+			}
 			if cnt <= 0 {
-				if r.Err() != nil {
-					return nil, nil, fmt.Errorf("flows: decode rule table: %w", r.Err())
-				}
 				return nil, nil, fmt.Errorf("flows: bucket %d has non-positive seen count", i)
 			}
+			if j > 0 && q <= prevQ {
+				return nil, nil, fmt.Errorf("flows: bucket %d seen histogram not sorted/unique", i)
+			}
+			prevQ = q
 			bk.seen[q] = int(cnt)
 		}
-		for _, q := range r.I64s() {
+		ps := r.I64s()
+		if r.Err() != nil {
+			return fail(r.Err())
+		}
+		for j, q := range ps {
+			if j > 0 && q <= ps[j-1] {
+				return nil, nil, fmt.Errorf("flows: bucket %d periods not sorted/unique", i)
+			}
 			bk.periods[q] = true
 		}
-		if r.Err() != nil {
-			return nil, nil, fmt.Errorf("flows: decode rule table: %w", r.Err())
-		}
 		rt.buckets[k] = bk
-	}
-	if frozen {
-		rt.frozen = true
-		rt.compiled = rt.compileLocked()
 	}
 	return rt, r.Rest(), nil
 }

@@ -61,6 +61,8 @@ func TestRuleTableStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRuleTableStateFrozenRecompiles: a frozen table round-trips with its
+// frozen flag, and the decoded table compiles to the original's arena.
 func TestRuleTableStateFrozenRecompiles(t *testing.T) {
 	rt := learnSchedule(t, ModePortLess)
 	rt.Freeze()
@@ -72,10 +74,7 @@ func TestRuleTableStateFrozenRecompiles(t *testing.T) {
 	if !dec.Frozen() {
 		t.Fatal("decoded table not frozen")
 	}
-	if dec.Compiled() == nil {
-		t.Fatal("decoded frozen table has no compiled form")
-	}
-	if got, want := dec.Compiled().Checksum(), rt.Compiled().Checksum(); got != want {
+	if got, want := dec.Compile().Checksum(), rt.Compile().Checksum(); got != want {
 		t.Fatalf("recompiled checksum %08x != original %08x", got, want)
 	}
 }
@@ -84,7 +83,7 @@ func TestCompiledArenaRoundTrip(t *testing.T) {
 	for _, mode := range []KeyMode{ModePortLess, ModeClassic} {
 		rt := learnSchedule(t, mode)
 		rt.Freeze()
-		c := rt.Compiled()
+		c := rt.Compile()
 		enc := c.EncodeArena()
 		dec, rest, err := DecodeCompiledRules(enc)
 		if err != nil {
@@ -127,12 +126,12 @@ func TestCompiledArenaRoundTrip(t *testing.T) {
 func TestCompiledArenaChecksumDetectsSkew(t *testing.T) {
 	rt := learnSchedule(t, ModePortLess)
 	rt.Freeze()
-	c := rt.Compiled()
+	c := rt.Compile()
 	rt2 := learnSchedule(t, ModePortLess)
 	rt2.Learn(Record{Time: time.Date(2022, 6, 1, 0, 3, 0, 0, time.UTC), Size: 128, Proto: "tcp",
 		Dir: DirOutbound, RemoteIP: netip.MustParseAddr("10.0.0.1"), RemoteDomain: "cloud.example.com"})
 	rt2.Freeze()
-	if c.Checksum() == rt2.Compiled().Checksum() {
+	if c.Checksum() == rt2.Compile().Checksum() {
 		t.Fatal("checksum failed to distinguish different learned states")
 	}
 }
@@ -140,7 +139,7 @@ func TestCompiledArenaChecksumDetectsSkew(t *testing.T) {
 func TestDecodeCompiledRulesRejectsCorruption(t *testing.T) {
 	rt := learnSchedule(t, ModePortLess)
 	rt.Freeze()
-	enc := rt.Compiled().EncodeArena()
+	enc := rt.Compile().EncodeArena()
 
 	if _, _, err := DecodeCompiledRules(enc[:len(enc)-3]); err == nil {
 		t.Fatal("truncated arena accepted")
@@ -155,6 +154,26 @@ func TestDecodeCompiledRulesRejectsCorruption(t *testing.T) {
 	}
 }
 
+// ruleTableBytes hand-encodes a one-bucket learning table, so a test can
+// write layouts AppendState never would. seen holds (quantum, count) pairs.
+func ruleTableBytes(hasLast bool, last int64, seen [][2]int64, periods []int64) []byte {
+	b := wire.AppendU16(nil, RuleTableVersion)
+	b = wire.AppendU8(b, uint8(ModePortLess))
+	b = wire.AppendI64(b, int64(time.Second))
+	b = wire.AppendBool(b, false)
+	b = wire.AppendU32(b, 1)
+	k := Key{Mode: ModePortLess, Dir: DirOutbound, Proto: "tcp", Size: 128, Domain: "cloud.example.com"}
+	b = appendKey(b, &k)
+	b = wire.AppendBool(b, hasLast)
+	b = wire.AppendI64(b, last)
+	b = wire.AppendU32(b, uint32(len(seen)))
+	for _, s := range seen {
+		b = wire.AppendI64(b, s[0])
+		b = wire.AppendI64(b, s[1])
+	}
+	return wire.AppendI64s(b, periods)
+}
+
 func TestDecodeRuleTableRejectsCorruption(t *testing.T) {
 	rt := learnSchedule(t, ModePortLess)
 	enc := rt.EncodeState()
@@ -166,12 +185,38 @@ func TestDecodeRuleTableRejectsCorruption(t *testing.T) {
 	if _, _, err := DecodeRuleTable(bad); err == nil {
 		t.Fatal("bad version accepted")
 	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"bad mode", append(append([]byte(nil), enc[:2]...), append([]byte{9}, enc[3:]...)...)},
+		{"zero quantum", append(append(append([]byte(nil), enc[:3]...), make([]byte, 8)...), enc[11:]...)},
+		{"empty", nil},
+		// Layouts AppendState never writes: each would decode to a table
+		// that re-encodes to different bytes.
+		{"unsorted periods", ruleTableBytes(true, 5, [][2]int64{{10, 2}}, []int64{20, 10})},
+		{"duplicate periods", ruleTableBytes(true, 5, [][2]int64{{10, 2}}, []int64{10, 10})},
+		{"unsorted seen histogram", ruleTableBytes(true, 5, [][2]int64{{20, 1}, {10, 2}}, []int64{10})},
+		{"duplicate seen histogram", ruleTableBytes(true, 5, [][2]int64{{10, 1}, {10, 2}}, []int64{10})},
+		{"absent arrival with a value", ruleTableBytes(false, 5, nil, nil)},
+	} {
+		if _, _, err := DecodeRuleTable(tc.data); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// The hand encoder writes what AppendState writes for a sorted table.
+	good := ruleTableBytes(true, 5, [][2]int64{{10, 2}, {20, 1}}, []int64{10})
+	dec, rest, err := DecodeRuleTable(good)
+	if err != nil || len(rest) != 0 || !bytes.Equal(dec.EncodeState(), good) {
+		t.Fatalf("canonical hand-encoded table: err %v, %d trailing, re-encodes equal %v",
+			err, len(rest), err == nil && bytes.Equal(dec.EncodeState(), good))
+	}
 }
 
 func TestArrivalStateRoundTrip(t *testing.T) {
 	rt := learnSchedule(t, ModePortLess)
 	rt.Freeze()
-	c := rt.Compiled()
+	c := rt.Compile()
 	st := c.NewArrivalState()
 	rec := Record{Time: time.Date(2022, 6, 1, 0, 5, 0, 0, time.UTC), Size: 128, Proto: "tcp",
 		Dir: DirOutbound, RemoteIP: netip.MustParseAddr("10.0.0.1"), RemoteDomain: "cloud.example.com"}

@@ -26,7 +26,7 @@ func transferCompiled(t *testing.T, sizes []int) *CompiledRules {
 		}
 	}
 	rt.Freeze()
-	c := rt.Compiled()
+	c := rt.Compile()
 	if c == nil || len(c.keys) != len(sizes) {
 		t.Fatalf("compiled %v keys from %d sizes", c, len(sizes))
 	}
@@ -122,7 +122,7 @@ func TestTransferArrivalStreamDroppedByCandidate(t *testing.T) {
 func TestTransferArrivalEmptyIncumbent(t *testing.T) {
 	empty := NewRuleTable(ModeClassic)
 	empty.Freeze()
-	src := empty.Compiled()
+	src := empty.Compile()
 	if src == nil || len(src.keys) != 0 {
 		t.Fatal("empty table did not compile to zero keys")
 	}

@@ -26,11 +26,11 @@ func fuzzSeedProfiles(tb testing.TB) map[string][]byte {
 	}
 	empty := flows.NewRuleTable(flows.ModePortLess)
 	empty.Freeze()
-	portless := encode(FromRules("plug", "https://fiat.example/plug.json", learnedTable(tb), t0))
+	portless := encode(FromRules("plug", "https://fiat.example/plug.json", learnedTable(tb).Keys(), t0))
 	return map[string][]byte{
 		"portless":      portless,
-		"classic":       encode(FromRules("cam", "https://fiat.example/cam.json", classicTable(), t0)),
-		"empty":         encode(FromRules("empty", "u", empty, t0)),
+		"classic":       encode(FromRules("cam", "https://fiat.example/cam.json", classicTable().Keys(), t0)),
+		"empty":         encode(FromRules("empty", "u", empty.Keys(), t0)),
 		"truncated-3q":  portless[:3*len(portless)/4],
 		"truncated-1q":  portless[:len(portless)/4],
 		"truncated-one": portless[:len(portless)-1],

@@ -109,12 +109,13 @@ type Actions struct {
 	Forwarding string `json:"forwarding"`
 }
 
-// FromRules builds a MUD profile for a device from the recurring flows its
-// rule table learned. Flow keys collapse to (direction, domain, proto,
-// remote port) ACEs — MUD cannot express sizes or inter-arrival periods, so
-// the export is strictly coarser than FIAT's own matching (the gap the
-// paper's approach closes).
-func FromRules(deviceName, mudURL string, rt *flows.RuleTable, now time.Time) *Profile {
+// FromRules builds a MUD profile for a device from the bucket keys of the
+// recurring flows it learned (flows.RuleTable.Keys before its freeze point,
+// flows.CompiledRules.Keys after). Flow keys collapse to (direction,
+// domain, proto, remote port) ACEs — MUD cannot express sizes or
+// inter-arrival periods, so the export is strictly coarser than FIAT's own
+// matching (the gap the paper's approach closes).
+func FromRules(deviceName, mudURL string, learned []flows.Key, now time.Time) *Profile {
 	type aceKey struct {
 		dir    flows.Direction
 		domain string
@@ -123,7 +124,7 @@ func FromRules(deviceName, mudURL string, rt *flows.RuleTable, now time.Time) *P
 	}
 	seen := map[aceKey]bool{}
 	var keys []aceKey
-	for _, k := range rt.Keys() {
+	for _, k := range learned {
 		ak := aceKey{dir: k.Dir, domain: k.Domain, proto: k.Proto, port: k.RPort}
 		if k.Mode == flows.ModeClassic && k.Remote.IsValid() {
 			ak.domain = k.Remote.String()
@@ -141,7 +142,10 @@ func FromRules(deviceName, mudURL string, rt *flows.RuleTable, now time.Time) *P
 		if a.domain != b.domain {
 			return a.domain < b.domain
 		}
-		return a.proto < b.proto
+		if a.proto != b.proto {
+			return a.proto < b.proto
+		}
+		return a.port < b.port
 	})
 
 	fromACL := ACL{Name: deviceName + "-from", Type: "ipv4-acl-type"}

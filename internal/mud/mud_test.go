@@ -51,7 +51,7 @@ func classicTable() *flows.RuleTable {
 
 func TestFromRulesStructure(t *testing.T) {
 	rt := learnedTable(t)
-	p := FromRules("plug", "https://fiat.example/plug.json", rt, t0)
+	p := FromRules("plug", "https://fiat.example/plug.json", rt.Keys(), t0)
 	if p.MUD.MUDVersion != 1 || p.MUD.MUDURL != "https://fiat.example/plug.json" {
 		t.Fatalf("header = %+v", p.MUD)
 	}
@@ -82,7 +82,7 @@ func TestFromRulesStructure(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	p := FromRules("plug", "https://fiat.example/plug.json", learnedTable(t), t0)
+	p := FromRules("plug", "https://fiat.example/plug.json", learnedTable(t).Keys(), t0)
 	data, err := p.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestDecodeRejectsBadVersion(t *testing.T) {
 }
 
 func TestMatcherEnforcesProfile(t *testing.T) {
-	p := FromRules("plug", "u", learnedTable(t), t0)
+	p := FromRules("plug", "u", learnedTable(t).Keys(), t0)
 	m := NewMatcher(p)
 	if m.Len() == 0 {
 		t.Fatal("no entries indexed")
@@ -158,7 +158,7 @@ func TestMatcherEnforcesProfile(t *testing.T) {
 func TestMatcherClassicRulesKeepPorts(t *testing.T) {
 	// Classic-mode rules retain the remote port, so their MUD export is
 	// port-exact.
-	m := NewMatcher(FromRules("plug", "u", classicTable(), t0))
+	m := NewMatcher(FromRules("plug", "u", classicTable().Keys(), t0))
 	ok := flows.Record{Dir: flows.DirOutbound, RemoteIP: netip.MustParseAddr("52.0.0.1"),
 		Proto: "tcp", RemotePort: 443}
 	if !m.Allowed(ok) {
@@ -175,7 +175,7 @@ func TestMUDIsCoarserThanFIAT(t *testing.T) {
 	// The MUD export cannot express sizes or periods: a same-domain,
 	// same-port injected packet passes MUD but misses FIAT's rule table.
 	rt := learnedTable(t)
-	m := NewMatcher(FromRules("plug", "u", rt, t0))
+	m := NewMatcher(FromRules("plug", "u", rt.Keys(), t0))
 	inject := flows.Record{
 		Time: t0.Add(500 * time.Hour), Size: 1337, Proto: "tcp", Dir: flows.DirOutbound,
 		RemoteIP: netip.MustParseAddr("52.0.0.1"), RemoteDomain: "heartbeat.vendor.example",
@@ -190,8 +190,8 @@ func TestMUDIsCoarserThanFIAT(t *testing.T) {
 }
 
 func TestFromRulesDeterministic(t *testing.T) {
-	a, _ := FromRules("d", "u", learnedTable(t), t0).Encode()
-	b, _ := FromRules("d", "u", learnedTable(t), t0).Encode()
+	a, _ := FromRules("d", "u", learnedTable(t).Keys(), t0).Encode()
+	b, _ := FromRules("d", "u", learnedTable(t).Keys(), t0).Encode()
 	if string(a) != string(b) {
 		t.Fatal("profile generation not deterministic")
 	}
@@ -200,12 +200,49 @@ func TestFromRulesDeterministic(t *testing.T) {
 func TestFromRulesEmptyTable(t *testing.T) {
 	rt := flows.NewRuleTable(flows.ModePortLess)
 	rt.Freeze()
-	p := FromRules("empty", "u", rt, t0)
+	p := FromRules("empty", "u", rt.Keys(), t0)
 	if len(p.ACLs.ACL) != 2 || len(p.ACLs.ACL[0].ACEs.ACE) != 0 {
 		t.Fatalf("empty table produced %+v", p.ACLs)
 	}
 	m := NewMatcher(p)
 	if m.Allowed(flows.Record{Dir: flows.DirOutbound, RemoteDomain: "x", Proto: "tcp"}) {
 		t.Fatal("empty profile allowed traffic")
+	}
+}
+
+// TestFromRulesTableAndArenaAgree: a learning table's keys and its compiled
+// arena's keys name the same flows, in map order and in sorted order, so the
+// export before and after a device's freeze point is the same profile. The
+// two-port table puts two ACEs on one host, which only the port orders.
+func TestFromRulesTableAndArenaAgree(t *testing.T) {
+	twoPorts := flows.NewRuleTable(flows.ModeClassic)
+	for i := 0; i < 10; i++ {
+		for _, port := range []uint16{443, 8443} {
+			twoPorts.Learn(flows.Record{
+				Time: t0.Add(time.Duration(i) * time.Minute), Size: 128, Proto: "tcp",
+				Dir: flows.DirOutbound, RemoteIP: netip.MustParseAddr("52.0.0.1"),
+				LocalPort: 40000, RemotePort: port,
+			})
+		}
+	}
+	for _, rt := range []*flows.RuleTable{learnedTable(t), classicTable(), twoPorts} {
+		arena := rt.Compile().Keys()
+		reversed := make([]flows.Key, len(arena))
+		for i, k := range arena {
+			reversed[len(arena)-1-i] = k
+		}
+		want, err := FromRules("d", "u", rt.Keys(), t0).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, keys := range [][]flows.Key{arena, reversed} {
+			got, err := FromRules("d", "u", keys, t0).Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("exports differ with the key order:\n%s\n%s", want, got)
+			}
+		}
 	}
 }

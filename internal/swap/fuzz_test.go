@@ -12,8 +12,8 @@ import (
 // fuzzSeedMetas builds the representative artifact headers committed as the
 // fuzz seed corpus: valid identities plus each framing failure mode.
 func fuzzSeedMetas() map[string][]byte {
-	root := Meta{Generation: 1, ConfigSum: 0xfeedf00d, RulesSum: 0x01020304}
-	child := Meta{Generation: 2, Parent: 1, ConfigSum: 0xfeedf00d, RulesSum: 0xa5a5a5a5, ModelSum: 7}
+	root := Meta{Generation: 1, RulesSum: 0x01020304}
+	child := Meta{Generation: 2, Parent: 1, RulesSum: 0xa5a5a5a5, ModelSum: 7}
 	corrupt := func(src []byte, i int) []byte {
 		b := append([]byte(nil), src...)
 		b[i] ^= 0xff

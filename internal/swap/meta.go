@@ -21,9 +21,6 @@ type Meta struct {
 	// Parent is the generation the candidate was relearned from (0 for the
 	// freeze-point artifact).
 	Parent uint64
-	// ConfigSum is the proxy's config checksum at compile time, pinning the
-	// pipeline configuration the artifact was built under.
-	ConfigSum uint32
 	// RulesSum digests the compiled rule arena (flows.CompiledRules
 	// Checksum).
 	RulesSum uint32
@@ -36,11 +33,12 @@ type Meta struct {
 // generation, bumped on any layout change.
 const metaMagic = "FIATART\x01"
 
-// MetaVersion versions the field layout behind the magic.
-const MetaVersion uint16 = 1
+// MetaVersion versions the field layout behind the magic. Version 2 dropped
+// the config checksum, which nothing read.
+const MetaVersion uint16 = 2
 
 // metaHeaderLen is the encoded length before the trailing CRC.
-const metaHeaderLen = len(metaMagic) + 2 + 8 + 8 + 4 + 4 + 4
+const metaHeaderLen = len(metaMagic) + 2 + 8 + 8 + 4 + 4
 
 // EncodedMetaLen is the total encoded length of one Meta.
 const EncodedMetaLen = metaHeaderLen + 4
@@ -58,7 +56,6 @@ func (m Meta) Append(b []byte) []byte {
 	b = wire.AppendU16(b, MetaVersion)
 	b = wire.AppendU64(b, m.Generation)
 	b = wire.AppendU64(b, m.Parent)
-	b = wire.AppendU32(b, m.ConfigSum)
 	b = wire.AppendU32(b, m.RulesSum)
 	b = wire.AppendU32(b, m.ModelSum)
 	return wire.AppendU32(b, crc32.Checksum(b[start:], metaCastagnoli))
@@ -86,7 +83,6 @@ func DecodeMeta(data []byte) (Meta, []byte, error) {
 	m := Meta{
 		Generation: rd.U64(),
 		Parent:     rd.U64(),
-		ConfigSum:  rd.U32(),
 		RulesSum:   rd.U32(),
 		ModelSum:   rd.U32(),
 	}

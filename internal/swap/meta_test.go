@@ -7,7 +7,7 @@ import (
 )
 
 func TestMetaRoundTrip(t *testing.T) {
-	m := Meta{Generation: 7, Parent: 3, ConfigSum: 0xdeadbeef, RulesSum: 0x01020304, ModelSum: 0xfeedf00d}
+	m := Meta{Generation: 7, Parent: 3, RulesSum: 0x01020304, ModelSum: 0xfeedf00d}
 	enc := m.Encode()
 	if len(enc) != EncodedMetaLen {
 		t.Fatalf("encoded length %d, want %d", len(enc), EncodedMetaLen)
@@ -54,7 +54,7 @@ func TestMetaBadVersionCRCStillChecked(t *testing.T) {
 	// A re-CRC'd header with a future version must fail on version, proving
 	// version skew is not silently decoded as garbage fields.
 	b := Meta{Generation: 1}.Encode()
-	b[len(metaMagic)]++ // version 2
+	b[len(metaMagic)]++ // the next version
 	if _, _, err := DecodeMeta(b); !errors.Is(err, ErrBadMeta) {
 		t.Fatalf("err = %v", err)
 	}
