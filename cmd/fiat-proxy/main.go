@@ -59,7 +59,7 @@ func main() {
 	stateDir := flag.String("state-dir", "", "durable state directory (WAL + snapshots); empty = in-memory only")
 	walSync := flag.String("wal-sync", "tick", "WAL fsync policy with -state-dir: always, tick, or off")
 	checkpointEvery := flag.Duration("checkpoint-every", 30*time.Second, "periodic snapshot cadence with -state-dir (0 = only on shutdown)")
-	relearn := flag.Bool("relearn", false, "online relearning: on drift, relearn rules from live traffic, shadow-evaluate the candidate, and RCU hot-swap it in when it matches-or-beats the live artifact")
+	relearn := flag.Bool("relearn", false, "online relearning: on drift, relearn rules from live traffic, shadow-evaluate the candidate, and hot-swap it in when it matches-or-beats the live artifact")
 	driftMiss := flag.Float64("drift-miss-ratio", 0, "relearn trigger: a device's rule-miss ratio per detector window (0 = default 0.5)")
 	driftMargin := flag.Float64("drift-margin", 0, "relearn trigger: manual-classification fraction drift vs baseline (0 = default 0.4)")
 	driftLockouts := flag.Int("drift-lockout-burst", 0, "relearn trigger: one device's lockouts within its detector window (0 = default 1)")

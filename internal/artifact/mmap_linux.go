@@ -15,9 +15,10 @@ import (
 // fallback is used instead.
 //
 // Mappings are intentionally never unmapped: a view constructed over the
-// buffer may outlive every handle the caller tracks (artifact pointers
-// retire through the swap graveyard on their own schedule), and a dangling
-// alias would be far worse than the bounded one-mapping-per-restart leak.
+// buffer may outlive every handle the caller tracks (a hot-swapped artifact
+// is simply dropped, and the garbage collector cannot unmap what it
+// frees), and a dangling alias would be far worse than the bounded
+// one-mapping-per-restart leak.
 // Deleting or renaming the file underneath a live mapping is safe on Linux
 // — the pages stay valid until the process exits.
 func MapFile(path string) (data []byte, mapped bool, err error) {

@@ -14,14 +14,13 @@ import (
 // swap.Meta.RulesSum / ModelSum), so every device sharing a template
 // references one buffer and one set of probe tables.
 //
-// Rule entries are refcounted: the restore path installs a view once per
-// unique arena and acquires one reference per device artifact; hot-swap
-// retirement releases the reference through the swap Graveyard once no
-// shard can still observe the old artifact pointer, and the entry is
-// dropped when the last reference goes. Model templates are shared without
-// refcounts — a template is immutable, per-device state lives in the
-// clone's scratch, and the handful of unique templates per fleet is not
-// worth a release path.
+// It is a view cache for one proxy's restores: InstallRules builds a view
+// once per unique arena and AcquireRules hands the same view to every
+// device that names it. Entries are never dropped. Views are immutable, a
+// superseded artifact is collected with the last pointer to it, and a
+// view's bytes alias a mapping that is never unmapped anyway, so the store
+// pins at most one image's unique arenas. Model templates are shared the
+// same way; per-device state lives in the clone's scratch.
 //
 // AcquireRules on a warm entry is allocation-free: it is on the
 // per-device restore path.
@@ -30,13 +29,12 @@ type Store struct {
 	rules  map[uint32]*rulesEntry
 	models map[uint32]*modelEntry
 
-	rulesInstalled, rulesDropped, modelsInstalled uint64
+	rulesInstalled, modelsInstalled uint64
 }
 
 type rulesEntry struct {
 	view  *flows.CompiledRules
 	bytes int
-	refs  int
 }
 
 type modelEntry struct {
@@ -56,7 +54,7 @@ func NewStore() *Store {
 // constructing it from blob on first sight. The blob's envelope CRC and the
 // view's structural invariants are validated, and the view's canonical
 // checksum must equal sum — a blob filed under the wrong content address
-// fails closed. Installing does not take a reference.
+// fails closed.
 func (s *Store) InstallRules(sum uint32, blob []byte) (*flows.CompiledRules, error) {
 	s.mu.Lock()
 	if e, ok := s.rules[sum]; ok {
@@ -84,9 +82,8 @@ func (s *Store) InstallRules(sum uint32, blob []byte) (*flows.CompiledRules, err
 	return view, nil
 }
 
-// AcquireRules takes a reference on the arena identified by sum and returns
-// its shared view, or nil when the store has no such arena. Zero
-// allocations on the hit path.
+// AcquireRules returns the shared view of the arena identified by sum, or
+// nil when the store has no such arena. Zero allocations on the hit path.
 func (s *Store) AcquireRules(sum uint32) *flows.CompiledRules {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -94,26 +91,7 @@ func (s *Store) AcquireRules(sum uint32) *flows.CompiledRules {
 	if !ok {
 		return nil
 	}
-	e.refs++
 	return e.view
-}
-
-// ReleaseRules returns a reference taken by AcquireRules; the entry is
-// dropped when the last reference goes. Releasing an unknown checksum is a
-// no-op — the artifact may have been installed into a store that has since
-// been discarded with its proxy.
-func (s *Store) ReleaseRules(sum uint32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.rules[sum]
-	if !ok {
-		return
-	}
-	e.refs--
-	if e.refs <= 0 {
-		delete(s.rules, sum)
-		s.rulesDropped++
-	}
 }
 
 // InstallModel ensures a decoded template for the model identified by sum
@@ -167,11 +145,9 @@ func (s *Store) AcquireModel(sum uint32) (ml.CompiledModel, bool) {
 type StoreStats struct {
 	UniqueRules    int    // live rule arenas
 	UniqueModels   int    // live model templates
-	RuleRefs       int    // outstanding references across all rule arenas
 	RuleBytes      int64  // bytes of live rule blobs (one copy per unique arena)
 	ModelBytes     int64  // bytes of live model blobs
 	RulesInstalled uint64 // unique arenas ever installed
-	RulesDropped   uint64 // arenas dropped after their last release
 }
 
 // Stats snapshots the store counters.
@@ -182,10 +158,8 @@ func (s *Store) Stats() StoreStats {
 		UniqueRules:    len(s.rules),
 		UniqueModels:   len(s.models),
 		RulesInstalled: s.rulesInstalled,
-		RulesDropped:   s.rulesDropped,
 	}
 	for _, e := range s.rules {
-		st.RuleRefs += e.refs
 		st.RuleBytes += int64(e.bytes)
 	}
 	for _, e := range s.models {

@@ -70,7 +70,7 @@ type Scenario struct {
 	PartitionAt  time.Duration
 	PartitionFor time.Duration
 	// Relearn enables the proxy's online-relearning lifecycle (drift
-	// detection, shadow evaluation, RCU hot swap) with these thresholds.
+	// detection, shadow evaluation, hot swap) with these thresholds.
 	Relearn swap.Options
 	// ShiftAt > 0 injects drift: at bootEnd+ShiftAt the plug's firmware
 	// "updates" and its telemetry changes shape — packet size grows by

@@ -12,8 +12,9 @@ import (
 // TestInspectStateArtifactsFleetDedup: a fleet of identically-learning
 // devices freezes one rule template, so the v3 image carries one arena that
 // every device references. The offline inspector must count that dedup
-// exactly, the restore must share one store entry across the fleet, and it
-// must re-encode to the image it restored.
+// exactly, the restore must share one store view across the fleet, a second
+// restore must reuse it, and the proxy must re-encode to the image it
+// restored.
 func TestInspectStateArtifactsFleetDedup(t *testing.T) {
 	const n = 8
 	build := func() *testRig {
@@ -62,8 +63,19 @@ func TestInspectStateArtifactsFleetDedup(t *testing.T) {
 	if err := dst.proxy.RestoreState(append([]byte(nil), enc...)); err != nil {
 		t.Fatal(err)
 	}
-	if st := dst.proxy.cfg.Artifacts.Stats(); st.UniqueRules != 1 || st.RuleRefs != n {
-		t.Fatalf("store holds %d arenas with %d refs, want 1 with %d", st.UniqueRules, st.RuleRefs, n)
+	view, _ := dst.proxy.CompiledRules("plug-0")
+	// A second restore into the same proxy finds the arena already in its
+	// store: nothing is installed again and every device gets the same view.
+	if err := dst.proxy.RestoreState(append([]byte(nil), enc...)); err != nil {
+		t.Fatal(err)
+	}
+	if st := dst.proxy.cfg.Artifacts.Stats(); st.UniqueRules != 1 || st.RulesInstalled != 1 {
+		t.Fatalf("store holds %d arenas after %d installs, want 1 after 1", st.UniqueRules, st.RulesInstalled)
+	}
+	for i := 0; i < n; i++ {
+		if got, ok := dst.proxy.CompiledRules(fmt.Sprintf("plug-%d", i)); !ok || got != view {
+			t.Fatalf("plug-%d does not share the fleet's one rule view", i)
+		}
 	}
 	if !bytes.Equal(dst.proxy.EncodeState(), enc) {
 		t.Fatal("restored fleet re-encodes differently")

@@ -134,7 +134,7 @@ type Config struct {
 	// Relearn configures the online-relearning lifecycle: each device's
 	// drift detector, over that device's own tallies, triggers background
 	// relearning of that device into a fresh table, shadow evaluation
-	// against its live artifact, and an RCU hot swap on promotion.
+	// against its live artifact, and a hot swap on promotion.
 	// Disabled by default; the manual swap path (PromoteIdentical) works
 	// regardless. Like Shards, the lifecycle is engine-invariant; unlike it
 	// its thresholds ARE part of ConfigChecksum, because they change which
@@ -147,7 +147,7 @@ type Config struct {
 	Obs *obs.Registry
 	// Artifacts is the content-addressed store RestoreState installs each
 	// unique compiled arena and classifier template into, so every device
-	// adopts a shared refcounted view instead of decoding its own copy. Nil
+	// adopts a shared view instead of decoding its own copy. Nil
 	// creates a private store. The field exists only because the gateway
 	// benchmark harness still sets it; leave it nil. Like Shards, it is
 	// excluded from ConfigChecksum.
@@ -199,12 +199,10 @@ type Proxy struct {
 	guard       *sensors.ReplayGuard // nil when Config.AttestWindow == 0
 	async       *asyncPipeline       // multi-shard batch engine (idle until used)
 
-	// Online-relearning machinery (swap.go): per-shard reader epochs, the
-	// retired-artifact graveyard they gate, and the lifecycle's private
-	// metrics registry. Each device carries its own drift detector.
-	epochs    *swap.Epochs
-	graveyard swap.Graveyard
-	swapM     *swapMetrics
+	// The online-relearning lifecycle's private metrics registry (swap.go).
+	// Each device carries its own drift detector and live artifact pointer,
+	// read and swapped only under its shard's mutex.
+	swapM *swapMetrics
 
 	// devs is every registered device in name order: the canonical
 	// iteration order of the housekeeping sweep, the config digest and the
@@ -212,10 +210,9 @@ type Proxy struct {
 	// readers load it without a lock and never sort (see deviceStates).
 	devs atomic.Pointer[[]*deviceState]
 
-	// Test hooks (nil in production): swapHook observes every artifact the
-	// match path loads; releaseHook observes every reclaimed generation.
-	swapHook    func(device string, art *ruleArtifact)
-	releaseHook func(meta swap.Meta)
+	// Test hook (nil in production): swapHook observes every artifact the
+	// match path loads.
+	swapHook func(device string, art *ruleArtifact)
 
 	mu      sync.Mutex // guards aliases, log, Stats
 	aliases []string
@@ -280,7 +277,6 @@ func NewProxy(clock simclock.Clock, ks *keystore.Store, human *sensors.Validator
 		channel:     &channelHealth{},
 		metrics:     newCoreMetrics(cfg.Obs, clock),
 		guard:       guard,
-		epochs:      swap.NewEpochs(cfg.Shards),
 		swapM:       newSwapMetrics(),
 	}
 	p.async = &asyncPipeline{p: p}
@@ -506,18 +502,13 @@ func (p *Proxy) Bootstrapped() bool {
 // pipeline and returns the verdict. peer names the LAN peer for
 // device-to-device DAG checks ("" when the peer is the WAN).
 func (p *Proxy) Process(device string, rec flows.Record, peer string) Decision {
-	si := p.shardIndex(device)
-	sh := p.shards[si]
+	sh := p.shardFor(device)
 	sh.mu.Lock()
 	o := p.processLocked(sh, device, rec, peer, p.clock.Now())
 	// Commit while holding the shard lock so a device's audit entries land
 	// in its decision order even under concurrent callers.
 	p.commit(o)
 	sh.mu.Unlock()
-	// Crossing the swap boundary: any artifact pointer this call loaded is
-	// no longer held, so retired generations at or before this shard's
-	// previous epoch may be reclaimed.
-	p.epochs.Advance(si)
 	if o.delta.pendingHeld > 0 {
 		p.metrics.pendingDepth.Set(int64(p.pending.depth()))
 	}

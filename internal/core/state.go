@@ -1148,9 +1148,8 @@ func (p *Proxy) installDevice(d *deviceImage) error {
 	var art *ruleArtifact
 	var err error
 	if d.arena != nil {
-		store := p.cfg.Artifacts
-		art = &ruleArtifact{meta: d.meta, store: store, storeSum: d.arena.sum}
-		if art.compiled = store.AcquireRules(d.arena.sum); art.compiled == nil {
+		art = &ruleArtifact{meta: d.meta}
+		if art.compiled = p.cfg.Artifacts.AcquireRules(d.arena.sum); art.compiled == nil {
 			return fmt.Errorf("core: device %q arena %08x not installed in artifact store", name, d.arena.sum)
 		}
 		if art.arrival, err = bindArrival(d, art.compiled.NumKeys()); err != nil {

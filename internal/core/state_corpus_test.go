@@ -149,9 +149,11 @@ func TestFuzzSeedForgedCountReachesRegistry(t *testing.T) {
 }
 
 // TestRestoreDecodeFailureLeavesProxyUntouched cuts a rules and an ML golden
-// image at every byte offset before the tail decodeState leaves unparsed.
-// Each cut must fail to restore and leave the receiving proxy's encoding
-// byte-identical, because decode rejects it before anything is installed.
+// image at every byte offset before the tail decodeState leaves unparsed,
+// and separately sets one device's locked flag to 2, a byte AppendBool never
+// writes. Each such image must fail to restore and leave the receiving
+// proxy's encoding byte-identical, because decode rejects it before anything
+// is installed.
 func TestRestoreDecodeFailureLeavesProxyUntouched(t *testing.T) {
 	ks, err := keystore.New(rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -174,6 +176,36 @@ func TestRestoreDecodeFailureLeavesProxyUntouched(t *testing.T) {
 			if !bytes.Equal(p.EncodeState(), before) {
 				t.Fatalf("%s: image cut at %d/%d bytes changed the proxy", g.name(), cut, len(enc))
 			}
+		}
+
+		// Locate the first device's locked flag by flipping it on the source
+		// and diffing the two images: exactly one byte may move.
+		ds := src.deviceStates()[0]
+		ds.locked = !ds.locked
+		flipped := src.EncodeState()
+		ds.locked = !ds.locked
+		if len(flipped) != len(enc) {
+			t.Fatalf("%s: flipping the locked flag resized the image", g.name())
+		}
+		at := -1
+		for i := range enc {
+			if enc[i] != flipped[i] {
+				if at >= 0 {
+					t.Fatalf("%s: flipping one flag moved bytes %d and %d", g.name(), at, i)
+				}
+				at = i
+			}
+		}
+		if at < 0 {
+			t.Fatalf("%s: flipping the locked flag moved no byte", g.name())
+		}
+		bad := append([]byte(nil), enc...)
+		bad[at] = 2
+		if err := p.RestoreState(bad); !errors.Is(err, wire.ErrBool) {
+			t.Fatalf("%s: locked flag byte 2: restore err = %v, want wire.ErrBool", g.name(), err)
+		}
+		if !bytes.Equal(p.EncodeState(), before) {
+			t.Fatalf("%s: locked flag byte 2 changed the proxy", g.name())
 		}
 	}
 }

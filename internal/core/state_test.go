@@ -134,7 +134,7 @@ func TestProxyStateRoundTrip(t *testing.T) {
 			if !bytes.Equal(dst.proxy.EncodeState(), enc) {
 				t.Fatal("restored proxy re-encodes differently")
 			}
-			if st := dst.proxy.cfg.Artifacts.Stats(); st.UniqueRules == 0 || st.RuleRefs == 0 || st.UniqueModels == 0 {
+			if st := dst.proxy.cfg.Artifacts.Stats(); st.UniqueRules == 0 || st.UniqueModels == 0 {
 				t.Fatalf("restore did not go through the store: %+v", st)
 			}
 			dst.clock.AdvanceTo(at)
@@ -162,11 +162,12 @@ func TestProxyStateRoundTrip(t *testing.T) {
 
 // TestProxyStateRoundTripZeroCopy: twins on the sequential and sharded
 // engines restore the same image into one caller-supplied artifact store, as
-// the gateway benchmark harness configures it. The second restore must add
-// references to the entries the first one installed rather than install its
-// own, and each twin must still re-encode the image and match the source on
-// an identical post-snapshot trace: decisions, stats, obs registries and
-// state images. Each twin restores from its own copy of the image.
+// the gateway benchmark harness configures it. The second restore must reuse
+// the entries the first one installed rather than install its own, so each
+// device's compiled rules are the same view in both twins, and each twin
+// must still re-encode the image and match the source on an identical
+// post-snapshot trace: decisions, stats, obs registries and state images.
+// Each twin restores from its own copy of the image.
 func TestProxyStateRoundTripZeroCopy(t *testing.T) {
 	clf := trainDiffClassifier(t, 3)
 	src := buildStateRig(t, 2, clf)
@@ -195,16 +196,32 @@ func TestProxyStateRoundTripZeroCopy(t *testing.T) {
 		}
 		st := store.Stats()
 		if i == 0 {
-			if st.UniqueRules == 0 || st.RuleRefs == 0 || st.UniqueModels == 0 {
+			if st.UniqueRules == 0 || st.UniqueModels == 0 {
 				t.Fatalf("restore did not go through the shared store: %+v", st)
 			}
 			first = st
 			continue
 		}
-		if st.UniqueRules != first.UniqueRules || st.UniqueModels != first.UniqueModels ||
-			st.RulesInstalled != first.RulesInstalled || st.RuleRefs != (i+1)*first.RuleRefs {
+		if st != first {
 			t.Fatalf("restore %d did not share the store's entries:\n after first %+v\n now %+v", i+1, first, st)
 		}
+	}
+	shared := 0
+	for _, dev := range []string{"plug", "cam"} {
+		view, ok := twins[0].proxy.CompiledRules(dev)
+		if !ok {
+			continue
+		}
+		shared++
+		if other, _ := twins[1].proxy.CompiledRules(dev); other != view {
+			t.Fatalf("%s: twins restored different rule views", dev)
+		}
+		if view != store.AcquireRules(view.Checksum()) {
+			t.Fatalf("%s: restored rules are not the store's view", dev)
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no restored device carries compiled rules")
 	}
 
 	for i, tc := range cases {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,27 +15,18 @@ import (
 	"fiat/internal/swap"
 )
 
-// swapPropertyObserver wires the proxy's test hooks into the two safety
-// invariants of the RCU swap protocol, recording the first violation for the
-// test goroutine to fail on (hooks fire on reader goroutines, so they cannot
-// call t.Fatal themselves):
-//
-//  1. coherence — every artifact a reader observes is internally consistent
-//     (its identity checksums the compiled arena it is paired with) and its
-//     generation never regresses on a device; a torn read pairing one
-//     generation's arena with another's identity would trip either check.
-//  2. reclamation safety — no reader ever observes an artifact whose release
-//     hook already ran; retired arenas are handed back only after every
-//     shard's epoch has advanced past the retirement snapshot.
+// swapPropertyObserver wires the proxy's swap hook into the coherence
+// invariant of the hot swap, recording the first violation for the test
+// goroutine to fail on (the hook fires on reader goroutines, so it cannot
+// call t.Fatal itself): every artifact a reader observes is internally
+// consistent (its identity checksums the compiled arena it is paired with)
+// and its generation never regresses on a device. A torn read pairing one
+// generation's arena with another's identity would trip either check.
 type swapPropertyObserver struct {
 	mu        sync.Mutex
 	violation string
 
-	lastGen   map[string]*atomic.Uint64
-	reclaimed sync.Map // swap.Meta -> struct{}, set by the release hook
-
-	promotions atomic.Int64
-	reclaims   atomic.Int64
+	lastGen map[string]*atomic.Uint64
 }
 
 func (o *swapPropertyObserver) fail(format string, args ...any) {
@@ -56,10 +48,6 @@ func (o *swapPropertyObserver) install(p *Proxy, devices []string) {
 				device, art.meta.RulesSum, art.compiled.Checksum(), art.meta.Generation)
 			return
 		}
-		if _, gone := o.reclaimed.Load(art.meta); gone {
-			o.fail("%s: reader observed reclaimed artifact generation %d", device, art.meta.Generation)
-			return
-		}
 		g := o.lastGen[device]
 		for {
 			prev := g.Load()
@@ -72,19 +60,14 @@ func (o *swapPropertyObserver) install(p *Proxy, devices []string) {
 			}
 		}
 	}
-	p.releaseHook = func(meta swap.Meta) {
-		o.reclaimed.Store(meta, struct{}{})
-		o.reclaims.Add(1)
-	}
 }
 
-// TestConcurrentProcessAndHotSwap hammers the RCU swap protocol from three
-// sides at once — reader goroutines streaming packets through Process,
-// swapper goroutines hot-promoting identically-compiled artifacts, and a
-// sweeper goroutine running the housekeeping tick that quiesce-advances the
-// epochs and reclaims the graveyard — and asserts via the proxy's swap hooks
-// that no reader ever observes a mixed-generation or reclaimed artifact.
-// Run under -race -count=2 in the swap-smoke CI job.
+// TestConcurrentProcessAndHotSwap hammers the hot swap from three sides at
+// once — reader goroutines streaming packets through Process, swapper
+// goroutines hot-promoting identically-compiled artifacts, and a sweeper
+// goroutine running the housekeeping tick — and asserts via the proxy's swap
+// hook that no reader ever observes a torn artifact or a generation going
+// backwards. Run under -race -count=2 in the swap-smoke CI job.
 func TestConcurrentProcessAndHotSwap(t *testing.T) {
 	clock := simclock.NewVirtual()
 	ks, err := keystore.New(rand.New(rand.NewSource(501)))
@@ -100,9 +83,8 @@ func TestConcurrentProcessAndHotSwap(t *testing.T) {
 	devices := make([]string, 8)
 	for i := range devices {
 		devices[i] = fmt.Sprintf("dev%d", i)
-		// Distinct notification sizes keep every device's rule table — and so
-		// every artifact identity — unique, making swap.Meta a collision-free
-		// key for the reclaimed set.
+		// Distinct notification sizes keep every device's rule table, and so
+		// every artifact identity, unique.
 		if err := p.AddDevice(DeviceConfig{Name: devices[i], Classifier: RuleClassifier{NotificationSize: 200 + 10*i}, GraceN: 2}); err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +156,6 @@ func TestConcurrentProcessAndHotSwap(t *testing.T) {
 					obsv.fail("PromoteIdentical(%s): %v", dev, err)
 					return
 				}
-				obsv.promotions.Add(1)
 			}
 		}(s)
 	}
@@ -194,25 +175,6 @@ func TestConcurrentProcessAndHotSwap(t *testing.T) {
 		t.Fatal(violation)
 	}
 
-	// Deterministic tail: a retirement parks in the graveyard until the next
-	// housekeeping tick, whose quiesce pass advances every shard's epoch and
-	// reclaims everything — after it, every promotion ever made has released
-	// exactly one superseded arena.
-	if _, err := p.PromoteIdentical(devices[0]); err != nil {
-		t.Fatal(err)
-	}
-	obsv.promotions.Add(1)
-	if p.graveyard.Pending() == 0 {
-		t.Fatal("retirement did not park in the graveyard")
-	}
-	p.SweepPending()
-	if n := p.graveyard.Pending(); n != 0 {
-		t.Fatalf("%d retired arenas survived the quiesce sweep", n)
-	}
-	if got, want := obsv.reclaims.Load(), obsv.promotions.Load(); got != want {
-		t.Fatalf("%d arenas reclaimed, want one per promotion (%d)", got, want)
-	}
-
 	// The readers kept rule-hitting across every swap: a final heartbeat one
 	// period later must still match, proving arrival state survived the
 	// promotions via TransferArrival.
@@ -222,4 +184,54 @@ func TestConcurrentProcessAndHotSwap(t *testing.T) {
 			t.Fatalf("post-swap heartbeat %s: %+v", dev, d)
 		}
 	}
+}
+
+// TestRetiredArtifactIsCollected pins the retirement contract: a promotion
+// overwrites the proxy's only pointer to the superseded generation, so the
+// garbage collector takes it with no housekeeping tick in between. A
+// finalizer on the live artifact must run within a bounded number of
+// collections after PromoteIdentical.
+func TestRetiredArtifactIsCollected(t *testing.T) {
+	r := newRig(t, Config{})
+	if err := r.proxy.AddDevice(DeviceConfig{Name: "plug", Classifier: RuleClassifier{NotificationSize: 235}, GraceN: 1}); err != nil {
+		t.Fatal(err)
+	}
+	r.feedHeartbeats(t, "plug", 25, time.Minute)
+	if d := r.proxy.Process("plug", mkRec(r.clock.Now(), 128, flows.CategoryControl), ""); d.Verdict != Allow {
+		t.Fatalf("post-bootstrap heartbeat: %+v", d)
+	}
+	live, ok := r.proxy.ArtifactMeta("plug")
+	if !ok {
+		t.Fatal("plug has no artifact after freeze")
+	}
+
+	collected := make(chan swap.Meta, 1)
+	// A separate function, so no pointer to the live artifact survives on
+	// this frame.
+	func() {
+		sh := r.proxy.shardFor("plug")
+		sh.mu.Lock()
+		art := sh.devices["plug"].art.Load()
+		sh.mu.Unlock()
+		runtime.SetFinalizer(art, func(a *ruleArtifact) { collected <- a.meta })
+	}()
+	meta, err := r.proxy.PromoteIdentical("plug")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Parent != live.Generation {
+		t.Fatalf("promotion parent %d, want the live generation %d", meta.Parent, live.Generation)
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case got := <-collected:
+			if got != live {
+				t.Fatalf("collected generation %+v, want the retired %+v", got, live)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatalf("retired generation %d still reachable after 50 collections", live.Generation)
 }

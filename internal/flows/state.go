@@ -339,7 +339,7 @@ func (rt *RuleTable) EncodeState() []byte { return rt.AppendState(nil) }
 // AppendState writes: sorted unique buckets, a zero arrival reference on a
 // bucket with none, sorted unique seen histograms with positive counts, and
 // sorted unique periods. So a decoded table re-encodes to the bytes it was
-// read from, up to the spelling of a true boolean (any non-zero byte).
+// read from.
 func DecodeRuleTable(data []byte) (*RuleTable, []byte, error) {
 	r := wire.NewReader(data)
 	fail := func(err error) (*RuleTable, []byte, error) {

@@ -155,8 +155,9 @@ func TestDecodeCompiledRulesRejectsCorruption(t *testing.T) {
 }
 
 // ruleTableBytes hand-encodes a one-bucket learning table, so a test can
-// write layouts AppendState never would. seen holds (quantum, count) pairs.
-func ruleTableBytes(hasLast bool, last int64, seen [][2]int64, periods []int64) []byte {
+// write layouts AppendState never would. hasLast is the raw flag byte, and
+// seen holds (quantum, count) pairs.
+func ruleTableBytes(hasLast uint8, last int64, seen [][2]int64, periods []int64) []byte {
 	b := wire.AppendU16(nil, RuleTableVersion)
 	b = wire.AppendU8(b, uint8(ModePortLess))
 	b = wire.AppendI64(b, int64(time.Second))
@@ -164,7 +165,7 @@ func ruleTableBytes(hasLast bool, last int64, seen [][2]int64, periods []int64) 
 	b = wire.AppendU32(b, 1)
 	k := Key{Mode: ModePortLess, Dir: DirOutbound, Proto: "tcp", Size: 128, Domain: "cloud.example.com"}
 	b = appendKey(b, &k)
-	b = wire.AppendBool(b, hasLast)
+	b = wire.AppendU8(b, hasLast)
 	b = wire.AppendI64(b, last)
 	b = wire.AppendU32(b, uint32(len(seen)))
 	for _, s := range seen {
@@ -194,18 +195,20 @@ func TestDecodeRuleTableRejectsCorruption(t *testing.T) {
 		{"empty", nil},
 		// Layouts AppendState never writes: each would decode to a table
 		// that re-encodes to different bytes.
-		{"unsorted periods", ruleTableBytes(true, 5, [][2]int64{{10, 2}}, []int64{20, 10})},
-		{"duplicate periods", ruleTableBytes(true, 5, [][2]int64{{10, 2}}, []int64{10, 10})},
-		{"unsorted seen histogram", ruleTableBytes(true, 5, [][2]int64{{20, 1}, {10, 2}}, []int64{10})},
-		{"duplicate seen histogram", ruleTableBytes(true, 5, [][2]int64{{10, 1}, {10, 2}}, []int64{10})},
-		{"absent arrival with a value", ruleTableBytes(false, 5, nil, nil)},
+		{"unsorted periods", ruleTableBytes(1, 5, [][2]int64{{10, 2}}, []int64{20, 10})},
+		{"duplicate periods", ruleTableBytes(1, 5, [][2]int64{{10, 2}}, []int64{10, 10})},
+		{"unsorted seen histogram", ruleTableBytes(1, 5, [][2]int64{{20, 1}, {10, 2}}, []int64{10})},
+		{"duplicate seen histogram", ruleTableBytes(1, 5, [][2]int64{{10, 1}, {10, 2}}, []int64{10})},
+		{"absent arrival with a value", ruleTableBytes(0, 5, nil, nil)},
+		{"hasLast byte 2", ruleTableBytes(2, 5, [][2]int64{{10, 2}}, []int64{10})},
+		{"frozen byte 2", append(append(append([]byte(nil), enc[:11]...), 2), enc[12:]...)},
 	} {
 		if _, _, err := DecodeRuleTable(tc.data); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 	// The hand encoder writes what AppendState writes for a sorted table.
-	good := ruleTableBytes(true, 5, [][2]int64{{10, 2}, {20, 1}}, []int64{10})
+	good := ruleTableBytes(1, 5, [][2]int64{{10, 2}, {20, 1}}, []int64{10})
 	dec, rest, err := DecodeRuleTable(good)
 	if err != nil || len(rest) != 0 || !bytes.Equal(dec.EncodeState(), good) {
 		t.Fatalf("canonical hand-encoded table: err %v, %d trailing, re-encodes equal %v",

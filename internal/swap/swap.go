@@ -15,15 +15,14 @@
 // promoted only when it matches-or-beats the incumbent over a configurable
 // window.
 //
-// Promotion is a read-copy-update atomic pointer swap under the zero-alloc
-// match path: readers never take a swap-specific lock, and the retired
-// artifact's arena is reclaimed only after every shard's epoch counter
-// (Epochs) has advanced past the snapshot taken at retirement (Graveyard) —
-// proof that every worker crossed the swap boundary. Versioned artifact
-// identity (Meta: monotonic generation, parent generation, config and
-// content checksums) travels with every compiled artifact and into the
-// durable state image, so a crash mid-shadow resumes the lifecycle exactly
-// and the future fleet control plane has an identity to sign.
+// Promotion replaces the device's artifact pointer under the shard mutex
+// its readers already hold, so the zero-alloc match path takes no
+// swap-specific lock and the superseded artifact is left to the garbage
+// collector. Versioned artifact identity (Meta: monotonic generation,
+// parent generation, config and content checksums) travels with every
+// compiled artifact and into the durable state image, so a crash
+// mid-shadow resumes the lifecycle exactly and the future fleet control
+// plane has an identity to sign.
 //
 // Everything here is deterministic under simclock: the lifecycle advances
 // only at housekeeping ticks (which the durable WAL logs as sweep ops) and
