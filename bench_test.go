@@ -320,9 +320,9 @@ func benchValidator(b *testing.B) *sensors.Validator {
 // benchShardedProxy measures the engine's steady-state rule-hit path: every
 // iteration advances the virtual clock one heartbeat period and decides one
 // batch carrying a periodic heartbeat per device. With shards=1 ProcessBatch
-// runs inline, so the 1-vs-GOMAXPROCS pair is exactly the sequential vs
-// shard-worker comparison; speedup needs real cores (on a single-CPU
-// runner the sharded rows only pay the worker handoff).
+// is a Process call per packet, so the 1-vs-GOMAXPROCS pair compares the
+// sequential path with the batched one. Both run on the calling goroutine,
+// so more shards buy no parallelism within one batch.
 func benchShardedProxy(b *testing.B, nDev, shards int) {
 	clock := simclock.NewVirtual()
 	ks, err := keystore.New(rand.New(rand.NewSource(7)))
@@ -332,7 +332,6 @@ func benchShardedProxy(b *testing.B, nDev, shards int) {
 	proxy := core.NewProxy(clock, ks, benchValidator(b), core.Config{
 		Bootstrap: 10 * time.Minute, Shards: shards,
 	})
-	defer proxy.Close()
 	cloud := netip.MustParseAddr("52.1.1.1")
 	names := make([]string, nDev)
 	for i := range names {
@@ -396,8 +395,10 @@ func benchShardedProxy(b *testing.B, nDev, shards int) {
 }
 
 // BenchmarkProxyShardedThroughput sweeps fleet size against shard count:
-// shards=1 is the sequential baseline, shards=GOMAXPROCS the parallel
-// engine. Compare packets/s within a device count.
+// shards=1 is the sequential path, shards=GOMAXPROCS the batched path,
+// which sorts the batch by shard and takes each shard's lock once per
+// batch instead of once per packet. Compare packets/s within a device
+// count.
 func BenchmarkProxyShardedThroughput(b *testing.B) {
 	shardCounts := []int{1}
 	if n := runtime.GOMAXPROCS(0); n > 1 {

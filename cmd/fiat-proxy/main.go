@@ -48,7 +48,7 @@ func main() {
 	codeHex := flag.String("code", "", "pairing code (hex); generated when empty")
 	bootstrap := flag.Duration("bootstrap", 5*time.Second, "rule-learning window (paper: 20m)")
 	nDevices := flag.Int("devices", 4, "simulated plug devices fed to the engine as one batch per tick")
-	shards := flag.Int("shards", 0, "engine shards (0 = GOMAXPROCS); 1 decides every batch inline, more run one worker per shard (same decisions)")
+	shards := flag.Int("shards", 0, "device-state shards (0 = GOMAXPROCS); 1 decides every batch packet by packet, more decide it shard by shard (same decisions)")
 	duration := flag.Duration("duration", time.Minute, "how long to run the demo feed")
 	attackEvery := flag.Duration("attack-every", 10*time.Second, "injected command cadence")
 	mudOut := flag.String("mud", "", "export learned rules as an RFC 8520 MUD profile on exit")
@@ -215,7 +215,7 @@ func main() {
 	fmt.Printf("fiat-proxy: listening on %s; bootstrap %s\n", *listen, *bootstrap)
 
 	// Demo feed: every tick each device heartbeats, and the whole tick is
-	// decided as one ProcessBatch across the shard workers; an injected
+	// decided as one ProcessBatch, shard by shard; an injected
 	// on/off command every attack-every. Run fiat-app to authorize one.
 	cloud := netip.MustParseAddr("52.1.1.1")
 	heartbeat := func() flows.Record {

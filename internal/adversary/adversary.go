@@ -447,7 +447,6 @@ func Run(s Scenario) (*Result, error) {
 		AttestWindow: s.AttestWindow,
 		Obs:          reg,
 	})
-	defer proxy.Close()
 	if err := proxy.AddDevice(core.DeviceConfig{
 		Name: "plug", Classifier: core.RuleClassifier{NotificationSize: 235}, GraceN: 2,
 	}); err != nil {

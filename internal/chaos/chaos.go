@@ -45,7 +45,7 @@ type Scenario struct {
 	// Seed drives every random stream of the run (default 1).
 	Seed int64
 	// Shards selects the proxy engine width (default 1, the sequential
-	// reference; more shards run batches on the shard workers). Decisions
+	// reference; more shards run batches on the batched path). Decisions
 	// are shard-invariant, so every oracle in this package applies unchanged.
 	Shards int
 	// Bootstrap is the proxy learning window (default 2 minutes).
@@ -369,7 +369,6 @@ func run(s Scenario, wrap func(engine, *simclock.VirtualClock) engine) (*Result,
 		Relearn:       s.Relearn,
 		Obs:           reg,
 	})
-	defer proxy.Close()
 	if err := proxy.AddDevice(core.DeviceConfig{
 		Name: "plug", Classifier: core.RuleClassifier{NotificationSize: 235}, GraceN: 1,
 	}); err != nil {

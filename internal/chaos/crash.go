@@ -161,7 +161,6 @@ func ReplayOps(s Scenario, ops []RecordedOp) (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer proxy.Close()
 	res := &ReplayResult{CrashOp: -1}
 	for i := range ops {
 		op := &ops[i]
@@ -272,7 +271,6 @@ func ReplayOpsDurable(s Scenario, ops []RecordedOp, dir string, kill *durable.Ki
 			return nil, fmt.Errorf("crashed again at op %d: %w", n2, err)
 		}
 		res.Truncated = mgr2.Metrics().Counter("fiat_durable_wal_truncated_records_total").Value()
-		mgr.Proxy().Close()
 		mgr = mgr2
 	}
 	res.State = mgr.Proxy().EncodeState()

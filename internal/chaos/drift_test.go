@@ -119,7 +119,6 @@ func driftLifecycleOps(t *testing.T, s Scenario, ops []RecordedOp) (shadowAt, pr
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer probe.Close()
 	shadowAt, promoteAt = -1, -1
 	for i := range ops {
 		op := &ops[i]
@@ -198,7 +197,6 @@ func TestDriftCrashMidShadowRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
 	if err := restored.RestoreState(got.State); err != nil {
 		t.Fatalf("restore of recovered state: %v", err)
 	}

@@ -9,7 +9,7 @@ import (
 	"fiat/internal/core"
 )
 
-// TestScenarioShardedMatchesSequential: the multi-shard worker engine
+// TestScenarioShardedMatchesSequential: the multi-shard batched engine
 // driven through the full netsim fabric — gateway batching, courier faults,
 // partitions, pending sweeps — produces a Result identical to the
 // sequential engine on every surface, including the shared metrics snapshot.

@@ -72,8 +72,8 @@ func TestProcessRuleHitZeroAllocs(t *testing.T) {
 }
 
 // TestPipelineSteadyStateZeroAllocs is the multi-shard engine's allocation
-// guard: a full intercept→verdict batch on the shard workers — producer
-// index lists, worker decisions, compiled rule match, outcome arena,
+// guard: a full intercept→verdict batch on the batched path — per-shard
+// index lists, shard-by-shard decisions, compiled rule match, outcome arena,
 // idx-ordered merge — performs zero heap allocations per batch in steady state, and the
 // event-decision path (grouping, compiled classification, audit append)
 // stays under a tight amortized ceiling (the audit log's doubling append is
@@ -89,7 +89,6 @@ func TestPipelineSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewProxy(clock, ks, validator, Config{Bootstrap: 5 * time.Minute, Shards: 4})
-	defer p.Close()
 	trained := trainDiffClassifier(t, 5)
 	ruleDevs := []string{"rplug0", "rplug1", "rplug2", "rplug3"}
 	mlDevs := []string{"mcam0", "mcam1", "mcam2", "mcam3"}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,8 +15,8 @@ import (
 
 // asyncDiffProxy builds a differential arm: the shared device zoo with half
 // the devices on packet-size rule classifiers and half wearing the trained
-// compiled model, so a trace exercises both classifier engines on the shard
-// workers.
+// compiled model, so a trace exercises both classifier engines on the
+// batched multi-shard path.
 func asyncDiffProxy(t *testing.T, clock *simclock.VirtualClock, ks *keystore.Store, trained *MLClassifier, cfg Config) *Proxy {
 	t.Helper()
 	validator, _, err := sharedValidator()
@@ -25,7 +24,6 @@ func asyncDiffProxy(t *testing.T, clock *simclock.VirtualClock, ks *keystore.Sto
 		t.Fatal(err)
 	}
 	p := NewProxy(clock, ks, validator, cfg)
-	t.Cleanup(p.Close)
 	for i, d := range diffDevices {
 		dc := DeviceConfig{Name: d.name, GraceN: d.graceN}
 		if i%2 == 0 {
@@ -46,7 +44,7 @@ func asyncDiffProxy(t *testing.T, clock *simclock.VirtualClock, ks *keystore.Sto
 // TestAsyncPipelineMatchesSequentialAndSharded is the engine differential
 // the multi-shard pipeline must pass to be admissible: replaying seeded
 // multi-device traces through the sequential engine (1 shard) and the
-// shard workers (4 shards) must produce byte-identical per-packet
+// batched engine (4 shards) must produce byte-identical per-packet
 // decisions, flush decisions, audit logs, stats, lockout states, obs
 // snapshots, and serialized proxy state.
 func TestAsyncPipelineMatchesSequentialAndSharded(t *testing.T) {
@@ -119,8 +117,8 @@ func TestAsyncPipelineMatchesSequentialAndSharded(t *testing.T) {
 					}
 				}
 			}
-			if arms["sharded"].async.workers == nil {
-				t.Fatal("sharded arm never started the shard workers")
+			if arms["sharded"].batcher.idx == nil {
+				t.Fatal("sharded arm never ran a batch on the batched path")
 			}
 
 			want, got := decisions["seq"], decisions["sharded"]
@@ -164,10 +162,11 @@ func TestAsyncPipelineMatchesSequentialAndSharded(t *testing.T) {
 
 // TestAsyncTinyRingBackpressure reruns the seed-31 trace, without
 // attestations, on four shards in batches of at most two packets: every
-// trace step becomes many hand-offs, each touching at most two of the four
-// shards, so the wake, the skip of idle shards, the done signal and the
-// merge run at the highest rate the pipeline sees. Decisions, logs, and
-// stats must still match the sequential engine fed the same batches.
+// trace step becomes many batches, each touching at most two of the four
+// shards, so the list reset, the skip of idle shards, the tally flush and
+// the merge run at the highest rate the batched path sees. Decisions, logs,
+// and stats must still match the sequential engine fed the same batches,
+// and no shard's index list may grow past the batch size.
 func TestAsyncTinyRingBackpressure(t *testing.T) {
 	const seed = 31
 	const chunk = 2
@@ -208,40 +207,42 @@ func TestAsyncTinyRingBackpressure(t *testing.T) {
 	if want := seq.StatsSnapshot(); want.Packets < 50 || handoffs < 25 {
 		t.Fatalf("trace too small for many hand-offs: %d batches, %+v", handoffs, want)
 	}
-	if sharded.async.workers == nil {
-		t.Fatal("no batch ran on the shard workers")
+	if sharded.batcher.idx == nil {
+		t.Fatal("no batch ran on the batched path")
 	}
-	for i, w := range sharded.async.workers {
-		if got := cap(w.idx); got > chunk {
-			t.Fatalf("worker %d index list grew to %d slots on batches of %d", i, got, chunk)
+	for i, idx := range sharded.batcher.idx {
+		if got := cap(idx); got > chunk {
+			t.Fatalf("shard %d index list grew to %d slots on batches of %d", i, got, chunk)
 		}
 	}
 }
 
 // TestAsyncLopsidedBatchWakes feeds the four-shard pipeline batches that
 // hold only the packets of one shard's devices, so every other shard has an
-// empty index list and must be left alone: no goroutine woken, no shard
-// lock taken. The test holds every other shard's mutex across each sharded
-// batch, so touching an idle shard would block the batch. It runs twice:
-// with the hot shard on the producer, so the batches wake no goroutine, and
-// with the hot shard on a goroutine, so the producer skips its own shard.
+// empty index list and must be left alone: its lock is not taken. The test
+// holds every other shard's mutex across each sharded batch, so touching an
+// idle shard would block the batch. It runs twice: with shard 0 hot
+// ("producer-shard"), so every idle shard comes after the hot one in the
+// batch's shard walk, and with a later shard hot ("goroutine-shard"), so the
+// walk skips shard 0 first. The arm names date from an engine that ran
+// shard 0 on the calling goroutine and the others on worker goroutines.
 // The last batch holds more than 1,024 of the hot shard's packets, so the
 // index list and the outcome arena grow well past any warm size mid-run.
 // Decisions, logs, and stats must match the sequential engine fed the same
 // batches.
 func TestAsyncLopsidedBatchWakes(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		producer bool
+		name  string
+		first bool
 	}{{"producer-shard", true}, {"goroutine-shard", false}} {
-		t.Run(tc.name, func(t *testing.T) { lopsidedBatchWakes(t, tc.producer) })
+		t.Run(tc.name, func(t *testing.T) { lopsidedBatchWakes(t, tc.first) })
 	}
 }
 
-// lopsidedBatchWakes is one arm of TestAsyncLopsidedBatchWakes: with
-// producer set, the hot shard is shard 0, which the producer runs;
-// otherwise it is the goroutine-run shard that owns the most devices.
-func lopsidedBatchWakes(t *testing.T, producer bool) {
+// lopsidedBatchWakes is one arm of TestAsyncLopsidedBatchWakes: with first
+// set, the hot shard is shard 0; otherwise it is the shard after it that
+// owns the most devices.
+func lopsidedBatchWakes(t *testing.T, first bool) {
 	const seed = 71
 	clock := simclock.NewVirtual()
 	ks, err := keystore.New(rand.New(rand.NewSource(960)))
@@ -257,7 +258,7 @@ func lopsidedBatchWakes(t *testing.T, producer bool) {
 		owned[sharded.shardIndex(d.name)]++
 	}
 	hot := 0
-	if !producer {
+	if !first {
 		hot = 1
 		for si := 2; si < len(owned); si++ {
 			if owned[si] > owned[hot] {
@@ -318,8 +319,8 @@ func lopsidedBatchWakes(t *testing.T, producer bool) {
 		hotPackets = append(hotPackets, batch...)
 		step(si, batch, s.Flush)
 	}
-	if sharded.async.workers == nil {
-		t.Fatal("no batch ran on the shard workers")
+	if sharded.batcher.idx == nil {
+		t.Fatal("no batch ran on the batched path")
 	}
 	if len(hotPackets) == 0 {
 		t.Fatal("the hot shard saw no packets")
@@ -342,7 +343,7 @@ func lopsidedBatchWakes(t *testing.T, producer bool) {
 	}
 	clock.Advance(span + time.Hour)
 	step(len(trace), big, flush)
-	if got := len(sharded.async.workers[hot].idx); got != len(big) {
+	if got := len(sharded.batcher.idx[hot]); got != len(big) {
 		t.Fatalf("hot shard's index list holds %d packets, want %d", got, len(big))
 	}
 
@@ -358,10 +359,10 @@ func lopsidedBatchWakes(t *testing.T, producer bool) {
 }
 
 // TestProxyCloseDuringBatches races Close against a ProcessBatch loop on a
-// four-shard proxy. Close must wait out the in-flight batch and stop the
-// workers without hanging either side, a second concurrent Close must be a
-// no-op, and every batch — before, during, and after Close, when batches
-// run inline — must decide exactly as a Shards=1 proxy does.
+// four-shard proxy. Close is a no-op kept for an old caller: two concurrent
+// calls must return without waiting on the batches, and every batch —
+// before, during, and after them — must run on the batched path and decide
+// exactly as a Shards=1 proxy does.
 func TestProxyCloseDuringBatches(t *testing.T) {
 	const seed = 7
 	ks, err := keystore.New(rand.New(rand.NewSource(940)))
@@ -406,11 +407,11 @@ func TestProxyCloseDuringBatches(t *testing.T) {
 		}()
 	}
 	closers.Wait()
-	if ring.async.workers != nil {
-		t.Fatal("Close returned with the workers still registered")
-	}
 	<-done
-	step(trace[len(trace)-1]) // certainly after Close: runs inline
+	step(trace[len(trace)-1]) // certainly after Close
+	if ring.batcher.idx == nil {
+		t.Fatal("no batch ran on the batched path")
+	}
 
 	var want []Decision
 	for _, s := range trace {
@@ -431,15 +432,12 @@ func TestProxyCloseDuringBatches(t *testing.T) {
 	}
 }
 
-// TestProxyWorkersStartLazily: building a multi-shard proxy starts no
-// goroutine, the first batch builds one worker per shard but starts a
-// goroutine only for the N−1 the producer does not run itself, and Close
-// waits until they are gone. The N−1 split is read off the pipeline's own
-// structure (start launches a goroutine exactly for each worker with a wake
-// channel); the process-wide goroutine checks are one-sided, because a
-// worker of an earlier test's closed proxy may still be unwinding, and
-// bounded in time, because a goroutine the batch did not wake may not have
-// been scheduled yet.
+// TestProxyWorkersStartLazily: neither building an eight-shard proxy nor
+// running a batch with packets on all eight shards starts a goroutine. The
+// batched path decides every shard on the calling goroutine. The check is
+// process-wide, so it waits up to 1 s for a count above the baseline to
+// fall back, which tolerates a finalizer run by the garbage collector
+// meanwhile; a goroutine the proxy started would stay.
 func TestProxyWorkersStartLazily(t *testing.T) {
 	validator, _, err := sharedValidator()
 	if err != nil {
@@ -450,45 +448,37 @@ func TestProxyWorkersStartLazily(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
+	noneStarted := func(after string) {
+		t.Helper()
+		for i := 0; runtime.NumGoroutine() > base; i++ {
+			if i == 1000 {
+				t.Fatalf("%d goroutines after %s, want <= %d", runtime.NumGoroutine(), after, base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	p := NewProxy(simclock.NewVirtual(), ks, validator, Config{Shards: 8})
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("NewProxy started %d goroutines", n-base)
-	}
-	p.ProcessBatch([]PacketIn{{Device: "ghost"}})
-	if n := len(p.async.workers); n != 8 {
-		t.Fatalf("%d workers after the first batch, want 8", n)
-	}
-	for i, w := range p.async.workers {
-		if hasWake := w.wake != nil; hasWake != (i > 0) {
-			t.Fatalf("worker %d has a wake channel: %v, want %v (shard 0 runs on the producer)", i, hasWake, i > 0)
-		}
-	}
-	// A batch wakes only the goroutines whose shard has packets, so the
-	// others may not have been scheduled yet; give them a bounded wait.
-	for i := 0; workerLoops() < 7; i++ {
-		if i == 1000 {
-			t.Fatalf("%d worker goroutines running after the first batch of 8 shards, want at least 7", workerLoops())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	p.Close()
-	for i := 0; runtime.NumGoroutine() > base; i++ {
-		if i == 1000 {
-			t.Fatalf("%d goroutines after Close, want <= %d", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
+	noneStarted("NewProxy")
 
-// workerLoops counts the goroutines, of any proxy, running a shard worker's
-// loop.
-func workerLoops() int {
-	buf := make([]byte, 1<<16)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "(*asyncWorker).loop(")
+	// Unregistered devices fail open, but the batched path still takes each
+	// of their shards' locks; pick names until every shard has a packet.
+	var batch []PacketIn
+	var covered [8]bool
+	for i, n := 0, 0; n < len(covered); i++ {
+		dev := fmt.Sprintf("ghost%d", i)
+		if s := p.shardIndex(dev); !covered[s] {
+			covered[s] = true
+			n++
+			batch = append(batch, PacketIn{Device: dev})
 		}
-		buf = make([]byte, 2*len(buf))
 	}
+	for i, d := range p.ProcessBatch(batch) {
+		if d.Verdict != Allow {
+			t.Fatalf("unregistered device packet %d = %+v, want allow", i, d)
+		}
+	}
+	if p.batcher.idx == nil {
+		t.Fatal("the batch did not run on the batched path")
+	}
+	noneStarted("an eight-shard batch")
 }

@@ -113,9 +113,9 @@ func DecodeAttestationAliases(payload []byte, ks *keystore.Store, aliases ...str
 const ValidationTTL = 10 * time.Second
 
 // validationStore remembers the proxy's recent humanness verdicts. It is
-// read-mostly shared state on the sharded hot path: every shard worker reads
-// it under RLock while deciding manual events, and only HandleAttestation
-// writes.
+// read-mostly shared state on the packet path: every manual-event decision
+// reads it under RLock, from whichever goroutine holds the device's shard,
+// and only HandleAttestation writes.
 type validationStore struct {
 	mu       sync.RWMutex
 	byDevice map[string][]validation

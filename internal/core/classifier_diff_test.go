@@ -81,7 +81,6 @@ func TestCompiledClassifierMatchesLegacyDifferential(t *testing.T) {
 
 			build := func(clf EventClassifier) *Proxy {
 				p := NewProxy(clock, ks, validator, Config{Bootstrap: 5 * time.Minute, Shards: 4})
-				t.Cleanup(p.Close)
 				for _, d := range diffDevices {
 					if err := p.AddDevice(DeviceConfig{Name: d.name, Classifier: clf, GraceN: d.graceN}); err != nil {
 						t.Fatal(err)

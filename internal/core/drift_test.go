@@ -47,7 +47,6 @@ func driftFleetProxy(t *testing.T, clock *simclock.VirtualClock, shards int) *Pr
 		t.Fatal(err)
 	}
 	p := NewProxy(clock, ks, validator, Config{Bootstrap: 5 * time.Minute, Shards: shards, Relearn: driftRelearn})
-	t.Cleanup(p.Close)
 	for _, name := range driftFleet {
 		if err := p.AddDevice(DeviceConfig{Name: name, Classifier: RuleClassifier{NotificationSize: 235}, GraceN: 2}); err != nil {
 			t.Fatal(err)
@@ -74,7 +73,7 @@ func shadowMatrix(p *Proxy, device string) (swap.ShadowMatrix, bool) {
 // idle on generation 1 throughout. A fleet-wide detector would send every
 // frozen device into a relearn window. The run is repeated on the
 // sequential engine (Shards 1), on 4 shards fed one packet at a time, and
-// on the 4-shard worker pipeline; decisions and the swap registry must be
+// on the 4-shard batched path; decisions and the swap registry must be
 // identical across the three.
 func TestOneDeviceDriftsOneDeviceRelearns(t *testing.T) {
 	const drifted = "tv"
@@ -213,7 +212,6 @@ func TestAddDeviceDuringSweeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewProxy(simclock.NewVirtual(), ks, validator, Config{Shards: 4, Relearn: driftRelearn})
-	t.Cleanup(p.Close)
 	sorted := func(devs []*deviceState) bool {
 		return sort.SliceIsSorted(devs, func(i, j int) bool { return devs[i].cfg.Name < devs[j].cfg.Name })
 	}

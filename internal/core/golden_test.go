@@ -62,7 +62,6 @@ func goldenProxy(t *testing.T, g goldenTrace, clock simclock.Clock, ks *keystore
 		t.Fatal(err)
 	}
 	p := NewProxy(clock, ks, validator, Config{Bootstrap: 5 * time.Minute, Shards: shards})
-	t.Cleanup(p.Close)
 	for _, d := range diffDevices {
 		var clf EventClassifier = RuleClassifier{NotificationSize: d.size}
 		if g.kind == "ml" {
@@ -159,7 +158,7 @@ func readGolden(t *testing.T) map[string]string {
 }
 
 // TestGoldenDigests replays each golden trace through the sequential engine
-// (1 shard) and the shard workers (4 shards); both must reproduce the
+// (1 shard) and the batched engine (4 shards); both must reproduce the
 // committed digests byte for byte. The digests were recorded when the
 // serialized RuleTable.Match and MLClassifier.IsManual paths could still run
 // a whole proxy, and both paths produced them, so they pin the compiled

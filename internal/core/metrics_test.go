@@ -19,8 +19,8 @@ import (
 // end. Counters are sums, reason counters follow the deterministically merged
 // log, gauges settle at deterministic points, and under the virtual clock
 // every duration observes zero — so any byte of divergence is a determinism
-// bug. The per-step comparison also pins that the shard workers fold their
-// goroutine-private metric tallies in before ProcessBatch returns.
+// bug. The per-step comparison also pins that the batched path folds its
+// batch-private metric tallies in before ProcessBatch returns.
 func TestMetricsSnapshotShardInvariant(t *testing.T) {
 	clock := simclock.NewVirtual()
 	ks, err := keystore.New(rand.New(rand.NewSource(200)))
@@ -114,8 +114,8 @@ func TestMetricsSnapshotShardInvariant(t *testing.T) {
 // TestRingBatchMetricsCompleteOnReturn: one 2-shard ProcessBatch of N
 // rule-hit packets, read with no other call in between, already shows all N
 // packets in the stage counters and one match-latency observation per rule
-// match. The shard workers tally these privately, so this pins the flush at
-// the end of every batch.
+// match. The batched path tallies these privately, so this pins the flush
+// at the end of every batch.
 func TestRingBatchMetricsCompleteOnReturn(t *testing.T) {
 	clock := simclock.NewVirtual()
 	ks, err := keystore.New(rand.New(rand.NewSource(210)))
@@ -127,7 +127,6 @@ func TestRingBatchMetricsCompleteOnReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewProxy(clock, ks, validator, Config{Bootstrap: 5 * time.Minute, Shards: 2})
-	t.Cleanup(p.Close)
 	var onShard [2]int
 	for _, d := range diffDevices {
 		if err := p.AddDevice(DeviceConfig{Name: d.name, Classifier: RuleClassifier{NotificationSize: d.size}, GraceN: d.graceN}); err != nil {
@@ -136,10 +135,10 @@ func TestRingBatchMetricsCompleteOnReturn(t *testing.T) {
 		onShard[p.shardIndex(d.name)]++
 	}
 	if onShard[0] == 0 || onShard[1] == 0 {
-		t.Fatalf("devices per shard %v: both workers must see packets", onShard)
+		t.Fatalf("devices per shard %v: both shards must see packets", onShard)
 	}
 
-	// Learn a one-minute heartbeat per device on the inline path.
+	// Learn a one-minute heartbeat per device through Process.
 	at := clock.Now()
 	for i := 0; i < 4; i++ {
 		for _, d := range diffDevices {
@@ -165,8 +164,8 @@ func TestRingBatchMetricsCompleteOnReturn(t *testing.T) {
 			t.Fatalf("packet %d: %+v, want a rule hit", i, d)
 		}
 	}
-	if p.async.workers == nil {
-		t.Fatal("the batch did not run on the ring workers")
+	if p.batcher.idx == nil {
+		t.Fatal("the batch did not run on the batched path")
 	}
 	after := p.Metrics().Values()
 

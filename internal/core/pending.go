@@ -33,9 +33,9 @@ type pendingDecision struct {
 }
 
 // pendingStore is the bounded queue of held decisions. It has its own lock
-// and never acquires shard or proxy locks: shard workers push into it while
-// holding their shard mutex, so taking any other lock here would invert the
-// lock order. Evictions therefore park on the overflow list and are
+// and never acquires shard or proxy locks: Process and FlushEvent push into
+// it while holding a shard mutex, so taking any other lock here would invert
+// the lock order. Evictions therefore park on the overflow list and are
 // finalized by the next SweepPending, outside the shard critical section.
 type pendingStore struct {
 	mu       sync.Mutex

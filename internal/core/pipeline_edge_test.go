@@ -14,8 +14,8 @@ import (
 )
 
 // TestAsyncPendingHoldMergesThroughArena: a degraded-mode hold produced
-// inside a shard worker must be committed through the outcome arena's
-// merge (the inline path commits holds on its own), and a later
+// on the batched path must be committed through the outcome arena's
+// merge (the sequential path commits holds on its own), and a later
 // attestation must admit only the attested device's holds, keeping the
 // other device's in the queue.
 func TestAsyncPendingHoldMergesThroughArena(t *testing.T) {
@@ -63,10 +63,10 @@ func TestAsyncPendingHoldMergesThroughArena(t *testing.T) {
 	}
 }
 
-// TestAsyncWorkerEventsMatchSequential decides events on a shard worker:
+// TestAsyncWorkerEventsMatchSequential decides events on the batched path:
 // camA's three time-gapped events, plus camE and camC on two different
-// trained models, all hash to one shard of a two-shard proxy, so one worker
-// classifies every event while the other is woken with an empty index list.
+// trained models, all hash to one shard of a two-shard proxy, so one shard
+// classifies every event while the other has an empty index list.
 // Decisions, the audit log, stats and the obs snapshot must equal those of a
 // one-shard proxy fed the same batch.
 func TestAsyncWorkerEventsMatchSequential(t *testing.T) {
@@ -112,8 +112,8 @@ func TestAsyncWorkerEventsMatchSequential(t *testing.T) {
 	}
 	want := seq.proxy.ProcessBatchInto(batch, nil)
 	got := sharded.proxy.ProcessBatchInto(batch, nil)
-	if sharded.proxy.async.workers == nil {
-		t.Fatal("two-shard arm never started the shard workers")
+	if sharded.proxy.batcher.idx == nil {
+		t.Fatal("two-shard arm never ran the batched path")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decisions: sharded %+v, seq %+v", got, want)

@@ -106,14 +106,15 @@ type Config struct {
 	// brute-force protection). Defaults: 3 within 1 minute.
 	LockoutThreshold int
 	LockoutWindow    time.Duration
-	// Shards is the number of per-device state shards the engine runs
-	// (default GOMAXPROCS). Devices are hash-assigned to shards. Shards = 1
-	// runs every batch inline on the sequential path; N > 1 shards run
-	// ProcessBatch on one worker per shard (see asyncPipeline): N−1 worker
-	// goroutines, started by the first batch, plus the calling goroutine,
-	// which runs shard 0 — call Proxy.Close to stop them. Decisions are
-	// identical either way, so Shards is excluded from ConfigChecksum: a
-	// snapshot restores into any shard count.
+	// Shards is the number of per-device state shards (default
+	// GOMAXPROCS). Devices are hash-assigned to shards, and each shard's
+	// mutex guards its devices' state, so concurrent callers on different
+	// shards do not contend. Shards = 1 runs every batch packet by packet
+	// on the sequential path; N > 1 shards decide each ProcessBatch on the
+	// calling goroutine shard by shard (see batcher). No goroutine is
+	// started either way. Decisions are identical either way, so Shards is
+	// excluded from ConfigChecksum: a snapshot restores into any shard
+	// count.
 	Shards int
 	// PendingWindow, when positive, enables the degraded-mode attestation
 	// path: an unattested manual event is held for this long awaiting a
@@ -197,7 +198,7 @@ type Proxy struct {
 	channel     *channelHealth
 	metrics     *coreMetrics
 	guard       *sensors.ReplayGuard // nil when Config.AttestWindow == 0
-	async       *asyncPipeline       // multi-shard batch engine (idle until used)
+	batcher     batcher              // multi-shard ProcessBatch state (engine.go)
 
 	// The online-relearning lifecycle's private metrics registry (swap.go).
 	// Each device carries its own drift detector and live artifact pointer,
@@ -263,7 +264,7 @@ func NewProxy(clock simclock.Clock, ks *keystore.Store, human *sensors.Validator
 	if cfg.AttestWindow > 0 {
 		guard = sensors.NewReplayGuard(cfg.AttestWindow)
 	}
-	p := &Proxy{
+	return &Proxy{
 		clock:       clock,
 		cfg:         cfg,
 		ks:          ks,
@@ -279,18 +280,12 @@ func NewProxy(clock simclock.Clock, ks *keystore.Store, human *sensors.Validator
 		guard:       guard,
 		swapM:       newSwapMetrics(),
 	}
-	p.async = &asyncPipeline{p: p}
-	return p
 }
 
-// Close stops the multi-shard engine's worker goroutines and waits for them
-// to exit; an in-flight ProcessBatch completes first. The proxy stays
-// usable: later batches run inline on the sequential path, with identical
-// decisions. Close is idempotent and starts nothing on a proxy that never
-// ran a multi-shard batch.
-func (p *Proxy) Close() {
-	p.async.close()
-}
+// Close does nothing: a proxy holds no goroutine, file or other resource
+// that outlives its last reference, so nothing needs closing. It stays
+// only for a caller in the gateway benchmark harness; do not add new calls.
+func (p *Proxy) Close() {}
 
 // ShardCount reports how many shards the engine runs.
 func (p *Proxy) ShardCount() int { return len(p.shards) }
@@ -594,7 +589,7 @@ func (p *Proxy) RuleKeys(device string) ([]flows.Key, bool) {
 	if !ok {
 		return nil, false
 	}
-	if art := ds.art.Load(); art != nil {
+	if art := ds.art; art != nil {
 		return art.compiled.Keys(), true
 	}
 	return ds.rules.Keys(), true
@@ -611,7 +606,7 @@ func (p *Proxy) CompiledRules(device string) (*flows.CompiledRules, bool) {
 	if !ok {
 		return nil, false
 	}
-	art := ds.art.Load()
+	art := ds.art
 	if art == nil {
 		return nil, false
 	}

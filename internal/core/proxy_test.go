@@ -45,7 +45,6 @@ func newRig(t *testing.T, cfg Config) *testRig {
 		t.Fatal(err)
 	}
 	proxy := NewProxy(clock, proxyKS, validator, cfg)
-	t.Cleanup(proxy.Close)
 	app := NewClientApp(clock, phoneKS)
 	app.BindApp("com.plug.app", "plug")
 	return &testRig{clock: clock, proxy: proxy, phoneKS: phoneKS, app: app, gen: gen}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fiat/internal/events"
@@ -13,11 +12,12 @@ import (
 
 // shard owns the state of the devices hash-assigned to it. All per-device
 // mutation — rule learning and matching, event grouping, grace counting,
-// lockout bookkeeping — happens under sh.mu, so devices on different shards
-// proceed in parallel with no shared mutable state. Cross-cutting reads
-// (attestation freshness, the device DAG) go through structures with their
-// own synchronization; cross-cutting writes (audit log, stats, the pending
-// queue) are returned as an outcome and committed by the caller.
+// lockout bookkeeping — happens under sh.mu, so callers touching devices on
+// different shards do not contend and share no mutable state.
+// Cross-cutting reads (attestation freshness, the device DAG) go through
+// structures with their own synchronization; cross-cutting writes (audit
+// log, stats, the pending queue) are returned as an outcome and committed
+// by the caller.
 type shard struct {
 	mu      sync.Mutex
 	devices map[string]*deviceState
@@ -32,12 +32,14 @@ type deviceState struct {
 	rules   *flows.RuleTable
 	grouper *events.Grouper
 	// art is the enforcement-phase rule engine, installed at the freeze
-	// point as generation 1: the immutable compiled table, this shard's own
-	// arrival-state block, and the artifact's versioned identity, published
-	// as ONE atomic pointer so the frozen match path takes no lock,
-	// allocates nothing, and a hot swap (see swap.go) can never expose a
-	// mixed-generation view. nil before the freeze point.
-	art atomic.Pointer[ruleArtifact]
+	// point as generation 1: the immutable compiled table, this device's
+	// own arrival-state block, and the artifact's versioned identity, held
+	// as ONE pointer so a hot swap (see swap.go) replaces them together and
+	// can never expose a mixed-generation view. Guarded by the shard's mu,
+	// like the rest of the device: every read and write holds it, so a
+	// reader never keeps a retired generation past the swap. nil before the
+	// freeze point.
+	art *ruleArtifact
 	// rl is the in-flight relearning lifecycle (nil while idle), read by
 	// every stage-1 match.
 	rl *relearnState
@@ -152,31 +154,35 @@ func (p *Proxy) shardFor(device string) *shard {
 // sh.mu; now is the verdict timestamp.
 func (p *Proxy) processLocked(sh *shard, device string, rec flows.Record, peer string, now time.Time) outcome {
 	var o outcome
-	p.processTraced(p.metrics.tracer, sh.devices[device], rec, peer, now, &o, nil)
+	p.processTraced(sh.devices[device], rec, peer, now, &o, nil)
 	return o
 }
 
-// processTraced is the per-packet body shared by the sequential path and the
-// shard workers: a trace span from tr follows the packet across the
-// stages, and every packet ends in StageVerdict, so the verdict stage
-// counter equals the packet counter by construction. The span is closed here
-// rather than by a deferred closure so the rule-hit path stays free of heap
-// allocations (TestProcessRuleHitZeroAllocs). w is the shard worker running
-// the packet, nil on the sequential path.
-func (p *Proxy) processTraced(tr *obs.Tracer, ds *deviceState, rec flows.Record, peer string, now time.Time, o *outcome, w *asyncWorker) {
+// processTraced is the per-packet body shared by the sequential and the
+// batched path: a trace span follows the packet across the stages, and every
+// packet ends in StageVerdict, so the verdict stage counter equals the
+// packet counter by construction. The span is closed here rather than by a
+// deferred closure so the rule-hit path stays free of heap allocations
+// (TestProcessRuleHitZeroAllocs). bt is the batched path's metric view, nil
+// on the sequential path, which traces into the shared tracer.
+func (p *Proxy) processTraced(ds *deviceState, rec flows.Record, peer string, now time.Time, o *outcome, bt *batchTallies) {
+	tr := p.metrics.tracer
+	if bt != nil {
+		tr = bt.tracer
+	}
 	sp := tr.Begin(obs.StageIntercept)
-	p.processSpanned(ds, rec, peer, now, &sp, o, w)
+	p.processSpanned(ds, rec, peer, now, &sp, o, bt)
 	sp.Enter(obs.StageVerdict)
 	sp.End()
 }
 
 // processSpanned is the pipeline body inside the packet's trace span. ds is
 // the pre-resolved device state (nil for unknown devices, which fail open);
-// the result lands in *o. When w is non-nil the packet runs on a shard
-// worker, which tallies the match and inference latencies as the
-// coarse-time constant 0 into its private histograms instead of reading the
-// clock; the decisions are the same either way.
-func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, now time.Time, sp *obs.Span, o *outcome, w *asyncWorker) {
+// the result lands in *o. When bt is non-nil the packet is part of a
+// multi-shard batch, which tallies the match and inference latencies as the
+// coarse-time constant 0 instead of reading the clock; the decisions are the
+// same either way.
+func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, now time.Time, sp *obs.Span, o *outcome, bt *batchTallies) {
 	o.delta.packets++
 	if ds == nil {
 		// Unknown devices are not FIAT-protected; fail open like the
@@ -197,7 +203,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 		o.d = Decision{Verdict: Allow, Reason: ReasonBootstrap}
 		return
 	}
-	art := ds.art.Load()
+	art := ds.art
 	if art == nil {
 		// Freeze point: compile the learned table, install it as generation
 		// 1, and drop the table. From here on the artifact is the device's
@@ -214,7 +220,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 			compiled: cr,
 			arrival:  cr.NewArrivalState(),
 		}
-		ds.art.Store(art)
+		ds.art = art
 		o.delta.ruleCompiles++
 		o.delta.compiledKeys += cr.NumKeys()
 	}
@@ -226,22 +232,22 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 		return
 	}
 
-	// Stage 1: predictable? The async worker tallies the coarse-time
+	// Stage 1: predictable? The batched path tallies the coarse-time
 	// constant 0 for the match latency (the value every engine observes
 	// under a virtual clock) instead of paying two clock reads per packet;
-	// the inline path keeps real per-match timing.
+	// the sequential path keeps real per-match timing.
 	sp.Enter(obs.StageRules)
 	o.delta.ruleMatches++
 	ds.tally.Matches++
 	var matchStart time.Time
-	if w == nil {
+	if bt == nil {
 		matchStart = p.metrics.matchStart()
 	}
 	hit := p.matchRules(ds, art, &rec)
-	if w == nil {
+	if bt == nil {
 		p.metrics.matchDone(matchStart)
 	} else {
-		w.matchNanos.Observe(0)
+		bt.matchNanos.Observe(0)
 	}
 	if hit {
 		o.delta.ruleHits++
@@ -272,7 +278,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 			o.d = Decision{Verdict: Allow, Reason: ReasonGraceN}
 			return
 		}
-		d := p.decideEvent(ds, now, o, sp, w)
+		d := p.decideEvent(ds, now, o, sp, bt)
 		ds.evDecision = d
 		ds.evDecided = true
 		o.d = d
@@ -290,9 +296,9 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 // recording the audit entry and stat counts into o and advancing the trace
 // span through classify/attest-check. A held pending decision is recorded
 // into o (not pushed), so the caller commits it in deterministic packet
-// order. w is the shard worker deciding the event, nil inline. The caller
-// holds the owning shard's mutex.
-func (p *Proxy) decideEvent(ds *deviceState, now time.Time, o *outcome, sp *obs.Span, w *asyncWorker) Decision {
+// order. bt is the batched path's metric view, nil on the sequential path.
+// The caller holds the owning shard's mutex.
+func (p *Proxy) decideEvent(ds *deviceState, now time.Time, o *outcome, sp *obs.Span, bt *batchTallies) Decision {
 	sp.Enter(obs.StageClassify)
 	ev := ds.grouper.Current()
 	if ev == nil {
@@ -305,14 +311,14 @@ func (p *Proxy) decideEvent(ds *deviceState, now time.Time, o *outcome, sp *obs.
 		return d
 	}
 	var inferStart time.Time
-	if w == nil {
+	if bt == nil {
 		inferStart = p.metrics.matchStart()
 	}
 	manual := ds.classifier != nil && ds.classifier.IsManual(ev)
-	if w == nil {
+	if bt == nil {
 		p.metrics.inferDone(inferStart)
 	} else {
-		w.inferNanos.Observe(0)
+		bt.inferNanos.Observe(0)
 	}
 	var d Decision
 	if !manual {

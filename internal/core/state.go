@@ -195,7 +195,7 @@ func (p *Proxy) appendState(b []byte, detached bool) ([]byte, int) {
 	for i, ds := range devs {
 		sh := p.shardFor(ds.cfg.Name)
 		sh.mu.Lock()
-		if art := ds.art.Load(); art != nil {
+		if art := ds.art; art != nil {
 			sum := art.compiled.Checksum()
 			arts[i].rulesSum = sum
 			arts[i].hasRules = true
@@ -390,7 +390,7 @@ func appendDeviceState(b []byte, base int, ds *deviceState, arts *devArtifacts) 
 	b = wire.AppendString(b, ds.cfg.Name)
 	// A frozen device is its artifact; before the freeze point it is its
 	// learning table.
-	if art := ds.art.Load(); art != nil {
+	if art := ds.art; art != nil {
 		b = wire.AppendBool(b, true)
 		b = wire.AppendU32(b, arts.rulesSum)
 		// Arrival state as an alignable raw block: width, padding to an
@@ -1165,7 +1165,7 @@ func (p *Proxy) installDevice(d *deviceImage) error {
 	}
 
 	ds.rules = d.rules
-	ds.art.Store(art)
+	ds.art = art
 	ds.rl = d.rl
 	ds.genCounter = d.genCounter
 	ds.cooldownUntil = d.cooldownUntil

@@ -264,9 +264,9 @@ func TestRestoreRejectsForeignArena(t *testing.T) {
 	clf := trainDiffClassifier(t, 3)
 	src := buildStateRig(t, 1, clf)
 	src.populateState(t)
-	plugArt := src.proxy.shardFor("plug").devices["plug"].art.Load()
+	plugArt := src.proxy.shardFor("plug").devices["plug"].art
 	cam := src.proxy.shardFor("cam").devices["cam"]
-	camArt := cam.art.Load()
+	camArt := cam.art
 	if plugArt == nil || camArt == nil {
 		t.Fatal("rig did not freeze both devices")
 	}
@@ -276,7 +276,7 @@ func TestRestoreRejectsForeignArena(t *testing.T) {
 
 	foreign := *camArt
 	foreign.meta.RulesSum = plugArt.meta.RulesSum
-	cam.art.Store(&foreign)
+	cam.art = &foreign
 	enc := src.proxy.EncodeState()
 	if _, err := decodeState(enc, nil, false); err == nil || !strings.Contains(err.Error(), "does not match arena") {
 		t.Fatalf("decode err = %v, want the identity/arena rejection", err)
@@ -300,7 +300,7 @@ func TestRestoreRejectsForeignArena(t *testing.T) {
 
 	widths := *camArt
 	widths.arrival = plugArt.arrival
-	cam.art.Store(&widths)
+	cam.art = &widths
 	enc = src.proxy.EncodeState()
 	err = buildStateRig(t, 1, clf).proxy.RestoreState(enc)
 	if err == nil || !strings.Contains(err.Error(), "arrival state width") {
@@ -314,7 +314,6 @@ func TestRestoreRejectsForeignArena(t *testing.T) {
 func TestRestoreRejectsForeignCandidate(t *testing.T) {
 	clock := simclock.NewVirtual()
 	p, _, at := swapGuardProxy(t, clock, 41)
-	t.Cleanup(p.Close)
 	injectShadow(t, p, "plug", swap.PhaseShadow, at.Add(-4*time.Minute))
 	if _, err := decodeState(p.EncodeState(), nil, false); err != nil {
 		t.Fatalf("intact mid-shadow image rejected: %v", err)
@@ -393,7 +392,7 @@ func TestProxyRestoreRejectsFrozenRulesWithoutArena(t *testing.T) {
 	src := mk()
 	src.feedHeartbeats(t, "plug", 10, time.Minute)
 	ds := src.proxy.shardFor("plug").devices["plug"]
-	if ds.rules == nil || ds.art.Load() != nil {
+	if ds.rules == nil || ds.art != nil {
 		t.Fatal("plug left its bootstrap window")
 	}
 	if err := mk().proxy.RestoreState(src.proxy.EncodeState()); err != nil {
@@ -430,7 +429,7 @@ func TestFrozenDeviceIsItsArtifact(t *testing.T) {
 	twin.populateState(t)
 	for _, name := range []string{"plug", "cam"} {
 		ds := twin.proxy.shardFor(name).devices[name]
-		if ds.rules != nil || ds.art.Load() == nil {
+		if ds.rules != nil || ds.art == nil {
 			t.Fatalf("%s: frozen device keeps a learning table (%v) or lacks an artifact", name, ds.rules != nil)
 		}
 		old, _ := twin.proxy.ArtifactMeta(name)

@@ -18,10 +18,10 @@ import (
 // mutating the shared freshness window, and the control-plane readers and
 // writers (Locked/Unlock around the lockout counters, Log, StatsSnapshot,
 // Rules, DAG edits). Concurrent ProcessBatch callers serialize on the
-// pipeline's mutex while single-packet Process and FlushEvent interleave
-// with worker-held shard locks. Run under -race it checks the
-// producer/worker hand-off and arena reuse publish correctly; without -race
-// it still checks the merged counters balance.
+// batcher's mutex while single-packet Process and FlushEvent interleave
+// with the shard locks a batch takes one at a time. Run under -race it
+// checks that arena and index-list reuse across callers publish correctly;
+// without -race it still checks the merged counters balance.
 func TestShardedProxyConcurrencyStress(t *testing.T) {
 	runProxyConcurrencyStress(t, 8)
 }
@@ -29,7 +29,7 @@ func TestShardedProxyConcurrencyStress(t *testing.T) {
 // TestAsyncProxyConcurrencyStress is the same hammer on a one-shard proxy,
 // where concurrent ProcessBatch callers run the sequential Process loop
 // against each other and against the single-packet and control-plane
-// callers, with no worker to serialize them.
+// callers, with no batcher mutex to serialize them.
 func TestAsyncProxyConcurrencyStress(t *testing.T) {
 	runProxyConcurrencyStress(t, 1)
 }
@@ -61,7 +61,6 @@ func runProxyConcurrencyStress(t *testing.T, shards int) {
 		LockoutThreshold: 2, LockoutWindow: time.Hour,
 		Shards: shards,
 	})
-	defer proxy.Close()
 	const devices = 16
 	trained := trainDiffClassifier(t, 11)
 	names := make([]string, devices)

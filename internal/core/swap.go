@@ -132,7 +132,7 @@ func (p *Proxy) deviceSwapTickLocked(ds *deviceState, now time.Time) {
 	sig := ds.drift.Tick(ds.tally, o)
 	rl := ds.rl
 	if rl == nil {
-		if sig == swap.SignalNone || now.Before(ds.cooldownUntil) || ds.art.Load() == nil {
+		if sig == swap.SignalNone || now.Before(ds.cooldownUntil) || ds.art == nil {
 			// Nothing to do: no drift, cooling down, or the device has no
 			// compiled artifact yet (pre-freeze).
 			return
@@ -174,7 +174,7 @@ func (p *Proxy) deviceSwapTickLocked(ds *deviceState, now time.Time) {
 // enters shadow evaluation under the next generation number. The caller
 // holds the owning shard's mutex.
 func (p *Proxy) compileCandidateLocked(ds *deviceState, rl *relearnState, now time.Time) {
-	live := ds.art.Load()
+	live := ds.art
 	compiled := rl.table.Compile()
 	rl.table = nil
 	arrival := compiled.NewArrivalState()
@@ -209,7 +209,7 @@ func (p *Proxy) flushShadowLocked(rl *relearnState) {
 // holds, so the next packet sees the new generation and nothing is left
 // pointing at the old one for the garbage collector to wait on.
 func (p *Proxy) promoteLocked(ds *deviceState, rl *relearnState) {
-	ds.art.Store(&ruleArtifact{meta: rl.meta, compiled: rl.compiled, arrival: rl.arrival})
+	ds.art = &ruleArtifact{meta: rl.meta, compiled: rl.compiled, arrival: rl.arrival}
 	ds.rl = nil
 	p.swapM.promotions.Inc()
 }
@@ -230,7 +230,7 @@ func (p *Proxy) PromoteIdentical(device string) (swap.Meta, error) {
 	if !ok {
 		return swap.Meta{}, fmt.Errorf("core: device %q not registered", device)
 	}
-	old := ds.art.Load()
+	old := ds.art
 	if old == nil {
 		return swap.Meta{}, fmt.Errorf("core: device %q has no compiled artifact to swap", device)
 	}
@@ -249,7 +249,7 @@ func (p *Proxy) PromoteIdentical(device string) (swap.Meta, error) {
 		RulesSum:   compiled.Checksum(),
 		ModelSum:   old.meta.ModelSum,
 	}
-	ds.art.Store(&ruleArtifact{meta: meta, compiled: compiled, arrival: arrival})
+	ds.art = &ruleArtifact{meta: meta, compiled: compiled, arrival: arrival}
 	p.swapM.generations.Inc()
 	p.swapM.promotions.Inc()
 	return meta, nil
@@ -265,7 +265,7 @@ func (p *Proxy) ArtifactMeta(device string) (swap.Meta, bool) {
 	if !ok {
 		return swap.Meta{}, false
 	}
-	art := ds.art.Load()
+	art := ds.art
 	if art == nil {
 		return swap.Meta{}, false
 	}

@@ -62,7 +62,7 @@ func injectShadow(t *testing.T, p *Proxy, dev string, phase swap.Phase, hbStart 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ds := sh.devices[dev]
-	live := ds.art.Load()
+	live := ds.art
 	if live == nil {
 		t.Fatalf("%s has no live artifact to shadow", dev)
 	}
@@ -177,7 +177,7 @@ func TestRelearnDoesNotPerturbLiveArtifact(t *testing.T) {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		ds := sh.devices["plug"]
-		art := ds.art.Load()
+		art := ds.art
 		return art.compiled.EncodeArena(), flows.AppendArrival(nil, art.arrival), ds.rl
 	}
 	arenaA, arrA, rlA := liveBytes(pa)

@@ -211,7 +211,7 @@ func TestRetiredArtifactIsCollected(t *testing.T) {
 	func() {
 		sh := r.proxy.shardFor("plug")
 		sh.mu.Lock()
-		art := sh.devices["plug"].art.Load()
+		art := sh.devices["plug"].art
 		sh.mu.Unlock()
 		runtime.SetFinalizer(art, func(a *ruleArtifact) { collected <- a.meta })
 	}()

@@ -275,12 +275,6 @@ func Open(cfg Config, live simclock.Clock, build BuildProxy) (*Manager, error) {
 		return nil, err
 	}
 	m.proxy = proxy
-	opened := false
-	defer func() {
-		if !opened {
-			proxy.Close() // replay may have started its shard workers
-		}
-	}()
 
 	hadState := snapBody != nil || len(scan.payloads) > 0
 	if snapBody != nil {
@@ -335,7 +329,6 @@ func Open(cfg Config, live simclock.Clock, build BuildProxy) (*Manager, error) {
 			return nil, err
 		}
 	}
-	opened = true
 	return m, nil
 }
 
@@ -538,8 +531,8 @@ func (m *Manager) checkpointLocked() error {
 }
 
 // Close gracefully shuts the manager down: sync the WAL, take a final
-// checkpoint, release the log, and stop the proxy's shard workers (the proxy
-// stays readable). The next Open recovers from the checkpoint alone.
+// checkpoint and release the log (the proxy stays readable). The next Open
+// recovers from the checkpoint alone.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -553,7 +546,6 @@ func (m *Manager) Close() error {
 		return err
 	}
 	m.closed = true
-	m.proxy.Close()
 	err := m.audit.Close()
 	m.audit = nil
 	if werr := m.wal.close(); err == nil {
@@ -581,15 +573,14 @@ func (m *Manager) releaseFiles() {
 	}
 }
 
-// Abort releases file handles and stops the proxy's shard workers without
-// syncing or checkpointing — the "pulled the plug" shutdown, used by benches
-// and the crash harness. The proxy stays readable.
+// Abort releases file handles without syncing or checkpointing — the
+// "pulled the plug" shutdown, used by benches and the crash harness. The
+// proxy stays readable.
 func (m *Manager) Abort() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.releaseFiles()
 	m.closed = true
-	m.proxy.Close()
 }
 
 // Proxy exposes the managed proxy for reads (stats, logs, metrics).

@@ -322,7 +322,6 @@ func checkSnapshotFile(t *testing.T, mgr *durable.Manager, dir string, at time.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fresh.Close()
 	if err := fresh.RestoreStateDetached(body, log); err != nil {
 		t.Fatal(err)
 	}
@@ -649,9 +648,9 @@ func TestManagerOpenRejectsConfigSkew(t *testing.T) {
 	}
 }
 
-// waitGoroutines polls until the goroutine count is back to at most base.
-// Proxy.Close waits for its workers to signal exit, so only the last few
-// instructions of each worker can still be in flight.
+// waitGoroutines polls, for up to 1 s, until the goroutine count is back to
+// at most base. The count is process-wide, so the wait tolerates a
+// goroutine of the runtime or an earlier test that is still exiting.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	for i := 0; runtime.NumGoroutine() > base; i++ {
@@ -662,11 +661,10 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestManagerAbortStopsShardWorkers: the managed two-shard proxy starts its
-// shard workers on its first batch, and a recovering Open starts them again
-// while it replays the WAL. Each Abort must stop them, so the goroutine
-// count returns to its pre-Open baseline and no parked worker pins the
-// proxy's device state.
+// TestManagerAbortStopsShardWorkers: the managed two-shard proxy runs
+// batches live and again while a recovering Open replays the WAL. After each
+// Abort the goroutine count must be back at its pre-Open baseline: neither
+// the batches, the replay, nor the manager leaves a goroutine behind.
 func TestManagerAbortStopsShardWorkers(t *testing.T) {
 	dir := t.TempDir()
 	steps := mgrScript(t)

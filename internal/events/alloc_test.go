@@ -10,7 +10,7 @@ import (
 // TestEventGroupingZeroAllocs pins the Grouper's steady-state contract: once
 // the spare event's backing array has grown to the workload's event size,
 // the add → finish → recycle cycle performs zero heap allocations — the
-// guarantee the async pipeline's event stage leans on.
+// guarantee the batched engine's event stage leans on.
 func TestEventGroupingZeroAllocs(t *testing.T) {
 	g := NewGrouper(DefaultGap)
 	at := time.Unix(0, 0).UTC()

@@ -20,7 +20,7 @@ import (
 
 // The soak differential drives a full-proxy world — learned heartbeat rules,
 // compiled event classifiers, audit log, metrics — through the sequential
-// engine and the multi-shard worker engine in lockstep on virtual clocks, with
+// engine and the multi-shard batched engine in lockstep on virtual clocks, with
 // randomized mixed traffic, and requires byte-identical decisions, encoded
 // state, and metrics snapshots.
 
@@ -135,7 +135,6 @@ func newSoakWorld(t *testing.T, seed int64, shards, ruleDevices, mlDevices int) 
 	w.proxy = core.NewProxy(w.clock, ks, validator, core.Config{
 		Bootstrap: 5 * time.Minute, Shards: shards, Obs: w.reg,
 	})
-	t.Cleanup(w.proxy.Close)
 	for i := 0; i < ruleDevices+mlDevices; i++ {
 		dc := core.DeviceConfig{Name: fmt.Sprintf("plug%03d", i), Classifier: core.RuleClassifier{NotificationSize: 235}, GraceN: 2}
 		if i >= ruleDevices {
@@ -168,7 +167,7 @@ func newSoakWorld(t *testing.T, seed int64, shards, ruleDevices, mlDevices int) 
 
 // TestSoakDifferential drives randomized mixed traffic — on-period
 // heartbeats, missed beats, telemetry events, manual-shaped packets, bursts —
-// through a sequential arm and a four-shard worker arm in lockstep on virtual
+// through a sequential arm and a four-shard batched arm in lockstep on virtual
 // clocks, and requires byte-identical decisions, encoded state, and metrics
 // snapshots across three seeds.
 func TestSoakDifferential(t *testing.T) {
