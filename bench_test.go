@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -296,9 +295,9 @@ func BenchmarkAblationHumanness(b *testing.B) {
 	runExperiment(b, experiments.AblationHumanness, "random-forest-human")
 }
 
-// Sharded engine throughput.
+// Engine throughput.
 
-// benchHumanValidator trains the humanness model once for every sharded
+// benchHumanValidator trains the humanness model once for every engine
 // throughput sub-benchmark; the training cost is setup, not engine work.
 var benchHumanValidator = struct {
 	sync.Once
@@ -317,13 +316,12 @@ func benchValidator(b *testing.B) *sensors.Validator {
 	return benchHumanValidator.v
 }
 
-// benchShardedProxy measures the engine's steady-state rule-hit path: every
+// benchEngineProxy measures the engine's steady-state rule-hit path: every
 // iteration advances the virtual clock one heartbeat period and decides one
-// batch carrying a periodic heartbeat per device. With shards=1 ProcessBatch
-// is a Process call per packet, so the 1-vs-GOMAXPROCS pair compares the
-// sequential path with the batched one. Both run on the calling goroutine,
-// so more shards buy no parallelism within one batch.
-func benchShardedProxy(b *testing.B, nDev, shards int) {
+// batch carrying a periodic heartbeat per device. shards is Config.Shards:
+// 1 makes ProcessBatch a Process call per packet, 0 runs the batched body,
+// which takes the device mutex once per batch.
+func benchEngineProxy(b *testing.B, nDev, shards int) {
 	clock := simclock.NewVirtual()
 	ks, err := keystore.New(rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -394,20 +392,19 @@ func benchShardedProxy(b *testing.B, nDev, shards int) {
 	}
 }
 
-// BenchmarkProxyShardedThroughput sweeps fleet size against shard count:
-// shards=1 is the sequential path, shards=GOMAXPROCS the batched path,
-// which sorts the batch by shard and takes each shard's lock once per
-// batch instead of once per packet. Compare packets/s within a device
-// count.
+// BenchmarkProxyShardedThroughput sweeps fleet size against engine: a
+// Process loop (engine=process) against the batched body (engine=batched),
+// which takes the device mutex and p.mu once per batch instead of once per
+// packet. Compare packets/s within a device count. The name dates from the
+// sharded engine the batched body replaced.
 func BenchmarkProxyShardedThroughput(b *testing.B) {
-	shardCounts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		shardCounts = append(shardCounts, n)
-	}
 	for _, nDev := range []int{1, 4, 8, 16} {
-		for _, shards := range shardCounts {
-			b.Run(fmt.Sprintf("devices=%d/shards=%d", nDev, shards), func(b *testing.B) {
-				benchShardedProxy(b, nDev, shards)
+		for _, eng := range []struct {
+			name   string
+			shards int
+		}{{"process", 1}, {"batched", 0}} {
+			b.Run(fmt.Sprintf("devices=%d/engine=%s", nDev, eng.name), func(b *testing.B) {
+				benchEngineProxy(b, nDev, eng.shards)
 			})
 		}
 	}

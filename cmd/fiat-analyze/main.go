@@ -47,7 +47,6 @@ func main() {
 	mudURL := flag.String("mud-url", "https://fiat.example/device.json", "mud-url for the exported profile")
 	attacks := flag.Bool("attacks", false, "run the adversarial scenario corpus instead of analyzing a capture")
 	attacksSeed := flag.Int64("attacks-seed", 1, "scenario seed for -attacks")
-	attacksShards := flag.Int("attacks-shards", 1, "proxy shard width for -attacks")
 	attacksJSON := flag.String("attacks-json", "", "also write the matrix JSON to this path")
 	attacksBaseline := flag.String("attacks-baseline", "", "gate the matrix against this baseline file (\"embedded\" = the committed baseline); exit 1 on regression")
 	attacksWrite := flag.String("attacks-write-baseline", "", "write the matrix as the new baseline to this path and exit")
@@ -62,7 +61,7 @@ func main() {
 		return
 	}
 	if *attacks {
-		os.Exit(runAttacks(*attacksSeed, *attacksShards, *attacksJSON, *attacksBaseline, *attacksWrite))
+		os.Exit(runAttacks(*attacksSeed, *attacksJSON, *attacksBaseline, *attacksWrite))
 	}
 	if *pcapPath == "" {
 		fmt.Fprintln(os.Stderr, "fiat-analyze: -pcap is required")
@@ -196,8 +195,8 @@ func main() {
 // runAttacks executes the adversarial corpus and reports the matrix. Return
 // value is the process exit code: 0 clean, 1 on error or baseline
 // regression.
-func runAttacks(seed int64, shards int, jsonOut, baselinePath, writeBaseline string) int {
-	m, results, err := adversary.RunAll(seed, shards)
+func runAttacks(seed int64, jsonOut, baselinePath, writeBaseline string) int {
+	m, results, err := adversary.RunAll(seed, 1)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fiat-analyze:", err)
 		return 1
@@ -218,8 +217,7 @@ func runAttacks(seed int64, shards int, jsonOut, baselinePath, writeBaseline str
 		return 0
 	}
 
-	fmt.Printf("adversarial corpus: %d attacks, seed %d, %d shard(s)\n\n",
-		len(m.Attacks), seed, shards)
+	fmt.Printf("adversarial corpus: %d attacks, seed %d\n\n", len(m.Attacks), seed)
 	fmt.Println(m.Table())
 	descs := make(map[string]string, len(results))
 	for _, a := range adversary.Catalog() {

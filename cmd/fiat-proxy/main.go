@@ -48,7 +48,6 @@ func main() {
 	codeHex := flag.String("code", "", "pairing code (hex); generated when empty")
 	bootstrap := flag.Duration("bootstrap", 5*time.Second, "rule-learning window (paper: 20m)")
 	nDevices := flag.Int("devices", 4, "simulated plug devices fed to the engine as one batch per tick")
-	shards := flag.Int("shards", 0, "device-state shards (0 = GOMAXPROCS); 1 decides every batch packet by packet, more decide it shard by shard (same decisions)")
 	duration := flag.Duration("duration", time.Minute, "how long to run the demo feed")
 	attackEvery := flag.Duration("attack-every", 10*time.Second, "injected command cadence")
 	mudOut := flag.String("mud", "", "export learned rules as an RFC 8520 MUD profile on exit")
@@ -124,7 +123,7 @@ func main() {
 	// unique arena.
 	buildProxy := func(c simclock.Clock) (*core.Proxy, error) {
 		p := core.NewProxy(c, ks, validator, core.Config{
-			Bootstrap: *bootstrap, Shards: *shards,
+			Bootstrap:     *bootstrap,
 			PendingWindow: *pendingWindow, PendingMax: *pendingMax,
 			Relearn: swap.Options{
 				Enabled:      *relearn,
@@ -173,7 +172,7 @@ func main() {
 	if *obsInterval > 0 {
 		reportRuntime(reg, *obsInterval)
 	}
-	fmt.Printf("fiat-proxy: %d devices on %d engine shards\n", len(names), proxy.ShardCount())
+	fmt.Printf("fiat-proxy: %d devices\n", len(names))
 
 	conn, err := net.ListenPacket("udp", *listen)
 	if err != nil {
@@ -215,7 +214,7 @@ func main() {
 	fmt.Printf("fiat-proxy: listening on %s; bootstrap %s\n", *listen, *bootstrap)
 
 	// Demo feed: every tick each device heartbeats, and the whole tick is
-	// decided as one ProcessBatch, shard by shard; an injected
+	// decided as one ProcessBatch under one device lock; an injected
 	// on/off command every attack-every. Run fiat-app to authorize one.
 	cloud := netip.MustParseAddr("52.1.1.1")
 	heartbeat := func() flows.Record {

@@ -175,7 +175,7 @@ func main() {
 }
 
 // printMetricsSnapshot replays one seeded chaos scenario — burst loss and a
-// partition on the attestation path, sharded engine — and prints the
+// partition on the attestation path, batched engine — and prints the
 // observability snapshot it leaves behind. The snapshot is deterministic in
 // the seed (see internal/chaos), so it doubles as a quick fingerprint of the
 // pipeline: two builds printing different bytes here behave differently.

@@ -11,7 +11,7 @@
 // matrix: attacker packets admitted as authentic vs blocked, forged
 // attestations accepted vs rejected, lockouts triggered, time to first
 // detection, and benign collateral. The matrix is deterministic in the
-// scenario seed — byte-identical across replays and shard counts — so a
+// scenario seed — byte-identical across replays and engines — so a
 // committed baseline (baseline.json) turns the whole corpus into a CI
 // regression gate: any change that admits more attacker traffic, accepts
 // more forged attestations, or slows detection fails the build.
@@ -83,7 +83,7 @@ type Scenario struct {
 	Attack Attack
 	// Seed drives every random stream (default 1).
 	Seed int64
-	// Shards selects the proxy engine width (default 1).
+	// Shards is the proxy's Config.Shards (default 1, the Process loop).
 	Shards int
 	// Bootstrap is the learning window (default 2 minutes).
 	Bootstrap time.Duration
@@ -116,7 +116,7 @@ type Result struct {
 	Score Score
 	// Decisions is the rendered decision stream in gateway order; attacker
 	// frames carry an " atk" marker. Byte-comparable across replays and
-	// shard counts.
+	// engines.
 	Decisions []string
 	Log       []core.LogEntry
 	Stats     core.ProxyStats
@@ -402,7 +402,7 @@ func (in *inspector) InspectBatch(frames [][]byte, now time.Time) []bool {
 }
 
 // Run executes one adversarial scenario to completion on a virtual clock.
-// Everything is deterministic in s.Seed: replays and different shard counts
+// Everything is deterministic in s.Seed: replays and either engine
 // produce byte-identical decision traces, scores, and metric snapshots.
 func Run(s Scenario) (*Result, error) {
 	s.defaults()

@@ -38,7 +38,7 @@ type Score struct {
 	TimeToDetectMs int64 `json:"time_to_detect_ms"`
 }
 
-// Matrix is the full corpus scored under one seed and shard width.
+// Matrix is the full corpus scored under one seed and Config.Shards value.
 type Matrix struct {
 	Seed    int64   `json:"seed"`
 	Shards  int     `json:"shards"`
@@ -91,7 +91,7 @@ func (m *Matrix) Table() string {
 	return tb.String()
 }
 
-// baselineJSON is the committed expected matrix (seed 1, 1 shard) — the CI
+// baselineJSON is the committed expected matrix (seed 1, Shards 1) — the CI
 // regression gate. Regenerate with:
 //
 //	go run ./cmd/fiat-analyze -attacks -attacks-write-baseline internal/adversary/baseline.json

@@ -3,8 +3,8 @@
 // interactions, the phone's attestation courier — over internal/netsim with
 // a FaultPlan on the phone⇄proxy path, and exposes everything a test needs
 // to assert the system degrades gracefully instead of failing closed
-// forever: the full decision stream (byte-comparable across runs and shard
-// counts), the audit log, proxy and fault statistics, and lockout state.
+// forever: the full decision stream (byte-comparable across runs and
+// engines), the audit log, proxy and fault statistics, and lockout state.
 //
 // The invariants the suite under chaos_test.go holds the system to:
 //
@@ -14,7 +14,7 @@
 //     (ReasonLateAttest), and never locks the device out.
 //  3. A pending window that expires entirely inside an outage is excused
 //     (ReasonOutageExcused) rather than counted as an attack.
-//  4. With faults disabled, the sharded engine's decision stream is
+//  4. With faults disabled, the batched engine's decision stream is
 //     byte-identical to the sequential engine's on the same scenario.
 package chaos
 
@@ -44,9 +44,10 @@ import (
 type Scenario struct {
 	// Seed drives every random stream of the run (default 1).
 	Seed int64
-	// Shards selects the proxy engine width (default 1, the sequential
-	// reference; more shards run batches on the batched path). Decisions
-	// are shard-invariant, so every oracle in this package applies unchanged.
+	// Shards is the proxy's Config.Shards (default 1, the Process loop
+	// reference; any other value runs batches on the batched body).
+	// Decisions are the same on either engine, so every oracle in this
+	// package applies unchanged.
 	Shards int
 	// Bootstrap is the proxy learning window (default 2 minutes).
 	Bootstrap time.Duration
@@ -206,7 +207,7 @@ var (
 )
 
 // inspector is the gateway hook: it resolves frames to pipeline inputs,
-// batches them through ProcessBatch (exercising the sharded engine), records
+// batches them through ProcessBatch (exercising the batched engine), records
 // the rendered decision stream, and returns the forwarding verdicts.
 type inspector struct {
 	eng   engine

@@ -25,8 +25,7 @@ func TestProcessRuleHitZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shards > 1 keeps the FNV device-to-shard hash on the measured path.
-	p := NewProxy(clock, ks, validator, Config{Bootstrap: 5 * time.Minute, Shards: 8})
+	p := NewProxy(clock, ks, validator, Config{Bootstrap: 5 * time.Minute})
 	const dev = "plug"
 	if err := p.AddDevice(DeviceConfig{Name: dev, Classifier: RuleClassifier{NotificationSize: 235}, GraceN: 2}); err != nil {
 		t.Fatal(err)
@@ -71,10 +70,10 @@ func TestProcessRuleHitZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPipelineSteadyStateZeroAllocs is the multi-shard engine's allocation
-// guard: a full intercept→verdict batch on the batched path — per-shard
-// index lists, shard-by-shard decisions, compiled rule match, outcome arena,
-// idx-ordered merge — performs zero heap allocations per batch in steady state, and the
+// TestPipelineSteadyStateZeroAllocs is the batched body's allocation
+// guard: a full intercept→verdict batch — decisions under the device mutex,
+// compiled rule match, outcome arena, batch-ordered merge — performs zero
+// heap allocations per batch in steady state, and the
 // event-decision path (grouping, compiled classification, audit append)
 // stays under a tight amortized ceiling (the audit log's doubling append is
 // the only allocator left).
@@ -88,7 +87,7 @@ func TestPipelineSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewProxy(clock, ks, validator, Config{Bootstrap: 5 * time.Minute, Shards: 4})
+	p := NewProxy(clock, ks, validator, Config{Bootstrap: 5 * time.Minute})
 	trained := trainDiffClassifier(t, 5)
 	ruleDevs := []string{"rplug0", "rplug1", "rplug2", "rplug3"}
 	mlDevs := []string{"mcam0", "mcam1", "mcam2", "mcam3"}
@@ -163,7 +162,7 @@ func TestPipelineSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("%d measured packets were not rule hits; the guard measured the wrong path", misses)
 	}
 	if allocs != 0 {
-		t.Fatalf("sharded rule-hit batch allocates: measured %v allocs/op, want 0", allocs)
+		t.Fatalf("batched rule-hit batch allocates: measured %v allocs/op, want 0", allocs)
 	}
 
 	// Phase 2: one fresh event per ML device per batch — grouping, compiled

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +18,7 @@ import (
 // asyncDiffProxy builds a differential arm: the shared device zoo with half
 // the devices on packet-size rule classifiers and half wearing the trained
 // compiled model, so a trace exercises both classifier engines on the
-// batched multi-shard path.
+// batched body.
 func asyncDiffProxy(t *testing.T, clock *simclock.VirtualClock, ks *keystore.Store, trained *MLClassifier, cfg Config) *Proxy {
 	t.Helper()
 	validator, _, err := sharedValidator()
@@ -42,11 +44,11 @@ func asyncDiffProxy(t *testing.T, clock *simclock.VirtualClock, ks *keystore.Sto
 }
 
 // TestAsyncPipelineMatchesSequentialAndSharded is the engine differential
-// the multi-shard pipeline must pass to be admissible: replaying seeded
-// multi-device traces through the sequential engine (1 shard) and the
-// batched engine (4 shards) must produce byte-identical per-packet
-// decisions, flush decisions, audit logs, stats, lockout states, obs
-// snapshots, and serialized proxy state.
+// the batched body must pass to be admissible: replaying seeded
+// multi-device traces through a Process loop (Shards = 1) and the batched
+// body must produce byte-identical per-packet decisions, flush decisions,
+// audit logs, stats, lockout states, obs snapshots, and serialized proxy
+// state.
 func TestAsyncPipelineMatchesSequentialAndSharded(t *testing.T) {
 	for _, seed := range []int64{7, 31, 71} {
 		seed := seed
@@ -79,14 +81,14 @@ func TestAsyncPipelineMatchesSequentialAndSharded(t *testing.T) {
 
 			arms := map[string]*Proxy{
 				"seq":     asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 1}),
-				"sharded": asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 4}),
+				"batched": asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 4}),
 			}
 
 			// The arms must actually diverge in classifier engine per device:
 			// even-index devices wear rules, odd-index devices the compiled
 			// model.
 			for i, d := range diffDevices {
-				ds := arms["sharded"].shardFor(d.name).devices[d.name]
+				ds := arms["batched"].devices[d.name]
 				_, compiled := ds.classifier.(*compiledEventClassifier)
 				if wantCompiled := i%2 == 1; compiled != wantCompiled {
 					t.Fatalf("%s: compiled classifier = %v, want %v", d.name, compiled, wantCompiled)
@@ -112,22 +114,22 @@ func TestAsyncPipelineMatchesSequentialAndSharded(t *testing.T) {
 				}
 				for _, dev := range s.Flush {
 					want := arms["seq"].FlushEvent(dev)
-					if got := arms["sharded"].FlushEvent(dev); !reflect.DeepEqual(got, want) {
-						t.Fatalf("step %d: FlushEvent(%s): sharded %+v, seq %+v", si, dev, got, want)
+					if got := arms["batched"].FlushEvent(dev); !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d: FlushEvent(%s): batched %+v, seq %+v", si, dev, got, want)
 					}
 				}
 			}
-			if arms["sharded"].batcher.idx == nil {
-				t.Fatal("sharded arm never ran a batch on the batched path")
+			if arms["batched"].batcher.out == nil {
+				t.Fatal("batched arm never ran a batch on the batched path")
 			}
 
-			want, got := decisions["seq"], decisions["sharded"]
+			want, got := decisions["seq"], decisions["batched"]
 			if len(got) != len(want) {
-				t.Fatalf("sharded: %d decisions, seq %d", len(got), len(want))
+				t.Fatalf("batched: %d decisions, seq %d", len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("sharded: decision %d = %+v, seq %+v", i, got[i], want[i])
+					t.Fatalf("batched: decision %d = %+v, seq %+v", i, got[i], want[i])
 				}
 			}
 
@@ -138,35 +140,34 @@ func TestAsyncPipelineMatchesSequentialAndSharded(t *testing.T) {
 			wantLog := arms["seq"].Log()
 			wantSnap := arms["seq"].Metrics().Snapshot()
 			wantState := arms["seq"].EncodeState()
-			p := arms["sharded"]
+			p := arms["batched"]
 			if got := p.StatsSnapshot(); got != wantStats {
-				t.Fatalf("sharded: stats %+v, seq %+v", got, wantStats)
+				t.Fatalf("batched: stats %+v, seq %+v", got, wantStats)
 			}
 			if got := p.Log(); !reflect.DeepEqual(got, wantLog) {
-				t.Fatalf("sharded: audit log diverges (%d entries, seq %d)", len(got), len(wantLog))
+				t.Fatalf("batched: audit log diverges (%d entries, seq %d)", len(got), len(wantLog))
 			}
 			for _, d := range diffDevices {
 				if got, want := p.Locked(d.name), arms["seq"].Locked(d.name); got != want {
-					t.Fatalf("sharded: Locked(%s)=%v, seq %v", d.name, got, want)
+					t.Fatalf("batched: Locked(%s)=%v, seq %v", d.name, got, want)
 				}
 			}
 			if got := p.Metrics().Snapshot(); got != wantSnap {
-				t.Fatalf("sharded: obs snapshot diverges:\n%s", firstDiffLine(got, wantSnap))
+				t.Fatalf("batched: obs snapshot diverges:\n%s", firstDiffLine(got, wantSnap))
 			}
 			if got := p.EncodeState(); !reflect.DeepEqual(got, wantState) {
-				t.Fatalf("sharded: serialized state diverges (%d bytes, seq %d)", len(got), len(wantState))
+				t.Fatalf("batched: serialized state diverges (%d bytes, seq %d)", len(got), len(wantState))
 			}
 		})
 	}
 }
 
 // TestAsyncTinyRingBackpressure reruns the seed-31 trace, without
-// attestations, on four shards in batches of at most two packets: every
-// trace step becomes many batches, each touching at most two of the four
-// shards, so the list reset, the skip of idle shards, the tally flush and
-// the merge run at the highest rate the batched path sees. Decisions, logs,
-// and stats must still match the sequential engine fed the same batches,
-// and no shard's index list may grow past the batch size.
+// attestations, on the batched body in batches of at most two packets:
+// every trace step becomes many batches, so the arena reuse, the tally
+// flush and the merge run at the highest rate the batched body sees.
+// Decisions, logs, and stats must still match the Process loop fed the same
+// batches, and the outcome arena may not grow past the batch size.
 func TestAsyncTinyRingBackpressure(t *testing.T) {
 	const seed = 31
 	const chunk = 2
@@ -177,7 +178,7 @@ func TestAsyncTinyRingBackpressure(t *testing.T) {
 	}
 	trained := trainDiffClassifier(t, seed)
 	seq := asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 1})
-	sharded := asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 4})
+	batched := asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 4})
 
 	handoffs := 0
 	for si, s := range buildSeededTrace(clock.Now(), rand.New(rand.NewSource(seed))) {
@@ -185,7 +186,7 @@ func TestAsyncTinyRingBackpressure(t *testing.T) {
 		for lo := 0; lo < len(s.Batch); lo += chunk {
 			batch := s.Batch[lo:min(lo+chunk, len(s.Batch))]
 			wantD := seq.ProcessBatch(batch)
-			gotD := sharded.ProcessBatch(batch)
+			gotD := batched.ProcessBatch(batch)
 			if !reflect.DeepEqual(gotD, wantD) {
 				t.Fatalf("step %d, packets %d..: batch decisions diverge", si, lo)
 			}
@@ -193,56 +194,49 @@ func TestAsyncTinyRingBackpressure(t *testing.T) {
 		}
 		for _, dev := range s.Flush {
 			want := seq.FlushEvent(dev)
-			if got := sharded.FlushEvent(dev); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: FlushEvent(%s): sharded %+v, seq %+v", si, dev, got, want)
+			if got := batched.FlushEvent(dev); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: FlushEvent(%s): batched %+v, seq %+v", si, dev, got, want)
 			}
 		}
 	}
-	if got, want := sharded.StatsSnapshot(), seq.StatsSnapshot(); got != want {
-		t.Fatalf("stats diverge:\nsharded %+v\nseq     %+v", got, want)
+	if got, want := batched.StatsSnapshot(), seq.StatsSnapshot(); got != want {
+		t.Fatalf("stats diverge:\nbatched %+v\nseq     %+v", got, want)
 	}
-	if got, want := sharded.Log(), seq.Log(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("audit logs diverge (sharded %d entries, seq %d)", len(got), len(want))
+	if got, want := batched.Log(), seq.Log(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("audit logs diverge (batched %d entries, seq %d)", len(got), len(want))
 	}
 	if want := seq.StatsSnapshot(); want.Packets < 50 || handoffs < 25 {
 		t.Fatalf("trace too small for many hand-offs: %d batches, %+v", handoffs, want)
 	}
-	if sharded.batcher.idx == nil {
+	if batched.batcher.out == nil {
 		t.Fatal("no batch ran on the batched path")
 	}
-	for i, idx := range sharded.batcher.idx {
-		if got := cap(idx); got > chunk {
-			t.Fatalf("shard %d index list grew to %d slots on batches of %d", i, got, chunk)
-		}
+	if got := cap(batched.batcher.out); got > chunk {
+		t.Fatalf("outcome arena grew to %d slots on batches of %d", got, chunk)
 	}
 }
 
-// TestAsyncLopsidedBatchWakes feeds the four-shard pipeline batches that
-// hold only the packets of one shard's devices, so every other shard has an
-// empty index list and must be left alone: its lock is not taken. The test
-// holds every other shard's mutex across each sharded batch, so touching an
-// idle shard would block the batch. It runs twice: with shard 0 hot
-// ("producer-shard"), so every idle shard comes after the hot one in the
-// batch's shard walk, and with a later shard hot ("goroutine-shard"), so the
-// walk skips shard 0 first. The arm names date from an engine that ran
-// shard 0 on the calling goroutine and the others on worker goroutines.
-// The last batch holds more than 1,024 of the hot shard's packets, so the
-// index list and the outcome arena grow well past any warm size mid-run.
-// Decisions, logs, and stats must match the sequential engine fed the same
-// batches.
+// TestAsyncLopsidedBatchWakes feeds the batched body batches that hold
+// the packets of one device only, then one batch of more than 1,024 of that
+// device's packets, so the outcome arena grows well past any warm size
+// mid-run and a single device is decided over a long run of arena slots.
+// Decisions, logs, and stats must match the Process loop fed the same
+// batches. It runs on a device wearing a packet-size rule classifier
+// ("producer-shard") and on one wearing the compiled model
+// ("goroutine-shard"); the arm names date from an engine that split each
+// batch across hash-assigned shards.
 func TestAsyncLopsidedBatchWakes(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		first bool
-	}{{"producer-shard", true}, {"goroutine-shard", false}} {
-		t.Run(tc.name, func(t *testing.T) { lopsidedBatchWakes(t, tc.first) })
+		name string
+		dev  int // index into diffDevices: even wears rules, odd the model
+	}{{"producer-shard", 0}, {"goroutine-shard", 1}} {
+		t.Run(tc.name, func(t *testing.T) { lopsidedBatchWakes(t, diffDevices[tc.dev].name) })
 	}
 }
 
-// lopsidedBatchWakes is one arm of TestAsyncLopsidedBatchWakes: with first
-// set, the hot shard is shard 0; otherwise it is the shard after it that
-// owns the most devices.
-func lopsidedBatchWakes(t *testing.T, first bool) {
+// lopsidedBatchWakes is one arm of TestAsyncLopsidedBatchWakes: every batch
+// carries only hot's packets.
+func lopsidedBatchWakes(t *testing.T, hot string) {
 	const seed = 71
 	clock := simclock.NewVirtual()
 	ks, err := keystore.New(rand.New(rand.NewSource(960)))
@@ -251,56 +245,19 @@ func lopsidedBatchWakes(t *testing.T, first bool) {
 	}
 	trained := trainDiffClassifier(t, seed)
 	seq := asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 1})
-	sharded := asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute, Shards: 4})
+	batched := asyncDiffProxy(t, clock, ks, trained, Config{Bootstrap: 5 * time.Minute})
 
-	var owned [4]int
-	for _, d := range diffDevices {
-		owned[sharded.shardIndex(d.name)]++
-	}
-	hot := 0
-	if !first {
-		hot = 1
-		for si := 2; si < len(owned); si++ {
-			if owned[si] > owned[hot] {
-				hot = si
-			}
-		}
-	}
-	if owned[hot] == 0 {
-		t.Fatalf("hot shard %d owns no device (%v)", hot, owned)
-	}
-
-	// shardedIdleLocked runs the batch on the sharded proxy while holding
-	// the mutex of every shard but the hot one.
-	shardedIdleLocked := func(si int, batch []PacketIn) []Decision {
-		t.Helper()
-		for i, sh := range sharded.shards {
-			if i != hot {
-				sh.mu.Lock()
-				defer sh.mu.Unlock()
-			}
-		}
-		done := make(chan []Decision, 1)
-		go func() { done <- sharded.ProcessBatch(batch) }()
-		select {
-		case d := <-done:
-			return d
-		case <-time.After(time.Minute):
-			t.Fatalf("step %d: batch of hot shard %d blocked on an idle shard", si, hot)
-			return nil
-		}
-	}
 	step := func(si int, batch []PacketIn, flush []string) {
 		t.Helper()
 		wantD := seq.ProcessBatch(batch)
-		gotD := shardedIdleLocked(si, batch)
+		gotD := batched.ProcessBatch(batch)
 		if !reflect.DeepEqual(gotD, wantD) {
-			t.Fatalf("step %d: batch decisions diverge:\nsharded %+v\nseq     %+v", si, gotD, wantD)
+			t.Fatalf("step %d: batch decisions diverge:\nbatched %+v\nseq     %+v", si, gotD, wantD)
 		}
 		for _, dev := range flush {
 			want := seq.FlushEvent(dev)
-			if got := sharded.FlushEvent(dev); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: FlushEvent(%s): sharded %+v, seq %+v", si, dev, got, want)
+			if got := batched.FlushEvent(dev); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: FlushEvent(%s): batched %+v, seq %+v", si, dev, got, want)
 			}
 		}
 	}
@@ -312,54 +269,49 @@ func lopsidedBatchWakes(t *testing.T, first bool) {
 		span += s.Advance
 		var batch []PacketIn
 		for _, pk := range s.Batch {
-			if sharded.shardIndex(pk.Device) == hot {
+			if pk.Device == hot {
 				batch = append(batch, pk)
 			}
 		}
 		hotPackets = append(hotPackets, batch...)
 		step(si, batch, s.Flush)
 	}
-	if sharded.batcher.idx == nil {
+	if batched.batcher.out == nil {
 		t.Fatal("no batch ran on the batched path")
 	}
 	if len(hotPackets) == 0 {
-		t.Fatal("the hot shard saw no packets")
+		t.Fatalf("%s saw no packets", hot)
 	}
+	warm := cap(batched.batcher.out)
 
-	// One oversized batch: the hot shard's whole trace, replayed in later
+	// One oversized batch: the device's whole trace, replayed in later
 	// copies until it passes 1,024 packets, each copy shifted past the last.
 	var big []PacketIn
-	var flush []string
 	for r := 1; len(big) <= 1024; r++ {
 		for _, pk := range hotPackets {
 			pk.Rec.Time = pk.Rec.Time.Add(time.Duration(r) * (span + time.Hour))
 			big = append(big, pk)
 		}
 	}
-	for _, d := range diffDevices {
-		if sharded.shardIndex(d.name) == hot {
-			flush = append(flush, d.name)
-		}
-	}
 	clock.Advance(span + time.Hour)
-	step(len(trace), big, flush)
-	if got := len(sharded.batcher.idx[hot]); got != len(big) {
-		t.Fatalf("hot shard's index list holds %d packets, want %d", got, len(big))
+	step(len(trace), big, []string{hot})
+	if got := cap(batched.batcher.out); got < len(big) || warm >= len(big) {
+		t.Fatalf("outcome arena holds %d slots after a %d-packet batch (warm size %d), want it grown", got, len(big), warm)
 	}
 
-	if got, want := sharded.StatsSnapshot(), seq.StatsSnapshot(); got != want {
-		t.Fatalf("stats diverge:\nsharded %+v\nseq     %+v", got, want)
+	if got, want := batched.StatsSnapshot(), seq.StatsSnapshot(); got != want {
+		t.Fatalf("stats diverge:\nbatched %+v\nseq     %+v", got, want)
 	}
 	if want := seq.StatsSnapshot(); want.RuleHits == 0 || want.EventsManual+want.EventsNonManual == 0 {
 		t.Fatalf("filtered trace misses pipeline branches: %+v", want)
 	}
-	if got, want := sharded.Log(), seq.Log(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("audit logs diverge (sharded %d entries, seq %d)", len(got), len(want))
+	if got, want := batched.Log(), seq.Log(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("audit logs diverge (batched %d entries, seq %d)", len(got), len(want))
 	}
 }
 
-// TestProxyCloseDuringBatches races Close against a ProcessBatch loop on a
-// four-shard proxy. Close is a no-op kept for an old caller: two concurrent
+// TestProxyCloseDuringBatches races Close against a ProcessBatch loop on
+// the batched body. Close is a no-op kept for an old caller: two concurrent
 // calls must return without waiting on the batches, and every batch —
 // before, during, and after them — must run on the batched path and decide
 // exactly as a Shards=1 proxy does.
@@ -409,7 +361,7 @@ func TestProxyCloseDuringBatches(t *testing.T) {
 	closers.Wait()
 	<-done
 	step(trace[len(trace)-1]) // certainly after Close
-	if ring.batcher.idx == nil {
+	if ring.batcher.out == nil {
 		t.Fatal("no batch ran on the batched path")
 	}
 
@@ -432,12 +384,11 @@ func TestProxyCloseDuringBatches(t *testing.T) {
 	}
 }
 
-// TestProxyWorkersStartLazily: neither building an eight-shard proxy nor
-// running a batch with packets on all eight shards starts a goroutine. The
-// batched path decides every shard on the calling goroutine. The check is
-// process-wide, so it waits up to 1 s for a count above the baseline to
-// fall back, which tolerates a finalizer run by the garbage collector
-// meanwhile; a goroutine the proxy started would stay.
+// TestProxyWorkersStartLazily: neither building a proxy nor running a batch
+// on the batched body starts a goroutine; the batch is decided on the
+// calling goroutine. The check counts only goroutines running this
+// package's or internal/durable's code outside test files (see
+// engineGoroutines), and waits up to 1 s for such a goroutine to exit.
 func TestProxyWorkersStartLazily(t *testing.T) {
 	validator, _, err := sharedValidator()
 	if err != nil {
@@ -447,38 +398,62 @@ func TestProxyWorkersStartLazily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.NumGoroutine()
 	noneStarted := func(after string) {
 		t.Helper()
-		for i := 0; runtime.NumGoroutine() > base; i++ {
+		for i := 0; ; i++ {
+			gs := engineGoroutines()
+			if len(gs) == 0 {
+				return
+			}
 			if i == 1000 {
-				t.Fatalf("%d goroutines after %s, want <= %d", runtime.NumGoroutine(), after, base)
+				t.Fatalf("%d engine goroutines after %s, want none:\n%s", len(gs), after, strings.Join(gs, "\n\n"))
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}
-	p := NewProxy(simclock.NewVirtual(), ks, validator, Config{Shards: 8})
+	p := NewProxy(simclock.NewVirtual(), ks, validator, Config{})
 	noneStarted("NewProxy")
 
-	// Unregistered devices fail open, but the batched path still takes each
-	// of their shards' locks; pick names until every shard has a packet.
+	// Unregistered devices fail open, but the batched body still looks
+	// each of them up under the device mutex.
 	var batch []PacketIn
-	var covered [8]bool
-	for i, n := 0, 0; n < len(covered); i++ {
-		dev := fmt.Sprintf("ghost%d", i)
-		if s := p.shardIndex(dev); !covered[s] {
-			covered[s] = true
-			n++
-			batch = append(batch, PacketIn{Device: dev})
-		}
+	for i := 0; i < 8; i++ {
+		batch = append(batch, PacketIn{Device: fmt.Sprintf("ghost%d", i)})
 	}
 	for i, d := range p.ProcessBatch(batch) {
 		if d.Verdict != Allow {
 			t.Fatalf("unregistered device packet %d = %+v, want allow", i, d)
 		}
 	}
-	if p.batcher.idx == nil {
+	if p.batcher.out == nil {
 		t.Fatal("the batch did not run on the batched path")
 	}
-	noneStarted("an eight-shard batch")
+	noneStarted("a batch")
 }
+
+// engineGoroutines returns the stack of every live goroutine that runs
+// code of internal/core or internal/durable and no test code: a goroutine
+// the engine itself started. Counting goroutines process-wide would also
+// see the runtime's and other tests' goroutines.
+func engineGoroutines() []string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if engineFrame.MatchString(g) && !strings.Contains(g, "_test.go:") {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// engineFrame matches a stack frame, or a "created by" line, in
+// internal/core or internal/durable.
+var engineFrame = regexp.MustCompile(`(?m)^(created by )?fiat/internal/(core|durable)\.`)

@@ -114,8 +114,8 @@ const ValidationTTL = 10 * time.Second
 
 // validationStore remembers the proxy's recent humanness verdicts. It is
 // read-mostly shared state on the packet path: every manual-event decision
-// reads it under RLock, from whichever goroutine holds the device's shard,
-// and only HandleAttestation writes.
+// reads it under RLock while holding the device mutex, and only
+// HandleAttestation writes.
 type validationStore struct {
 	mu       sync.RWMutex
 	byDevice map[string][]validation

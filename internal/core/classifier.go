@@ -109,7 +109,7 @@ func (c *MLClassifier) Compiled() ml.CompiledModel { return c.compiled }
 // CompiledEventClassifier returns a frozen per-owner inference engine for
 // the trained model: a clone of the compiled template plus a private feature
 // scratch vector, so the full extract→scale→infer path performs zero heap
-// allocations. Each concurrent owner (an engine shard's device, a bench
+// allocations. Each concurrent owner (a registered device, a bench
 // worker) needs its own. Returns nil when the model did not compile.
 func (c *MLClassifier) CompiledEventClassifier() EventClassifier {
 	if c == nil || c.compiled == nil {
@@ -124,8 +124,8 @@ func (c *MLClassifier) CompiledEventClassifier() EventClassifier {
 
 // compiledEventClassifier is one device's enforcement-phase classifier: the
 // compiled model clone plus the reused extraction scratch. It is owned by
-// exactly one shard (the device's), so IsManual runs lock-free and
-// allocation-free under the shard mutex.
+// exactly one device, so IsManual runs lock-free and allocation-free under
+// the device mutex.
 type compiledEventClassifier struct {
 	model ml.CompiledModel
 	sum   uint32 // model's checksum, taken from its template or image

@@ -62,7 +62,7 @@ type serialModel struct{ *MLClassifier }
 // TestCompiledClassifierMatchesLegacyDifferential replays seeded
 // multi-device traces through a reference proxy whose devices classify
 // through the serialized extract→Transform→Predict path (the trained model
-// behind serialModel) and a proxy on the per-shard compiled inference
+// behind serialModel) and a proxy on the per-device compiled inference
 // engines. Verdicts, flush decisions, stats, audit logs and lockout states
 // must be identical, and the obs snapshots may differ only in the
 // classifier-compile counter — the compiled engine is only admissible as a
@@ -91,11 +91,11 @@ func TestCompiledClassifierMatchesLegacyDifferential(t *testing.T) {
 			legacy, compiled := build(serialModel{trained}), build(trained)
 
 			// The arms must actually differ in engine: the compiled arm's
-			// devices carry per-shard compiled classifiers, the reference
+			// devices carry per-device compiled classifiers, the reference
 			// arm's run the serialized model.
 			for _, d := range diffDevices {
-				ld := legacy.shardFor(d.name).devices[d.name]
-				cd := compiled.shardFor(d.name).devices[d.name]
+				ld := legacy.devices[d.name]
+				cd := compiled.devices[d.name]
 				if _, ok := cd.classifier.(*compiledEventClassifier); !ok {
 					t.Fatalf("%s: compiled arm classifier is %T, want *compiledEventClassifier", d.name, cd.classifier)
 				}
@@ -290,7 +290,7 @@ func TestUncompilableFamilyFallsBackToLegacy(t *testing.T) {
 	if err := p.AddDevice(DeviceConfig{Name: "cam", Classifier: trained, GraceN: 1}); err != nil {
 		t.Fatal(err)
 	}
-	ds := p.shardFor("cam").devices["cam"]
+	ds := p.devices["cam"]
 	if _, ok := ds.classifier.(*compiledEventClassifier); ok {
 		t.Fatal("uncompilable model wrongly got a compiled engine")
 	}

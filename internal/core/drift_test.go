@@ -58,10 +58,9 @@ func driftFleetProxy(t *testing.T, clock *simclock.VirtualClock, shards int) *Pr
 // shadowMatrix reads the device's shadow matrix while a candidate is in
 // shadow evaluation.
 func shadowMatrix(p *Proxy, device string) (swap.ShadowMatrix, bool) {
-	sh := p.shardFor(device)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if rl := sh.devices[device].rl; rl != nil && rl.phase == swap.PhaseShadow {
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
+	if rl := p.devices[device].rl; rl != nil && rl.phase == swap.PhaseShadow {
 		return rl.matrix, true
 	}
 	return swap.ShadowMatrix{}, false
@@ -72,9 +71,9 @@ func shadowMatrix(p *Proxy, device string) (swap.ShadowMatrix, bool) {
 // fires, and only tv relearns, shadows and is promoted. The other five stay
 // idle on generation 1 throughout. A fleet-wide detector would send every
 // frozen device into a relearn window. The run is repeated on the
-// sequential engine (Shards 1), on 4 shards fed one packet at a time, and
-// on the 4-shard batched path; decisions and the swap registry must be
-// identical across the three.
+// sequential engine (Shards 1), on a Shards 4 proxy fed one packet at a
+// time through Process, and on that proxy's batched body; decisions and
+// the swap registry must be identical across the three.
 func TestOneDeviceDriftsOneDeviceRelearns(t *testing.T) {
 	const drifted = "tv"
 	type arm struct {

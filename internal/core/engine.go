@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"fiat/internal/flows"
@@ -16,19 +15,19 @@ type PacketIn struct {
 	Peer   string
 }
 
-// ProcessBatch runs a batch of packets through the pipeline. With one shard
-// the batch runs packet by packet on the sequential path; otherwise the
-// calling goroutine decides it shard by shard (see batcher).
+// ProcessBatch runs a batch of packets through the pipeline. The batched
+// body decides the whole batch under one hold of the device mutex (see
+// batcher); with Config.Shards == 1 the batch runs packet by packet through
+// Process instead, the reference the batched body is checked against.
 //
 // Determinism contract: ProcessBatch(batch) returns exactly the decisions —
 // and appends exactly the audit entries, in the same order, with the same
 // stats — that calling Process on each packet in batch order would produce
 // while the clock does not advance during the batch. The timestamp is
-// sampled once at batch entry; packets of one device are processed in input
-// order by the one shard that owns the device, and devices on different
-// shards share no mutable pipeline state. The differential tests in
-// engine_test.go and async_test.go check this decision-for-decision across
-// shard counts.
+// sampled once at batch entry and the packets are decided in batch order.
+// The engine differentials (TestAsyncPipelineMatchesSequentialAndSharded,
+// TestGoldenDigests and their kin) check this decision for decision against
+// the Process loop.
 func (p *Proxy) ProcessBatch(batch []PacketIn) []Decision {
 	return p.ProcessBatchInto(batch, nil)
 }
@@ -46,8 +45,11 @@ func (p *Proxy) ProcessBatchInto(batch []PacketIn, dst []Decision) []Decision {
 		dst = dst[:len(batch)]
 	}
 	start := p.clock.Now()
-	if len(p.shards) == 1 {
-		p.processBatchSequential(batch, dst)
+	if p.cfg.Shards == 1 {
+		for i := range batch {
+			pk := &batch[i]
+			dst[i] = p.Process(pk.Device, pk.Rec, pk.Peer)
+		}
 	} else {
 		p.batcher.run(p, batch, dst, start)
 	}
@@ -61,43 +63,24 @@ func (p *Proxy) ProcessBatchInto(batch []PacketIn, dst []Decision) []Decision {
 	return dst
 }
 
-// processBatchSequential is the one-shard path: each packet is a Process
-// call, so it is the reference the batched path is checked against.
-func (p *Proxy) processBatchSequential(batch []PacketIn, dst []Decision) {
-	for i, pk := range batch {
-		dst[i] = p.Process(pk.Device, pk.Rec, pk.Peer)
-	}
-}
-
-// batcher is the multi-shard engine behind ProcessBatch. It sorts the
-// batch's indices into one list per shard, in batch order, and then decides
-// each non-empty list on the calling goroutine, in shard order, under that
-// shard's mutex. Each packet runs through the same pipeline body as the
-// sequential path (processTraced), event decisions included, and writes its
-// outcome into a per-batch arena slot indexed by batch position. A shard
-// with no packets in the batch is not touched.
-// In steady state a packet traverses intercept → verdict with zero heap
-// allocations (TestPipelineSteadyStateZeroAllocs).
+// batcher is the batched body behind ProcessBatch. It decides the batch in
+// batch order under one hold of the device mutex, which also guards the
+// batcher itself. Each packet runs through the same pipeline body as
+// Process (processTraced), event decisions included, and writes its outcome
+// into an arena slot indexed by batch position. In steady state a packet
+// traverses intercept → verdict with zero heap allocations
+// (TestPipelineSteadyStateZeroAllocs).
 //
 // Determinism: the merge walks the arena in batch order — decisions out,
 // audit entries appended, pending holds pushed, stat deltas summed — so it
-// replays the sequential order exactly. Within a shard, packets are decided
-// in batch order; devices on different shards share no mutable pipeline
-// state, so deciding shard by shard instead of packet by packet changes
-// nothing. The differential (async_test.go) holds this byte-identical to the
-// sequential engine.
+// replays the sequential commit order exactly, with p.mu taken once per
+// batch instead of once per packet.
 type batcher struct {
-	// mu serializes whole batches: concurrent ProcessBatch callers take
-	// turns, because the index lists, the arena and the tallies belong to
-	// one batch at a time. A holder takes one shard mutex at a time, and no
-	// shard-mutex holder waits for mu, so it cannot deadlock.
-	mu  sync.Mutex
-	idx [][]int32 // per shard: batch indices of its packets, in batch order
 	out []outcome // per-batch outcome arena, slot i = batch index i
 	bt  batchTallies
 }
 
-// batchTallies is the batched path's metric view, folded into the proxy's
+// batchTallies is the batched body's metric view, folded into the proxy's
 // registry once per batch. The tracer is count-only: a stage entry is one
 // increment, and Flush files it as the 0-ns dwell every engine observes
 // under a virtual clock. The match and inference latencies are tallied as
@@ -109,45 +92,27 @@ type batchTallies struct {
 }
 
 // run decides one batch, writing decisions into dst (len(dst) ==
-// len(batch)). Nothing here allocates once the arena and the lists have
-// warmed to the workload's batch size.
+// len(batch)). Nothing here allocates once the arena has warmed to the
+// workload's batch size.
 func (b *batcher) run(p *Proxy, batch []PacketIn, dst []Decision, now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.idx == nil {
-		b.idx = make([][]int32, len(p.shards))
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
+	if b.bt.tracer == nil {
 		b.bt = batchTallies{
 			tracer:     p.metrics.tracer.Local(),
 			matchNanos: p.metrics.matchNanos.Local(),
 			inferNanos: p.metrics.inferNanos.Local(),
 		}
 	}
-	n := len(batch)
-	if cap(b.out) < n {
-		b.out = make([]outcome, n)
+	if cap(b.out) < len(batch) {
+		b.out = make([]outcome, len(batch))
 	}
-	out := b.out[:n]
-
-	for s := range b.idx {
-		b.idx[s] = b.idx[s][:0]
-	}
+	out := b.out[:len(batch)]
 	for i := range batch {
-		s := p.shardIndex(batch[i].Device)
-		b.idx[s] = append(b.idx[s], int32(i))
-	}
-	for s, idx := range b.idx {
-		if len(idx) == 0 {
-			continue
-		}
-		sh := p.shards[s]
-		sh.mu.Lock()
-		for _, i := range idx {
-			pk := &batch[i]
-			o := &out[i]
-			*o = outcome{}
-			p.processTraced(sh.devices[pk.Device], pk.Rec, pk.Peer, now, o, &b.bt)
-		}
-		sh.mu.Unlock()
+		pk := &batch[i]
+		o := &out[i]
+		*o = outcome{}
+		p.processTraced(p.devices[pk.Device], &pk.Rec, pk.Peer, now, o, &b.bt)
 	}
 	b.bt.tracer.Flush()
 	b.bt.matchNanos.Flush()

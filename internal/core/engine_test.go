@@ -13,7 +13,7 @@ import (
 
 // diffDevices is the multi-device zoo the differential trace runs over:
 // varied notification sizes and grace windows so every pipeline branch is
-// exercised on several shard assignments.
+// exercised on every engine.
 var diffDevices = []struct {
 	name   string
 	size   int // manual-notification packet size
@@ -118,7 +118,7 @@ func buildDiffTrace(start time.Time) []diffStep {
 	return steps
 }
 
-// diffProxy builds a proxy with the given shard count on the shared clock
+// diffProxy builds a proxy with the given Config.Shards on the shared clock
 // and keystore, with every differential device registered and the
 // Alexa -> light DAG edge installed.
 func diffProxy(t *testing.T, clock *simclock.VirtualClock, ks *keystore.Store, shards int) *Proxy {

@@ -14,7 +14,7 @@ import (
 	"fiat/internal/simclock"
 )
 
-// TestFrameGateFeedsGatewayBatches wires the sharded engine into the
+// TestFrameGateFeedsGatewayBatches wires the batched engine into the
 // simulated home router: the gateway buffers same-instant frames from two
 // devices and hands them to core.FrameGate (as its BatchInspector), which
 // resolves each frame to its device and decides the whole batch with

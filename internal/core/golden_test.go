@@ -74,7 +74,7 @@ func goldenProxy(t *testing.T, g goldenTrace, clock simclock.Clock, ks *keystore
 	return p
 }
 
-// replayGolden runs one golden trace at the given shard count and returns
+// replayGolden runs one golden trace at the given Config.Shards and returns
 // its golden.txt line and the proxy as the trace left it. The line holds
 // SHA-256 digests of the decision stream (attestation verdicts, per-packet
 // decisions, flush decisions), the audit log, the stats, the serialized
@@ -189,7 +189,7 @@ func TestGoldenDigests(t *testing.T) {
 						if st.EventsManual+st.EventsNonManual == 0 {
 							t.Fatalf("trace misses the classification path: %+v", st)
 						}
-						ds := p.shardFor(diffDevices[0].name).devices[diffDevices[0].name]
+						ds := p.devices[diffDevices[0].name]
 						if _, ok := ds.classifier.(*compiledEventClassifier); !ok {
 							t.Fatalf("classifier is %T, want *compiledEventClassifier", ds.classifier)
 						}

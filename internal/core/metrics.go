@@ -21,7 +21,7 @@ var allReasons = []Reason{
 
 // coreMetrics is the proxy's registry wiring: one pre-resolved handle per
 // metric so the hot path never takes the registry lock. Counters mirror
-// ProxyStats (they are fed from the same statDelta merge, so sharded and
+// ProxyStats (they are fed from the same statDelta merge, so batched and
 // sequential runs agree by construction); the audit-reason counters mirror
 // the log; the gauges track lockout and pending-queue state; the histograms
 // time ProcessBatch and size its batches. Stage counters/dwell live in the
@@ -137,7 +137,7 @@ func (m *coreMetrics) inferDone(start time.Time) {
 }
 
 // applyDelta mirrors one merged statDelta into the registry counters.
-// Deltas are sums, so applying shard-merged deltas here is arithmetically
+// Deltas are sums, so applying batch-merged deltas here is arithmetically
 // identical to the sequential per-packet path — the invariant the
 // metrics-oracle tests assert.
 func (m *coreMetrics) applyDelta(d statDelta) {
@@ -155,7 +155,7 @@ func (m *coreMetrics) applyDelta(d statDelta) {
 	m.ruleCompiles.Add(int64(d.ruleCompiles))
 	m.ruleMatches.Add(int64(d.ruleMatches))
 	// The compiled-keys gauge grows by each freeze's interned-key count;
-	// deltas are sums, so shard-merged and sequential runs agree.
+	// deltas are sums, so batch-merged and sequential runs agree.
 	m.compiledKeys.Add(int64(d.compiledKeys))
 }
 

@@ -33,10 +33,11 @@ type pendingDecision struct {
 }
 
 // pendingStore is the bounded queue of held decisions. It has its own lock
-// and never acquires shard or proxy locks: Process and FlushEvent push into
-// it while holding a shard mutex, so taking any other lock here would invert
-// the lock order. Evictions therefore park on the overflow list and are
-// finalized by the next SweepPending, outside the shard critical section.
+// and never acquires the device mutex or p.mu: Process, FlushEvent and the
+// batched body push into it while holding the device mutex, so taking any
+// other lock here would invert the lock order. Evictions therefore park on
+// the overflow list and are finalized by the next SweepPending, outside the
+// device critical section.
 type pendingStore struct {
 	mu       sync.Mutex
 	max      int

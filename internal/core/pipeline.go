@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"fiat/internal/events"
@@ -10,21 +9,13 @@ import (
 	"fiat/internal/swap"
 )
 
-// shard owns the state of the devices hash-assigned to it. All per-device
-// mutation — rule learning and matching, event grouping, grace counting,
-// lockout bookkeeping — happens under sh.mu, so callers touching devices on
-// different shards do not contend and share no mutable state.
-// Cross-cutting reads (attestation freshness, the device DAG) go through
-// structures with their own synchronization; cross-cutting writes (audit
-// log, stats, the pending queue) are returned as an outcome and committed
-// by the caller.
-type shard struct {
-	mu      sync.Mutex
-	devices map[string]*deviceState
-}
-
-// deviceState is one protected device's pipeline state, owned by exactly one
-// shard.
+// deviceState is one protected device's pipeline state. All of it —
+// rule learning and matching, event grouping, grace counting, lockout
+// bookkeeping — is read and written only under the proxy's device mutex
+// (Proxy.devMu). Cross-cutting reads (attestation freshness, the device DAG)
+// go through structures with their own synchronization; cross-cutting
+// writes (audit log, stats, the pending queue) are returned as an outcome
+// and committed by the caller.
 type deviceState struct {
 	cfg DeviceConfig
 	// rules is the bootstrap learning table. The freeze point compiles it
@@ -35,8 +26,8 @@ type deviceState struct {
 	// point as generation 1: the immutable compiled table, this device's
 	// own arrival-state block, and the artifact's versioned identity, held
 	// as ONE pointer so a hot swap (see swap.go) replaces them together and
-	// can never expose a mixed-generation view. Guarded by the shard's mu,
-	// like the rest of the device: every read and write holds it, so a
+	// can never expose a mixed-generation view. Guarded by the device
+	// mutex, like the rest of the device: every read and write holds it, so a
 	// reader never keeps a retired generation past the swap. nil before the
 	// freeze point.
 	art *ruleArtifact
@@ -46,9 +37,9 @@ type deviceState struct {
 	// tally is the device's cumulative drift tallies, bumped where the
 	// pipeline bumps the matching statDelta counters (and the locked-device
 	// gauge); drift is the device's own detector window over them, ticked
-	// at housekeeping. Both are shard-owned, so the relearning lifecycle is
-	// a per-device function of the device's own traffic, the same under
-	// every engine and shard count.
+	// at housekeeping. Both belong to the device, so the relearning
+	// lifecycle is a per-device function of the device's own traffic, the
+	// same under either engine.
 	tally swap.Sample
 	drift swap.Detector
 	// genCounter is the device's monotonic artifact generation counter and
@@ -59,8 +50,8 @@ type deviceState struct {
 	// compiled inference engine (own model clone + feature scratch, see
 	// classifier.go) when the device wears a compilable trained model, or
 	// cfg.Classifier itself (rule classifiers, uncompilable families).
-	// Owned by this shard, so the compiled path's scratch reuse is
-	// race-free.
+	// Owned by this device and used under the device mutex, so the
+	// compiled path's scratch reuse is race-free.
 	classifier EventClassifier
 	// current event decision state: evDecision holds the event verdict once
 	// evDecided is set (a value pair, not a pointer, so reaching a decision
@@ -73,7 +64,7 @@ type deviceState struct {
 }
 
 // statDelta accumulates the stats produced by packets before they are merged
-// into Proxy.Stats. All counters are sums, so shard-local accumulation and a
+// into Proxy.Stats. All counters are sums, so batch-local accumulation and a
 // single merge is arithmetically identical to the sequential path.
 type statDelta struct {
 	packets, allowed, dropped       int
@@ -126,38 +117,6 @@ type outcome struct {
 	delta      statDelta
 }
 
-// shardIndex hash-assigns a device name to a shard (FNV-1a, inlined so the
-// per-packet path does not allocate a hasher or copy the name to a byte
-// slice). The assignment is stable across runs and independent of
-// registration order, so replays partition identically.
-func (p *Proxy) shardIndex(device string) int {
-	if len(p.shards) == 1 {
-		return 0
-	}
-	const (
-		offset64 uint64 = 14695981039346656037
-		prime64  uint64 = 1099511628211
-	)
-	h := offset64
-	for i := 0; i < len(device); i++ {
-		h ^= uint64(device[i])
-		h *= prime64
-	}
-	return int(h % uint64(len(p.shards)))
-}
-
-func (p *Proxy) shardFor(device string) *shard {
-	return p.shards[p.shardIndex(device)]
-}
-
-// processLocked runs one packet through the Fig 4 pipeline. The caller holds
-// sh.mu; now is the verdict timestamp.
-func (p *Proxy) processLocked(sh *shard, device string, rec flows.Record, peer string, now time.Time) outcome {
-	var o outcome
-	p.processTraced(sh.devices[device], rec, peer, now, &o, nil)
-	return o
-}
-
 // processTraced is the per-packet body shared by the sequential and the
 // batched path: a trace span follows the packet across the stages, and every
 // packet ends in StageVerdict, so the verdict stage counter equals the
@@ -165,7 +124,7 @@ func (p *Proxy) processLocked(sh *shard, device string, rec flows.Record, peer s
 // deferred closure so the rule-hit path stays free of heap allocations
 // (TestProcessRuleHitZeroAllocs). bt is the batched path's metric view, nil
 // on the sequential path, which traces into the shared tracer.
-func (p *Proxy) processTraced(ds *deviceState, rec flows.Record, peer string, now time.Time, o *outcome, bt *batchTallies) {
+func (p *Proxy) processTraced(ds *deviceState, rec *flows.Record, peer string, now time.Time, o *outcome, bt *batchTallies) {
 	tr := p.metrics.tracer
 	if bt != nil {
 		tr = bt.tracer
@@ -178,11 +137,11 @@ func (p *Proxy) processTraced(ds *deviceState, rec flows.Record, peer string, no
 
 // processSpanned is the pipeline body inside the packet's trace span. ds is
 // the pre-resolved device state (nil for unknown devices, which fail open);
-// the result lands in *o. When bt is non-nil the packet is part of a
-// multi-shard batch, which tallies the match and inference latencies as the
-// coarse-time constant 0 instead of reading the clock; the decisions are the
-// same either way.
-func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, now time.Time, sp *obs.Span, o *outcome, bt *batchTallies) {
+// the result lands in *o. rec is read, never kept. When bt is non-nil the
+// packet is part of a batch on the batched body, which tallies the match
+// and inference latencies as the coarse-time constant 0 instead of reading
+// the clock; the decisions are the same either way.
+func (p *Proxy) processSpanned(ds *deviceState, rec *flows.Record, peer string, now time.Time, sp *obs.Span, o *outcome, bt *batchTallies) {
 	o.delta.packets++
 	if ds == nil {
 		// Unknown devices are not FIAT-protected; fail open like the
@@ -197,7 +156,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 	// learn into and is allowed all the same.
 	if now.Sub(p.started) < p.cfg.Bootstrap {
 		if ds.rules != nil {
-			ds.rules.Learn(rec)
+			ds.rules.Learn(*rec)
 		}
 		o.delta.allowed++
 		o.d = Decision{Verdict: Allow, Reason: ReasonBootstrap}
@@ -243,7 +202,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 	if bt == nil {
 		matchStart = p.metrics.matchStart()
 	}
-	hit := p.matchRules(ds, art, &rec)
+	hit := p.matchRules(ds, art, rec)
 	if bt == nil {
 		p.metrics.matchDone(matchStart)
 	} else {
@@ -262,7 +221,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 	// froze its features at the decision point), so the next event reuses
 	// its backing array and steady-state grouping allocates nothing.
 	sp.Enter(obs.StageGrouping)
-	if done := ds.grouper.Add(rec); done != nil || ds.grouper.Current().Len() == 1 {
+	if done := ds.grouper.Add(*rec); done != nil || ds.grouper.Current().Len() == 1 {
 		// A new event started: reset the per-event decision state.
 		ds.grouper.Recycle(done)
 		ds.evPackets = 0
@@ -297,7 +256,7 @@ func (p *Proxy) processSpanned(ds *deviceState, rec flows.Record, peer string, n
 // span through classify/attest-check. A held pending decision is recorded
 // into o (not pushed), so the caller commits it in deterministic packet
 // order. bt is the batched path's metric view, nil on the sequential path.
-// The caller holds the owning shard's mutex.
+// The caller holds the device mutex.
 func (p *Proxy) decideEvent(ds *deviceState, now time.Time, o *outcome, sp *obs.Span, bt *batchTallies) Decision {
 	sp.Enter(obs.StageClassify)
 	ev := ds.grouper.Current()
@@ -357,7 +316,7 @@ func (p *Proxy) decideEvent(ds *deviceState, now time.Time, o *outcome, sp *obs.
 }
 
 // flushLocked finalizes a device's in-progress event. The caller holds the
-// owning shard's mutex; the outcome's entry/pending/delta must still be
+// device mutex; the outcome's entry/pending/delta must still be
 // committed.
 func (p *Proxy) flushLocked(ds *deviceState, now time.Time) (outcome, *Decision) {
 	var o outcome

@@ -63,12 +63,10 @@ func TestAsyncPendingHoldMergesThroughArena(t *testing.T) {
 	}
 }
 
-// TestAsyncWorkerEventsMatchSequential decides events on the batched path:
+// TestAsyncWorkerEventsMatchSequential decides events on the batched body:
 // camA's three time-gapped events, plus camE and camC on two different
-// trained models, all hash to one shard of a two-shard proxy, so one shard
-// classifies every event while the other has an empty index list.
-// Decisions, the audit log, stats and the obs snapshot must equal those of a
-// one-shard proxy fed the same batch.
+// trained models, all in one batch. Decisions, the audit log, stats and the
+// obs snapshot must equal those of a Shards = 1 proxy fed the same batch.
 func TestAsyncWorkerEventsMatchSequential(t *testing.T) {
 	t1 := trainDiffClassifier(t, 5)
 	t2 := trainDiffClassifier(t, 6)
@@ -82,10 +80,7 @@ func TestAsyncWorkerEventsMatchSequential(t *testing.T) {
 			if err := r.proxy.AddDevice(DeviceConfig{Name: d.name, Classifier: d.clf, GraceN: 1}); err != nil {
 				t.Fatal(err)
 			}
-			if si := r.proxy.shardIndex(d.name); si != r.proxy.shardIndex("camA") {
-				t.Fatalf("%s on shard %d, want camA's shard", d.name, si)
-			}
-			if _, ok := r.proxy.shardFor(d.name).devices[d.name].classifier.(*compiledEventClassifier); !ok {
+			if _, ok := r.proxy.devices[d.name].classifier.(*compiledEventClassifier); !ok {
 				t.Fatalf("%s does not wear a compiled classifier", d.name)
 			}
 		}
@@ -93,7 +88,7 @@ func TestAsyncWorkerEventsMatchSequential(t *testing.T) {
 		r.feedHeartbeats(t, "camA", 25, time.Minute)
 		return r
 	}
-	seq, sharded := arm(1), arm(2)
+	seq, batched := arm(1), arm(2)
 
 	now := seq.clock.Now()
 	telemetry := func(dev string, at time.Time) PacketIn {
@@ -111,29 +106,29 @@ func TestAsyncWorkerEventsMatchSequential(t *testing.T) {
 		telemetry("camA", now.Add(2*time.Hour)),
 	}
 	want := seq.proxy.ProcessBatchInto(batch, nil)
-	got := sharded.proxy.ProcessBatchInto(batch, nil)
-	if sharded.proxy.batcher.idx == nil {
-		t.Fatal("two-shard arm never ran the batched path")
+	got := batched.proxy.ProcessBatchInto(batch, nil)
+	if batched.proxy.batcher.out == nil {
+		t.Fatal("batched arm never ran the batched body")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decisions: sharded %+v, seq %+v", got, want)
+		t.Fatalf("decisions: batched %+v, seq %+v", got, want)
 	}
 	for i, d := range got {
 		if d.Verdict != Allow {
 			t.Fatalf("telemetry packet %d = %+v, want allow", i, d)
 		}
 	}
-	st := sharded.proxy.StatsSnapshot()
+	st := batched.proxy.StatsSnapshot()
 	if st.EventsNonManual != 5 {
 		t.Fatalf("EventsNonManual = %d, want 5 (one per event)", st.EventsNonManual)
 	}
 	if wantSt := seq.proxy.StatsSnapshot(); st != wantSt {
-		t.Fatalf("stats: sharded %+v, seq %+v", st, wantSt)
+		t.Fatalf("stats: batched %+v, seq %+v", st, wantSt)
 	}
-	if gotLog, wantLog := sharded.proxy.Log(), seq.proxy.Log(); !reflect.DeepEqual(gotLog, wantLog) {
-		t.Fatalf("audit log: sharded %+v, seq %+v", gotLog, wantLog)
+	if gotLog, wantLog := batched.proxy.Log(), seq.proxy.Log(); !reflect.DeepEqual(gotLog, wantLog) {
+		t.Fatalf("audit log: batched %+v, seq %+v", gotLog, wantLog)
 	}
-	if gotSnap, wantSnap := sharded.proxy.Metrics().Snapshot(), seq.proxy.Metrics().Snapshot(); gotSnap != wantSnap {
+	if gotSnap, wantSnap := batched.proxy.Metrics().Snapshot(), seq.proxy.Metrics().Snapshot(); gotSnap != wantSnap {
 		t.Fatalf("obs snapshot diverges:\n%s", firstDiffLine(gotSnap, wantSnap))
 	}
 }
@@ -145,14 +140,20 @@ func (failingClassifier) Fit([][]float64, []int) error { return fmt.Errorf("stub
 func (failingClassifier) Predict(X [][]float64) []int  { return make([]int, len(X)) }
 
 // TestProxySmallSurfaces sweeps the small accessor and error paths that no
-// scenario exercises: shard count, duplicate alias registration, unknown
-// devices, empty device names, the lazily-created audit-reason counter, DAG
-// reachability edges, the outage-history bound, and classifier training
-// failure.
+// scenario exercises: the engine Config.Shards selects, duplicate alias
+// registration, unknown devices, empty device names, the lazily-created
+// audit-reason counter, DAG reachability edges, the outage-history bound,
+// and classifier training failure.
 func TestProxySmallSurfaces(t *testing.T) {
-	r := newRig(t, Config{Shards: 4})
-	if got := r.proxy.ShardCount(); got != 4 {
-		t.Fatalf("ShardCount = %d, want 4", got)
+	// The default config decides batches on the batched body; Shards = 1
+	// decides them through Process and never touches the arena.
+	ghost := []PacketIn{{Device: "ghost"}}
+	if seq := newRig(t, Config{Shards: 1}); seq.proxy.ProcessBatch(ghost)[0].Verdict != Allow || seq.proxy.batcher.out != nil {
+		t.Fatal("Shards = 1 did not decide the batch through Process")
+	}
+	r := newRig(t, Config{})
+	if r.proxy.ProcessBatch(ghost)[0].Verdict != Allow || r.proxy.batcher.out == nil {
+		t.Fatal("the default config did not decide the batch on the batched body")
 	}
 	if err := r.proxy.AddDevice(DeviceConfig{}); err == nil {
 		t.Fatal("nameless device accepted")

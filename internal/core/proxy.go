@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -106,15 +105,13 @@ type Config struct {
 	// brute-force protection). Defaults: 3 within 1 minute.
 	LockoutThreshold int
 	LockoutWindow    time.Duration
-	// Shards is the number of per-device state shards (default
-	// GOMAXPROCS). Devices are hash-assigned to shards, and each shard's
-	// mutex guards its devices' state, so concurrent callers on different
-	// shards do not contend. Shards = 1 runs every batch packet by packet
-	// on the sequential path; N > 1 shards decide each ProcessBatch on the
-	// calling goroutine shard by shard (see batcher). No goroutine is
-	// started either way. Decisions are identical either way, so Shards is
-	// excluded from ConfigChecksum: a snapshot restores into any shard
-	// count.
+	// Shards = 1 makes ProcessBatch decide each batch packet by packet
+	// through Process, the reference arm the differential tests and the
+	// gateway benchmark's replay compare the batched body against. Any
+	// other value, the default included, runs the batched body. Decisions
+	// are identical either way, so Shards is excluded from ConfigChecksum.
+	// The field exists only because the gateway benchmark harness still
+	// sets it, and ROADMAP item 1 deletes it; leave it zero.
 	Shards int
 	// PendingWindow, when positive, enables the degraded-mode attestation
 	// path: an unattested manual event is held for this long awaiting a
@@ -137,9 +134,9 @@ type Config struct {
 	// relearning of that device into a fresh table, shadow evaluation
 	// against its live artifact, and a hot swap on promotion.
 	// Disabled by default; the manual swap path (PromoteIdentical) works
-	// regardless. Like Shards, the lifecycle is engine-invariant; unlike it
-	// its thresholds ARE part of ConfigChecksum, because they change which
-	// decisions the pipeline reaches after a promotion.
+	// regardless. The lifecycle is the same under either ProcessBatch
+	// engine, but its thresholds ARE part of ConfigChecksum, because they
+	// change which decisions the pipeline reaches after a promotion.
 	Relearn swap.Options
 	// Obs is the metrics registry the proxy publishes into. Nil creates a
 	// private registry (reachable via Metrics), so instrumentation is
@@ -168,9 +165,6 @@ func (c *Config) defaults() {
 	if c.LockoutWindow <= 0 {
 		c.LockoutWindow = time.Minute
 	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
 	if c.PendingMax <= 0 {
 		c.PendingMax = 64
 	}
@@ -180,10 +174,11 @@ func (c *Config) defaults() {
 }
 
 // Proxy is FIAT's server-side component. Per-device pipeline state lives in
-// hash-assigned shards so packets of different devices are processed
-// concurrently (see ProcessBatch); cross-cutting state is either internally
-// synchronized and read-mostly (validations, DAG) or committed under p.mu in
-// a deterministic merge order (audit log, stats).
+// one table under one device mutex, devMu, the way the paper's gateway
+// decides every frame on one verdict queue; cross-cutting state is either
+// internally synchronized and read-mostly (validations, DAG) or committed
+// under p.mu in a deterministic merge order (audit log, stats). The lock
+// order is devMu before p.mu, never the reverse.
 type Proxy struct {
 	clock   simclock.Clock
 	cfg     Config
@@ -191,23 +186,26 @@ type Proxy struct {
 	human   *sensors.Validator
 	started time.Time
 
-	shards      []*shard
+	// devMu is the device mutex. It guards devices, every deviceState in
+	// it (the live artifact pointer and the relearning lifecycle included),
+	// and batcher.
+	devMu   sync.Mutex
+	devices map[string]*deviceState
+	batcher batcher // ProcessBatch's batched body (engine.go)
+
 	validations *validationStore
 	dag         *DeviceDAG
 	pending     *pendingStore
 	channel     *channelHealth
 	metrics     *coreMetrics
 	guard       *sensors.ReplayGuard // nil when Config.AttestWindow == 0
-	batcher     batcher              // multi-shard ProcessBatch state (engine.go)
 
 	// The online-relearning lifecycle's private metrics registry (swap.go).
-	// Each device carries its own drift detector and live artifact pointer,
-	// read and swapped only under its shard's mutex.
 	swapM *swapMetrics
 
 	// devs is every registered device in name order: the canonical
 	// iteration order of the housekeeping sweep, the config digest and the
-	// state image. AddDevice republishes it copy-on-write under mu, so
+	// state image. AddDevice republishes it copy-on-write under devMu, so
 	// readers load it without a lock and never sort (see deviceStates).
 	devs atomic.Pointer[[]*deviceState]
 
@@ -256,10 +254,6 @@ func NewProxy(clock simclock.Clock, ks *keystore.Store, human *sensors.Validator
 	if cfg.Artifacts == nil {
 		cfg.Artifacts = artifact.NewStore()
 	}
-	shards := make([]*shard, cfg.Shards)
-	for i := range shards {
-		shards[i] = &shard{devices: make(map[string]*deviceState)}
-	}
 	var guard *sensors.ReplayGuard
 	if cfg.AttestWindow > 0 {
 		guard = sensors.NewReplayGuard(cfg.AttestWindow)
@@ -271,7 +265,7 @@ func NewProxy(clock simclock.Clock, ks *keystore.Store, human *sensors.Validator
 		human:       human,
 		started:     clock.Now(),
 		aliases:     []string{keystore.PairingAlias},
-		shards:      shards,
+		devices:     make(map[string]*deviceState),
 		validations: newValidationStore(),
 		dag:         NewDeviceDAG(),
 		pending:     newPendingStore(cfg.PendingMax),
@@ -287,9 +281,6 @@ func NewProxy(clock simclock.Clock, ks *keystore.Store, human *sensors.Validator
 // only for a caller in the gateway benchmark harness; do not add new calls.
 func (p *Proxy) Close() {}
 
-// ShardCount reports how many shards the engine runs.
-func (p *Proxy) ShardCount() int { return len(p.shards) }
-
 // Metrics exposes the proxy's registry (the one passed as Config.Obs, or
 // the private default). Snapshot it for a `/metrics`-style text export.
 func (p *Proxy) Metrics() *obs.Registry { return p.metrics.reg }
@@ -302,10 +293,9 @@ func (p *Proxy) AddDevice(cfg DeviceConfig) error {
 	if cfg.GraceN <= 0 {
 		cfg.GraceN = 5
 	}
-	sh := p.shardFor(cfg.Name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.devices[cfg.Name]; ok {
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
+	if _, ok := p.devices[cfg.Name]; ok {
 		return fmt.Errorf("core: device %q already registered", cfg.Name)
 	}
 	ds := &deviceState{
@@ -315,25 +305,23 @@ func (p *Proxy) AddDevice(cfg DeviceConfig) error {
 		classifier: cfg.Classifier,
 	}
 	// Devices wearing a trained, compilable model get their own frozen
-	// inference engine (model clone + feature scratch, owned by this shard);
+	// inference engine (model clone + feature scratch, owned by the device);
 	// every other classifier, including a model whose family does not
 	// compile, classifies through its own IsManual.
 	if mlc, ok := cfg.Classifier.(*MLClassifier); ok && mlc.Compiled() != nil {
 		p.metrics.classifierCompiles.Inc()
 		ds.classifier = mlc.CompiledEventClassifier()
 	}
-	sh.devices[cfg.Name] = ds
+	p.devices[cfg.Name] = ds
 	p.publishDevice(ds)
 	return nil
 }
 
 // publishDevice inserts a newly registered device into the name-ordered
 // device list and publishes a fresh copy, so a reader that loaded the old
-// list keeps a list nobody writes. The caller holds the device's shard
-// lock; shard before p.mu is the proxy's lock order.
+// list keeps a list nobody writes. The caller holds the device mutex, which
+// serializes publishers.
 func (p *Proxy) publishDevice(ds *deviceState) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	old := p.deviceStates()
 	i := sort.Search(len(old), func(i int) bool { return old[i].cfg.Name > ds.cfg.Name })
 	devs := make([]*deviceState, 0, len(old)+1)
@@ -476,16 +464,15 @@ func (p *Proxy) finalizeExpired(pd pendingDecision, now time.Time) {
 		}, hasEntry: true, delta: statDelta{outageExcused: 1}})
 		return
 	}
-	sh := p.shardFor(pd.device)
-	sh.mu.Lock()
-	if ds, ok := sh.devices[pd.device]; ok {
+	p.devMu.Lock()
+	if ds, ok := p.devices[pd.device]; ok {
 		p.registerDrop(ds, now)
 	}
 	p.commit(outcome{entry: LogEntry{
 		Time: now, Device: pd.device, Reason: ReasonPendingExpired,
 		Verdict: Drop, Packets: pd.packets,
 	}, hasEntry: true, delta: statDelta{pendingExpired: 1}})
-	sh.mu.Unlock()
+	p.devMu.Unlock()
 }
 
 // Bootstrapped reports whether the learning window has ended.
@@ -497,13 +484,13 @@ func (p *Proxy) Bootstrapped() bool {
 // pipeline and returns the verdict. peer names the LAN peer for
 // device-to-device DAG checks ("" when the peer is the WAN).
 func (p *Proxy) Process(device string, rec flows.Record, peer string) Decision {
-	sh := p.shardFor(device)
-	sh.mu.Lock()
-	o := p.processLocked(sh, device, rec, peer, p.clock.Now())
-	// Commit while holding the shard lock so a device's audit entries land
-	// in its decision order even under concurrent callers.
+	p.devMu.Lock()
+	var o outcome
+	p.processTraced(p.devices[device], &rec, peer, p.clock.Now(), &o, nil)
+	// Commit while holding the device mutex so audit entries land in
+	// decision order even under concurrent callers.
 	p.commit(o)
-	sh.mu.Unlock()
+	p.devMu.Unlock()
 	if o.delta.pendingHeld > 0 {
 		p.metrics.pendingDepth.Set(int64(p.pending.depth()))
 	}
@@ -514,10 +501,9 @@ func (p *Proxy) Process(device string, rec flows.Record, peer string) Decision {
 // of a trace or when the gap elapses without traffic); events shorter than
 // GraceN still need a verdict for accounting.
 func (p *Proxy) FlushEvent(device string) *Decision {
-	sh := p.shardFor(device)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ds, ok := sh.devices[device]
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
+	ds, ok := p.devices[device]
 	if !ok {
 		return nil
 	}
@@ -582,10 +568,9 @@ func (p *Proxy) StatsSnapshot() ProxyStats {
 // export): the live arena's once the device has frozen, the learning
 // table's before that.
 func (p *Proxy) RuleKeys(device string) ([]flows.Key, bool) {
-	sh := p.shardFor(device)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ds, ok := sh.devices[device]
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
+	ds, ok := p.devices[device]
 	if !ok {
 		return nil, false
 	}
@@ -599,10 +584,9 @@ func (p *Proxy) RuleKeys(device string) ([]flows.Key, bool) {
 // (absent until the device's freeze point). After a hot swap it returns the
 // currently live generation.
 func (p *Proxy) CompiledRules(device string) (*flows.CompiledRules, bool) {
-	sh := p.shardFor(device)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ds, ok := sh.devices[device]
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
+	ds, ok := p.devices[device]
 	if !ok {
 		return nil, false
 	}
@@ -615,19 +599,17 @@ func (p *Proxy) CompiledRules(device string) (*flows.CompiledRules, bool) {
 
 // Locked reports whether the device is disconnected pending review.
 func (p *Proxy) Locked(device string) bool {
-	sh := p.shardFor(device)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ds, ok := sh.devices[device]
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
+	ds, ok := p.devices[device]
 	return ok && ds.locked
 }
 
 // Unlock clears a lockout after the user manually verifies activity.
 func (p *Proxy) Unlock(device string) {
-	sh := p.shardFor(device)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if ds, ok := sh.devices[device]; ok {
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
+	if ds, ok := p.devices[device]; ok {
 		if ds.locked {
 			p.metrics.lockedDevices.Add(-1)
 		}

@@ -50,10 +50,11 @@ const (
 )
 
 // ConfigChecksum digests the proxy configuration that decisions depend on:
-// every Config field except Shards (decisions are proven shard-invariant by
-// the differential oracles, and recovery may legitimately run with a
-// different shard count), plus the DAG edges and the registered devices with their
-// grace budgets and classifier identities. A snapshot records this digest;
+// every Config field except Shards and Artifacts (decisions are the same on
+// either ProcessBatch engine, which the differential oracles prove, and
+// recovery may legitimately replay on the other one), plus the DAG edges
+// and the registered devices with their grace budgets and classifier
+// identities. A snapshot records this digest;
 // restore fails closed when it disagrees, because replaying a WAL against a
 // differently-configured pipeline would silently produce different
 // decisions.
@@ -187,14 +188,13 @@ func (p *Proxy) appendState(b []byte, detached bool) ([]byte, int) {
 	devs := p.deviceStates()
 	// Pass 1: collect every artifact identity so the deduplicated artifact
 	// section can be written before the device sections that reference it.
-	// The proxy is quiesced, so the pointers read here are the ones pass 2
-	// serializes.
+	// The device mutex is held across both passes, so the pointers read
+	// here are the ones pass 2 serializes.
 	arts := make([]devArtifacts, len(devs))
 	arenaBlobs := make(map[uint32][]byte)
 	modelBlobs := make(map[uint32][]byte)
+	p.devMu.Lock()
 	for i, ds := range devs {
-		sh := p.shardFor(ds.cfg.Name)
-		sh.mu.Lock()
 		if art := ds.art; art != nil {
 			sum := art.compiled.Checksum()
 			arts[i].rulesSum = sum
@@ -218,17 +218,14 @@ func (p *Proxy) appendState(b []byte, detached bool) ([]byte, int) {
 				arts[i].hasModel = true
 			}
 		}
-		sh.mu.Unlock()
 	}
 	b = appendArtifactSection(b, base, arenaBlobs, modelBlobs)
 
 	b = wire.AppendU32(b, uint32(len(devs)))
 	for i, ds := range devs {
-		sh := p.shardFor(ds.cfg.Name)
-		sh.mu.Lock()
 		b = appendDeviceState(b, base, ds, &arts[i])
-		sh.mu.Unlock()
 	}
+	p.devMu.Unlock()
 
 	b = p.appendValidations(b)
 	b = p.appendPending(b)
@@ -622,7 +619,8 @@ type deviceImage struct {
 
 // RestoreState overwrites the proxy's mutable state from a serialized image.
 // The receiving proxy must be freshly constructed with the same
-// configuration that produced the image — same Config (Shards excepted),
+// configuration that produced the image — same Config (Shards and
+// Artifacts excepted),
 // same DAG edges, same devices with the same classifiers; the embedded
 // config checksum enforces this and the restore fails closed on any skew,
 // version mismatch, truncation, or embedded-arena checksum disagreement.
@@ -1062,7 +1060,7 @@ func readPendingList(rd *wire.Reader) ([]pendingDecision, error) {
 // replay-guard presence. Every unique blob is then installed into
 // Config.Artifacts — view construction, checksum verification and model
 // decoding happen once per unique checksum, never per device. Devices
-// follow under their shard locks, then the header and the stores, and last
+// follow under the device mutex, then the header and the stores, and last
 // the tail sections that restore into live objects.
 func (p *Proxy) install(img *stateImage) error {
 	if want := p.ConfigChecksum(); img.configSum != want {
@@ -1130,17 +1128,16 @@ func (p *Proxy) install(img *stateImage) error {
 }
 
 // installDevice moves one decoded device section into the live deviceState
-// of the same name, under its shard lock. Decode already decoded the
+// of the same name, under the device mutex. Decode already decoded the
 // learning table and checked the identity against the arena, so a frozen
 // device adopts the shared store view install put in the store and aliases
 // the arrival block in place: per-device work is a store lookup plus slice
 // binding.
 func (p *Proxy) installDevice(d *deviceImage) error {
 	name := d.name
-	sh := p.shardFor(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ds, ok := sh.devices[name]
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
+	ds, ok := p.devices[name]
 	if !ok {
 		return fmt.Errorf("core: snapshot device %q not registered in live proxy", name)
 	}

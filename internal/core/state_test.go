@@ -101,8 +101,8 @@ func (r *testRig) driveAfter(t *testing.T) []Decision {
 }
 
 // TestProxyStateRoundTrip: encode a populated proxy, restore it into
-// freshly built twins on the sequential and sharded engines (decisions are
-// shard-invariant and the checksum deliberately excludes Shards), and
+// freshly built twins on the Process-loop and batched engines (decisions
+// are the same on either and the checksum deliberately excludes Shards), and
 // require (1) the restore went through the proxy's artifact store, (2) the
 // restored image re-encodes byte-identically, and (3) an identical
 // post-snapshot trace produces identical decisions, stats, obs registries
@@ -264,8 +264,8 @@ func TestRestoreRejectsForeignArena(t *testing.T) {
 	clf := trainDiffClassifier(t, 3)
 	src := buildStateRig(t, 1, clf)
 	src.populateState(t)
-	plugArt := src.proxy.shardFor("plug").devices["plug"].art
-	cam := src.proxy.shardFor("cam").devices["cam"]
+	plugArt := src.proxy.devices["plug"].art
+	cam := src.proxy.devices["cam"]
 	camArt := cam.art
 	if plugArt == nil || camArt == nil {
 		t.Fatal("rig did not freeze both devices")
@@ -318,7 +318,7 @@ func TestRestoreRejectsForeignCandidate(t *testing.T) {
 	if _, err := decodeState(p.EncodeState(), nil, false); err != nil {
 		t.Fatalf("intact mid-shadow image rejected: %v", err)
 	}
-	rl := p.shardFor("plug").devices["plug"].rl
+	rl := p.devices["plug"].rl
 	intact := *rl
 
 	rl.meta.RulesSum ^= 1
@@ -391,7 +391,7 @@ func TestProxyRestoreRejectsFrozenRulesWithoutArena(t *testing.T) {
 	}
 	src := mk()
 	src.feedHeartbeats(t, "plug", 10, time.Minute)
-	ds := src.proxy.shardFor("plug").devices["plug"]
+	ds := src.proxy.devices["plug"]
 	if ds.rules == nil || ds.art != nil {
 		t.Fatal("plug left its bootstrap window")
 	}
@@ -410,7 +410,7 @@ func TestProxyRestoreRejectsFrozenRulesWithoutArena(t *testing.T) {
 	if err := mk().proxy.RestoreState(src.proxy.EncodeState()); err != nil {
 		t.Fatalf("intact mid-relearn image rejected: %v", err)
 	}
-	src.proxy.shardFor("plug").devices["plug"].rl.table.Freeze()
+	src.proxy.devices["plug"].rl.table.Freeze()
 	if _, err := decodeState(src.proxy.EncodeState(), nil, false); err == nil || !strings.Contains(err.Error(), "frozen") {
 		t.Fatalf("decode err = %v, want a frozen relearn candidate rejected", err)
 	}
@@ -428,7 +428,7 @@ func TestFrozenDeviceIsItsArtifact(t *testing.T) {
 	twin := buildStateRig(t, 1, clf)
 	twin.populateState(t)
 	for _, name := range []string{"plug", "cam"} {
-		ds := twin.proxy.shardFor(name).devices[name]
+		ds := twin.proxy.devices[name]
 		if ds.rules != nil || ds.art == nil {
 			t.Fatalf("%s: frozen device keeps a learning table (%v) or lacks an artifact", name, ds.rules != nil)
 		}

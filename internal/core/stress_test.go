@@ -13,23 +13,23 @@ import (
 )
 
 // TestShardedProxyConcurrencyStress hammers every externally synchronized
-// entry point of the multi-shard engine from many goroutines at once — the
+// entry point of the batched engine from many goroutines at once — the
 // packet paths (Process, ProcessBatch, FlushEvent), the attestation path
 // mutating the shared freshness window, and the control-plane readers and
 // writers (Locked/Unlock around the lockout counters, Log, StatsSnapshot,
 // Rules, DAG edits). Concurrent ProcessBatch callers serialize on the
-// batcher's mutex while single-packet Process and FlushEvent interleave
-// with the shard locks a batch takes one at a time. Run under -race it
-// checks that arena and index-list reuse across callers publish correctly;
-// without -race it still checks the merged counters balance.
+// device mutex, and single-packet Process and FlushEvent interleave between
+// their batches. Run under -race it checks that arena reuse across callers
+// publishes correctly; without -race it still checks the merged counters
+// balance.
 func TestShardedProxyConcurrencyStress(t *testing.T) {
 	runProxyConcurrencyStress(t, 8)
 }
 
-// TestAsyncProxyConcurrencyStress is the same hammer on a one-shard proxy,
-// where concurrent ProcessBatch callers run the sequential Process loop
-// against each other and against the single-packet and control-plane
-// callers, with no batcher mutex to serialize them.
+// TestAsyncProxyConcurrencyStress is the same hammer on a Shards = 1 proxy,
+// where concurrent ProcessBatch callers run the Process loop against each
+// other and against the single-packet and control-plane callers, taking
+// the device mutex once per packet.
 func TestAsyncProxyConcurrencyStress(t *testing.T) {
 	runProxyConcurrencyStress(t, 1)
 }

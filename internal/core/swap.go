@@ -10,13 +10,13 @@ import (
 )
 
 // ruleArtifact is one immutable generation of a device's enforcement-phase
-// rule engine: the compiled arena, the shard-owned arrival state evolving
+// rule engine: the compiled arena, the device's arrival state evolving
 // against it, and the versioned identity that travels into EncodeState. The
 // pointer as a whole is what Process loads and what promotion swaps, so a
 // reader can never observe the compiled rules of one generation paired with
 // the arrival state or identity of another. Every load and store happens
-// under the owning shard's mutex, so a superseded generation is retired by
-// dropping the pointer: once no shard holds it, the garbage collector takes
+// under the device mutex, so a superseded generation is retired by
+// dropping the pointer: once no device holds it, the garbage collector takes
 // it (a restored view's bytes alias a mapping that is never unmapped).
 type ruleArtifact struct {
 	meta     swap.Meta
@@ -27,8 +27,7 @@ type ruleArtifact struct {
 // relearnState is a device's in-flight relearning lifecycle: the candidate
 // mutable table while learning; the compiled candidate, its identity, and
 // its shadow matrix once it enters shadow evaluation, which drops the table.
-// Owned by the device's shard (mutated only under sh.mu); nil while the
-// device is idle.
+// Mutated only under the device mutex; nil while the device is idle.
 type relearnState struct {
 	phase   swap.Phase
 	started time.Time
@@ -83,7 +82,7 @@ func (p *Proxy) SwapMetrics() *obs.Registry { return p.swapM.reg }
 // matchRules runs the stage-1 predictability check through art, the
 // device's live compiled artifact as the caller loaded it for this packet
 // (the freeze point installs one before the first match). The caller holds
-// the owning shard's mutex, which promotion also holds, so the artifact
+// the device mutex, which promotion also holds, so the artifact
 // cannot change under a packet. While a relearn lifecycle is in flight
 // the live verdict is computed first and is never affected: the relearn
 // phase feeds the candidate table (the one allocating phase, excluded from
@@ -109,24 +108,22 @@ func (p *Proxy) matchRules(ds *deviceState, art *ruleArtifact, rec *flows.Record
 // swapTick advances the relearning lifecycle one housekeeping tick: walk
 // every device in name order (so every serialized side effect lands in a
 // deterministic order), tick its own drift detector and advance its
-// lifecycle under its shard lock. Called from SweepPending, which the
+// lifecycle, all under the device mutex. Called from SweepPending, which the
 // durable WAL logs as an op, so crash replay re-runs the lifecycle
 // tick-for-tick.
 func (p *Proxy) swapTick(now time.Time) {
 	if !p.cfg.Relearn.Enabled {
 		return
 	}
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
 	for _, ds := range p.deviceStates() {
-		sh := p.shardFor(ds.cfg.Name)
-		sh.mu.Lock()
 		p.deviceSwapTickLocked(ds, now)
-		sh.mu.Unlock()
 	}
 }
 
 // deviceSwapTickLocked ticks one device's drift detector over its own
-// tallies and advances its lifecycle. The caller holds the owning shard's
-// mutex.
+// tallies and advances its lifecycle. The caller holds the device mutex.
 func (p *Proxy) deviceSwapTickLocked(ds *deviceState, now time.Time) {
 	o := &p.cfg.Relearn
 	sig := ds.drift.Tick(ds.tally, o)
@@ -172,7 +169,7 @@ func (p *Proxy) deviceSwapTickLocked(ds *deviceState, now time.Time) {
 // compileCandidateLocked compiles the candidate table and drops it, carries
 // the live arrival positions over for the buckets both generations know, and
 // enters shadow evaluation under the next generation number. The caller
-// holds the owning shard's mutex.
+// holds the device mutex.
 func (p *Proxy) compileCandidateLocked(ds *deviceState, rl *relearnState, now time.Time) {
 	live := ds.art
 	compiled := rl.table.Compile()
@@ -205,9 +202,9 @@ func (p *Proxy) flushShadowLocked(rl *relearnState) {
 }
 
 // promoteLocked installs the shadow candidate as the live artifact. The
-// caller holds the owning shard's mutex, which every reader of ds.art also
-// holds, so the next packet sees the new generation and nothing is left
-// pointing at the old one for the garbage collector to wait on.
+// caller holds the device mutex, which every reader of ds.art also holds,
+// so the next packet sees the new generation and nothing is left pointing
+// at the old one for the garbage collector to wait on.
 func (p *Proxy) promoteLocked(ds *deviceState, rl *relearnState) {
 	ds.art = &ruleArtifact{meta: rl.meta, compiled: rl.compiled, arrival: rl.arrival}
 	ds.rl = nil
@@ -223,10 +220,9 @@ func (p *Proxy) promoteLocked(ds *deviceState, rl *relearnState) {
 // the property and differential suites use to exercise the hot swap without
 // waiting for drift.
 func (p *Proxy) PromoteIdentical(device string) (swap.Meta, error) {
-	sh := p.shardFor(device)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ds, ok := sh.devices[device]
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
+	ds, ok := p.devices[device]
 	if !ok {
 		return swap.Meta{}, fmt.Errorf("core: device %q not registered", device)
 	}
@@ -258,10 +254,9 @@ func (p *Proxy) PromoteIdentical(device string) (swap.Meta, error) {
 // ArtifactMeta reports the live artifact's identity (zero Meta and false
 // before the device's freeze point).
 func (p *Proxy) ArtifactMeta(device string) (swap.Meta, bool) {
-	sh := p.shardFor(device)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ds, ok := sh.devices[device]
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
+	ds, ok := p.devices[device]
 	if !ok {
 		return swap.Meta{}, false
 	}
@@ -274,10 +269,9 @@ func (p *Proxy) ArtifactMeta(device string) (swap.Meta, bool) {
 
 // SwapPhase reports where the device sits in the relearning lifecycle.
 func (p *Proxy) SwapPhase(device string) swap.Phase {
-	sh := p.shardFor(device)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if ds, ok := sh.devices[device]; ok && ds.rl != nil {
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
+	if ds, ok := p.devices[device]; ok && ds.rl != nil {
 		return ds.rl.phase
 	}
 	return swap.PhaseIdle

@@ -58,10 +58,9 @@ func swapGuardProxy(t *testing.T, clock *simclock.VirtualClock, seed int64) (*Pr
 // one phase while they measure, not advancing on a timer.
 func injectShadow(t *testing.T, p *Proxy, dev string, phase swap.Phase, hbStart time.Time) {
 	t.Helper()
-	sh := p.shardFor(dev)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ds := sh.devices[dev]
+	p.devMu.Lock()
+	defer p.devMu.Unlock()
+	ds := p.devices[dev]
 	live := ds.art
 	if live == nil {
 		t.Fatalf("%s has no live artifact to shadow", dev)
@@ -120,10 +119,9 @@ func TestShadowEvaluationZeroAllocs(t *testing.T) {
 		t.Fatalf("shadow-evaluated Process allocates: measured %v allocs/op, want 0", allocs)
 	}
 
-	sh := p.shardFor("plug")
-	sh.mu.Lock()
-	m := sh.devices["plug"].rl.matrix
-	sh.mu.Unlock()
+	p.devMu.Lock()
+	m := p.devices["plug"].rl.matrix
+	p.devMu.Unlock()
 	if m.Packets < 500 {
 		t.Fatalf("shadow matrix saw %d packets, want >= 500: the candidate never scored", m.Packets)
 	}
@@ -173,10 +171,9 @@ func TestRelearnDoesNotPerturbLiveArtifact(t *testing.T) {
 	}
 
 	liveBytes := func(p *Proxy) (arena, arrival []byte, rl *relearnState) {
-		sh := p.shardFor("plug")
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		ds := sh.devices["plug"]
+		p.devMu.Lock()
+		defer p.devMu.Unlock()
+		ds := p.devices["plug"]
 		art := ds.art
 		return art.compiled.EncodeArena(), flows.AppendArrival(nil, art.arrival), ds.rl
 	}

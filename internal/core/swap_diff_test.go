@@ -13,13 +13,14 @@ import (
 )
 
 // TestIdenticalSwapIsNoOp is the engine differential the hot-swap must pass
-// to be admissible: the sequential / sharded pair gains a third arm that
-// hot-swaps every device to an identically-compiled artifact after every
-// trace step. A swap that changes
+// to be admissible: a Process-loop arm ("seq") and an arm on the subtest's
+// engine ("sharded": shards=1 the Process loop, shards=4 the batched body)
+// gain a third arm that hot-swaps every device to an identically-compiled
+// artifact after every trace step. A swap that changes
 // nothing semantic must change nothing observable — per-packet decisions,
 // flush decisions, audit logs, stats, lockout states, and main-registry obs
 // snapshots stay byte-identical to the never-swapped arms across seeds and
-// shard counts. Only the artifact generation counters (serialized state, swap
+// both engines. Only the artifact generation counters (serialized state, swap
 // registry) may differ, and the test pins that they do, so a future change
 // that silently stops versioning swaps cannot pass by accident.
 func TestIdenticalSwapIsNoOp(t *testing.T) {

@@ -209,10 +209,9 @@ func TestRetiredArtifactIsCollected(t *testing.T) {
 	// A separate function, so no pointer to the live artifact survives on
 	// this frame.
 	func() {
-		sh := r.proxy.shardFor("plug")
-		sh.mu.Lock()
-		art := sh.devices["plug"].art
-		sh.mu.Unlock()
+		r.proxy.devMu.Lock()
+		art := r.proxy.devices["plug"].art
+		r.proxy.devMu.Unlock()
 		runtime.SetFinalizer(art, func(a *ruleArtifact) { collected <- a.meta })
 	}()
 	meta, err := r.proxy.PromoteIdentical("plug")

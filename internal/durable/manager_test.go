@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -648,28 +649,57 @@ func TestManagerOpenRejectsConfigSkew(t *testing.T) {
 	}
 }
 
-// waitGoroutines polls, for up to 1 s, until the goroutine count is back to
-// at most base. The count is process-wide, so the wait tolerates a
-// goroutine of the runtime or an earlier test that is still exiting.
-func waitGoroutines(t *testing.T, base int) {
+// waitNoEngineGoroutines polls, for up to 1 s, until no goroutine runs
+// code of internal/core or internal/durable outside test files. Counting
+// goroutines process-wide would also see the runtime's and other tests'
+// goroutines, so the check is scoped to a stack dump of the engine's own.
+func waitNoEngineGoroutines(t *testing.T) {
 	t.Helper()
-	for i := 0; runtime.NumGoroutine() > base; i++ {
+	for i := 0; ; i++ {
+		gs := engineGoroutines()
+		if len(gs) == 0 {
+			return
+		}
 		if i == 1000 {
-			t.Fatalf("%d goroutines, want <= %d before Open", runtime.NumGoroutine(), base)
+			t.Fatalf("%d engine goroutines left behind:\n%s", len(gs), strings.Join(gs, "\n\n"))
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestManagerAbortStopsShardWorkers: the managed two-shard proxy runs
-// batches live and again while a recovering Open replays the WAL. After each
-// Abort the goroutine count must be back at its pre-Open baseline: neither
-// the batches, the replay, nor the manager leaves a goroutine behind.
+// engineGoroutines returns the stack of every live goroutine that runs code
+// of internal/core or internal/durable and no test code.
+func engineGoroutines() []string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	var out []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if engineFrame.MatchString(g) && !strings.Contains(g, "_test.go:") {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// engineFrame matches a stack frame, or a "created by" line, in
+// internal/core or internal/durable.
+var engineFrame = regexp.MustCompile(`(?m)^(created by )?fiat/internal/(core|durable)\.`)
+
+// TestManagerAbortStopsShardWorkers: the managed proxy runs batches on the
+// batched body live and again while a recovering Open replays the WAL.
+// After each Abort no engine goroutine may be running: neither the batches,
+// the replay, nor the manager leaves a goroutine behind.
 func TestManagerAbortStopsShardWorkers(t *testing.T) {
 	dir := t.TempDir()
 	steps := mgrScript(t)
 	build := mgrBuild(t)
-	base := runtime.NumGoroutine()
 
 	clock := simclock.NewVirtual()
 	mgr, err := durable.Open(durable.Config{Dir: dir}, clock, build)
@@ -684,7 +714,7 @@ func TestManagerAbortStopsShardWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr.Abort()
-	waitGoroutines(t, base)
+	waitNoEngineGoroutines(t)
 
 	replayed := 0
 	mgr2, err := durable.Open(durable.Config{
@@ -699,5 +729,5 @@ func TestManagerAbortStopsShardWorkers(t *testing.T) {
 	}
 	mgr2.Abort()
 	mgr2.Abort() // idempotent
-	waitGoroutines(t, base)
+	waitNoEngineGoroutines(t)
 }

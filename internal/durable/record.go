@@ -7,7 +7,7 @@
 // The central design choice is to log *inputs*, not effects. The proxy's
 // pipeline is deterministic given its configuration, its state, and the
 // timestamped operation stream (the engine/chaos oracles prove decisions,
-// audit logs, stats, and obs snapshots are replay- and shard-invariant), so
+// audit logs, stats, and obs snapshots are replay- and engine-invariant), so
 // the WAL only needs to record what was fed in — packet batches, attestation
 // payloads, sweeps, channel transitions, flushes — each stamped with the
 // clock instant it was applied at. Recovery re-applies the surviving suffix

@@ -20,7 +20,7 @@ import (
 
 // The soak differential drives a full-proxy world — learned heartbeat rules,
 // compiled event classifiers, audit log, metrics — through the sequential
-// engine and the multi-shard batched engine in lockstep on virtual clocks, with
+// engine and the batched engine in lockstep on virtual clocks, with
 // randomized mixed traffic, and requires byte-identical decisions, encoded
 // state, and metrics snapshots.
 
@@ -28,7 +28,7 @@ var soakCloudIP = netip.AddrFrom4([4]byte{52, 10, 0, 9})
 
 // The humanness validator and the deployment event classifier each train
 // once per process; every soak world shares them (the proxy clones compiled
-// engines per shard, so sharing the trained model is safe).
+// engines per device, so sharing the trained model is safe).
 var (
 	soakOnce sync.Once
 	soakVal  *sensors.Validator
@@ -167,7 +167,7 @@ func newSoakWorld(t *testing.T, seed int64, shards, ruleDevices, mlDevices int) 
 
 // TestSoakDifferential drives randomized mixed traffic — on-period
 // heartbeats, missed beats, telemetry events, manual-shaped packets, bursts —
-// through a sequential arm and a four-shard batched arm in lockstep on virtual
+// through a sequential arm and a batched arm in lockstep on virtual
 // clocks, and requires byte-identical decisions, encoded state, and metrics
 // snapshots across three seeds.
 func TestSoakDifferential(t *testing.T) {

@@ -84,7 +84,7 @@ func Extract(e *events.Event) []float64 {
 }
 
 // ExtractInto computes the feature vector into buf, reusing its backing
-// array when cap(buf) >= Dim (the per-shard scratch of the compiled
+// array when cap(buf) >= Dim (the per-device scratch of the compiled
 // classification path); a smaller buffer is replaced. The returned slice
 // always has length Dim and holds exactly what Extract would return.
 func ExtractInto(e *events.Event, buf []float64) []float64 {

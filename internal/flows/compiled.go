@@ -12,8 +12,8 @@ import (
 // one sorted arena searched in place. Nothing in a CompiledRules mutates
 // after Compile, so Match takes no lock and performs no heap allocation —
 // the per-bucket arrival state the legacy table kept under its mutex lives
-// in a caller-owned ArrivalState instead (one per engine shard in
-// internal/core), which is what lets shards match concurrently with no
+// in a caller-owned ArrivalState instead (one per device in
+// internal/core), which is what lets owners share one CompiledRules with no
 // shared mutable rule state at all.
 type CompiledRules struct {
 	mode    KeyMode
@@ -73,8 +73,8 @@ type addrSlot struct {
 }
 
 // ArrivalState carries the per-bucket last-arrival bookkeeping for one owner
-// of a CompiledRules — in the sharded engine, the shard that owns the
-// device. Arrivals are kept as unix nanoseconds so the hot path subtracts
+// of a CompiledRules — in internal/core, one device. Arrivals are kept as
+// unix nanoseconds so the hot path subtracts
 // two int64s instead of taking time.Time.Sub's overflow-checked slow path
 // (identical for the wall-clock times records carry). It is NOT safe for
 // concurrent use; each owner holds its own.

@@ -13,9 +13,9 @@ import (
 //
 // The frozen tables are shared; the scratch (the score vector, the
 // pre-scale row) is private to each instance. A CompiledModel is therefore
-// NOT safe for concurrent use — give every concurrent owner (engine shard,
-// bench worker) its own Clone, which shares the tables and allocates only
-// fresh scratch.
+// NOT safe for concurrent use — give every concurrent owner (registered
+// device, bench worker) its own Clone, which shares the tables and
+// allocates only fresh scratch.
 type CompiledModel interface {
 	// Infer predicts the class index of one row. It performs zero heap
 	// allocations and is bit-identical to Predict on the source estimator

@@ -10,9 +10,9 @@ import (
 
 // BatchInspector is the on-path access-control hook: it decides a batch of
 // frames traversing the gateway at one virtual instant, returning one
-// allow/drop verdict per frame. core.FrameGate adapts the sharded proxy's
+// allow/drop verdict per frame. core.FrameGate adapts the proxy's
 // ProcessBatch to this interface, so a gateway fronting a whole smart home
-// hands the engine device-parallel batches instead of single packets.
+// hands the engine multi-device batches instead of single packets.
 type BatchInspector interface {
 	InspectBatch(frames [][]byte, now time.Time) []bool
 }

@@ -13,7 +13,7 @@ import (
 // Lines are ordered by metric name (bucket order within a histogram), and
 // every value is an exact integer — two registries holding equal metric
 // states encode byte-identical snapshots, which is what lets the test suite
-// diff a sharded run against a sequential one.
+// diff a batched run against a sequential one.
 func (r *Registry) Snapshot() string {
 	var sb strings.Builder
 	_, _ = r.WriteTo(&sb)

@@ -11,7 +11,7 @@ import (
 // of the metric name). An observation v lands in the first bucket whose
 // upper bound satisfies v <= bound; values above every bound land in the
 // implicit overflow (+Inf) bucket. All mutation is atomic, so concurrent
-// writers from every shard are safe, and because bucket counts and the sum
+// writers are safe, and because bucket counts and the sum
 // are pure sums, any interleaving produces the same final state.
 type Histogram struct {
 	bounds []int64        // ascending, immutable after construction
@@ -213,7 +213,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 }
 
 // Merge folds another histogram's observations into h. The two must share
-// identical bounds — per-shard histograms merged into a global one are
+// identical bounds — partial histograms merged into a global one are
 // created from the same scale, so a mismatch is a programming error.
 func (h *Histogram) Merge(o *Histogram) error {
 	if h == nil || o == nil {

@@ -1,20 +1,20 @@
 // Package obs is the pipeline observability layer: a dependency-free,
-// shard-safe metrics registry (atomic counters, gauges, fixed-bucket
+// concurrency-safe metrics registry (atomic counters, gauges, fixed-bucket
 // histograms) plus a lightweight per-packet trace-span API for the proxy
 // pipeline stages.
 //
 // Design constraints, in priority order:
 //
 //  1. Determinism. FIAT's test suite uses metric snapshots as a correctness
-//     oracle: a sharded run and a sequential run of the same seeded scenario
+//     oracle: a batched run and a sequential run of the same seeded scenario
 //     must encode byte-identical snapshots. Every metric is therefore either
 //     a pure sum (counters, histogram bucket counts — addition commutes, so
-//     per-shard accumulation order cannot show through) or a value derived
+//     batch-local accumulation order cannot show through) or a value derived
 //     from deterministic pipeline state (gauges). Nothing in this package
 //     reads the wall clock; durations are observed by the caller from
 //     whatever simclock-style source it uses.
-//  2. Shard safety. All mutation of shared metrics is a single atomic
-//     add/store; metrics can be hammered from every engine shard with no
+//  2. Concurrency safety. All mutation of shared metrics is a single atomic
+//     add/store; metrics can be hammered from many goroutines with no
 //     locks on the hot path. A goroutine that must not touch shared cache
 //     lines per packet keeps goroutine-private tallies instead
 //     (Tracer.Local, Histogram.Local) and folds them in with atomic adds

@@ -10,8 +10,8 @@ import (
 // per-device share of what the proxy's obs registry exports fleet-wide as
 // fiat_core_rule_match_total, fiat_core_rule_hits_total and
 // fiat_core_events_{manual,non_manual}_total, plus the device's lock
-// transitions. The device's shard bumps them on the packet path, so they
-// are the same under every engine and shard count.
+// transitions. The proxy bumps them on the packet path under its device
+// mutex, so they are the same under either engine.
 type Sample struct {
 	// Matches / Hits are cumulative stage-1 rule lookups and rule hits.
 	Matches, Hits int64
@@ -92,7 +92,7 @@ func (s Signal) String() string {
 // the same tick-aligned tally stream reach identical verdicts — the property
 // that keeps the whole relearn lifecycle replayable from the durable WAL.
 // The zero value is an unarmed detector. It is not safe for concurrent use;
-// the proxy ticks it under the device's shard lock.
+// the proxy ticks it under its device mutex.
 type Detector struct {
 	armed       bool
 	hasBaseFrac bool

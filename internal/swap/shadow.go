@@ -8,7 +8,7 @@ import (
 
 // ShadowMatrix accumulates the candidate-vs-incumbent agreement counts while
 // a compiled candidate shadow-scores live traffic. It is mutated only under
-// the owning shard's mutex, so plain int64 fields suffice.
+// the proxy's device mutex, so plain int64 fields suffice.
 type ShadowMatrix struct {
 	// Packets is how many packets both artifacts scored.
 	Packets int64

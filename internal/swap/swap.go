@@ -15,7 +15,7 @@
 // promoted only when it matches-or-beats the incumbent over a configurable
 // window.
 //
-// Promotion replaces the device's artifact pointer under the shard mutex
+// Promotion replaces the device's artifact pointer under the device mutex
 // its readers already hold, so the zero-alloc match path takes no
 // swap-specific lock and the superseded artifact is left to the garbage
 // collector. Versioned artifact identity (Meta: monotonic generation,
