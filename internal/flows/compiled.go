@@ -8,7 +8,7 @@ import (
 
 // CompiledRules is the immutable, enforcement-phase form of a RuleTable
 // (ISSUE 4): the learned buckets interned into dense uint32 ids behind a
-// frozen key→id index, and each bucket's recurring intervals flattened into
+// frozen probe table, and each bucket's recurring intervals flattened into
 // one sorted arena searched in place. Nothing in a CompiledRules mutates
 // after Compile, so Match takes no lock and performs no heap allocation —
 // the per-bucket arrival state the legacy table kept under its mutex lives
@@ -19,12 +19,11 @@ type CompiledRules struct {
 	mode    KeyMode
 	quantum time.Duration
 
-	// keys maps id -> bucket key in deterministic (sorted) order; index is
-	// the inverse, kept for cold-path key lookups (PeriodsOf). Both are
-	// write-once at compile time; concurrent readers need no
+	// keys maps id -> bucket key, sorted by keyLess and unique, so the
+	// cold-path key lookups (PeriodsOf, TransferArrival) binary-search it.
+	// It is write-once at compile time; concurrent readers need no
 	// synchronization.
-	keys  []Key
-	index map[Key]uint32
+	keys []Key
 
 	// table is the hot-path interner: an open-addressing table probed with a
 	// hash computed directly from a Record's bucket fields, so Intern never
@@ -38,7 +37,8 @@ type CompiledRules struct {
 	// under Key.Domain = RemoteIP.String(), and interning through that path
 	// would heap-allocate on every unresolved packet. Every canonical
 	// IP-literal domain key is also probed here by its parsed address, with
-	// the address stored in the slot for exact verification.
+	// the address stored in the slot for exact verification. Classic rules
+	// never read it and leave it nil.
 	addrTable []addrSlot
 
 	// Periods of id i are flat[offsets[i]:offsets[i+1]], sorted ascending.
@@ -123,17 +123,15 @@ func (rt *RuleTable) compileLocked() *CompiledRules {
 	return c
 }
 
-// buildTables (re)derives every probe structure — the key→id index, the
-// open-addressing interner, and the PortLess address fallback — from the
-// sorted keys slice. Compile and the on-disk arena decoder both call it, so
+// buildTables (re)derives every probe structure — the open-addressing
+// interner and, for PortLess rules, the address fallback — from the sorted
+// keys slice. Compile and the on-disk arena decoder both call it, so
 // the serialized format never has to carry the probe tables and the two
 // construction paths cannot drift apart.
 func (c *CompiledRules) buildTables() {
-	c.index = make(map[Key]uint32, len(c.keys))
 	c.table = make([]probeSlot, tableSize(len(c.keys)))
 	var addrs []addrSlot
 	for id, k := range c.keys {
-		c.index[k] = uint32(id)
 		if c.mode == ModePortLess {
 			c.insert(hashPortLess(k.Dir, k.Proto, k.Size, k.Domain), uint32(id))
 			// Only canonical IP literals are reachable through the KeyOf
@@ -146,6 +144,9 @@ func (c *CompiledRules) buildTables() {
 		} else {
 			c.insert(hashClassic(k.Dir, k.Proto, k.Size, k.Remote, k.LPort, k.RPort), uint32(id))
 		}
+	}
+	if c.mode != ModePortLess {
+		return
 	}
 	c.addrTable = make([]addrSlot, tableSize(len(addrs)))
 	mask := uint64(len(c.addrTable) - 1)
@@ -248,8 +249,8 @@ func hashClassic(dir Direction, proto string, size int, addr netip.Addr, lport, 
 	return mix64(hashAddr(dir, proto, size, addr), uint64(lport)<<16|uint64(rport))
 }
 
-// keyLess is a total order over bucket keys, used only to make interned ids
-// deterministic across compiles.
+// keyLess is a total order over bucket keys. It makes interned ids
+// deterministic across compiles and orders the keys lookup searches.
 func keyLess(a, b Key) bool {
 	if a.Mode != b.Mode {
 		return a.Mode < b.Mode
@@ -273,6 +274,16 @@ func keyLess(a, b Key) bool {
 		return a.LPort < b.LPort
 	}
 	return a.RPort < b.RPort
+}
+
+// lookup returns the id interned for k, by binary search over the sorted,
+// unique keys.
+func (c *CompiledRules) lookup(k Key) (uint32, bool) {
+	i := sort.Search(len(c.keys), func(i int) bool { return !keyLess(c.keys[i], k) })
+	if i == len(c.keys) || keyLess(k, c.keys[i]) {
+		return 0, false
+	}
+	return uint32(i), true
 }
 
 // NewArrivalState returns a fresh arrival-state block seeded with the
@@ -430,7 +441,7 @@ func (c *CompiledRules) Keys() []Key {
 // PeriodsOf returns a copy of the sorted recurring quantized intervals of
 // k's bucket (nil when the key is unknown or has none).
 func (c *CompiledRules) PeriodsOf(k Key) []int64 {
-	id, ok := c.index[k]
+	id, ok := c.lookup(k)
 	if !ok || c.offsets[id+1] == c.offsets[id] {
 		return nil
 	}

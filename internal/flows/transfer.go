@@ -14,7 +14,7 @@ package flows
 func TransferArrival(dst *CompiledRules, dstSt *ArrivalState, src *CompiledRules, srcSt *ArrivalState) int {
 	n := 0
 	for id, k := range dst.keys {
-		sid, ok := src.index[k]
+		sid, ok := src.lookup(k)
 		if !ok || !srcSt.has[sid] {
 			continue
 		}

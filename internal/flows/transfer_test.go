@@ -36,8 +36,8 @@ func transferCompiled(t *testing.T, sizes []int) *CompiledRules {
 // transferID resolves the bucket id of the size-keyed test stream.
 func transferID(t *testing.T, c *CompiledRules, size int) uint32 {
 	t.Helper()
-	id, ok := c.index[Key{Mode: ModeClassic, Dir: DirOutbound, Proto: "tcp", Size: size,
-		Remote: transferRemote, LPort: 40000, RPort: 443}]
+	id, ok := c.lookup(Key{Mode: ModeClassic, Dir: DirOutbound, Proto: "tcp", Size: size,
+		Remote: transferRemote, LPort: 40000, RPort: 443})
 	if !ok {
 		t.Fatalf("size %d not interned", size)
 	}

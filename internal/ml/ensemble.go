@@ -63,7 +63,7 @@ func (rf *RandomForest) Predict(X [][]float64) []int {
 	for i, row := range X {
 		votes := make([]float64, rf.classes)
 		for _, tree := range rf.forest {
-			votes[tree.predictOne(row)]++
+			votes[tree.PredictRow(row)]++
 		}
 		out[i] = argmax(votes)
 	}
@@ -163,7 +163,7 @@ func (ab *AdaBoost) Predict(X [][]float64) []int {
 	for i, row := range X {
 		votes := make([]float64, ab.classes)
 		for s, stump := range ab.stumps {
-			votes[stump.predictOne(row)] += ab.alphas[s]
+			votes[stump.PredictRow(row)] += ab.alphas[s]
 		}
 		out[i] = argmax(votes)
 	}

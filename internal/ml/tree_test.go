@@ -231,37 +231,58 @@ func treeCase(data []byte) (t DecisionTree, X [][]float64, y []int, w []float64,
 	return t, X, y, w, true
 }
 
+// sortSlicePerm is the permutation sort.Slice gives feature f's (value,
+// index) pairs of X: the order the reference builder scans.
+func sortSlicePerm(X [][]float64, f int) []int {
+	type fv struct {
+		v float64
+		i int
+	}
+	vals := make([]fv, len(X))
+	for i, row := range X {
+		vals[i] = fv{row[f], i}
+	}
+	sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
+	perm := make([]int, len(vals))
+	for k, e := range vals {
+		perm[k] = e.i
+	}
+	return perm
+}
+
+// checkPresort requires every feature order presort builds for X, the
+// orders the fit starts from, to be sortSlicePerm's, ties included, and
+// its last order to be the index order.
+func checkPresort(t *testing.T, X [][]float64) {
+	t.Helper()
+	n, d := len(X), len(X[0])
+	ps := presort(X, d)
+	for f := 0; f < d; f++ {
+		ord := ps.order[f*n : (f+1)*n]
+		for k, i := range sortSlicePerm(X, f) {
+			if int(ord[k]) != i {
+				t.Fatalf("feature %d: presorted position %d holds sample %d, sort.Slice puts %d there", f, k, ord[k], i)
+			}
+		}
+	}
+	for k, i := range ps.order[d*n:] {
+		if int(i) != k {
+			t.Fatalf("index order position %d holds sample %d", k, i)
+		}
+	}
+}
+
 // checkTreeCase fits the case both ways and reports any node that differs.
-// It also requires each feature's presorted order to be the permutation
-// sort.Slice gives the reference's (value, index) pairs, ties included:
-// a tie order that moves only a weighted sum's last bit rarely changes a
-// tree, so comparing trees alone would not catch it.
+// It also requires presort's orders to be sort.Slice's permutations
+// (checkPresort): a tie order that moves only a weighted sum's last bit
+// rarely changes a tree, so comparing trees alone would not catch it.
 func checkTreeCase(t *testing.T, data []byte) {
 	t.Helper()
 	cfg, X, y, w, ok := treeCase(data)
 	if !ok {
 		return
 	}
-	col := make([]float64, len(X))
-	ord := make([]int32, len(X))
-	for f := range X[0] {
-		type fv struct {
-			v float64
-			i int
-		}
-		vals := make([]fv, len(X))
-		for i, row := range X {
-			col[i] = row[f]
-			vals[i] = fv{row[f], i}
-		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
-		sortByValue(ord, col)
-		for k, e := range vals {
-			if int(ord[k]) != e.i {
-				t.Fatalf("feature %d: presorted position %d holds sample %d, sort.Slice puts %d there", f, k, ord[k], e.i)
-			}
-		}
-	}
+	checkPresort(t, X)
 	got, ref := cfg, cfg
 	errGot, errRef := got.FitWeighted(X, y, w), ref.fitReference(X, y, w)
 	if (errGot == nil) != (errRef == nil) {
@@ -269,6 +290,131 @@ func checkTreeCase(t *testing.T, data []byte) {
 	}
 	if d := treeDiff(got.root, ref.root, ""); d != "" {
 		t.Fatalf("%+v on %d rows × %d features: %s", cfg, len(X), len(X[0]), d)
+	}
+}
+
+// TestPresortMatchesSortSlice probes presort's integer keys: columns of
+// ±0, NaN, ±Inf, subnormals, negatives and values that differ only in the
+// low bits a key drops must all come out in sort.Slice's order, whether
+// strictSorter keeps its sort or hands the column to sortByValue. Random
+// distinct values must take the integer-key path.
+func TestPresortMatchesSortSlice(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	tiny, maxSub := math.SmallestNonzeroFloat64, math.Float64frombits(1<<52-1)
+	up := func(v float64, steps int) float64 {
+		for ; steps > 0; steps-- {
+			v = math.Nextafter(v, inf)
+		}
+		return v
+	}
+	pool := []float64{
+		0, negZero, nan, inf, -inf, tiny, -tiny, 2 * tiny, maxSub, -maxSub,
+		math.MaxFloat64, -math.MaxFloat64, 1, -1, 1.5, -2.25,
+		up(1, 1), up(1, 2), up(1, 3), up(-1, 1), up(-1, 2), up(1e-300, 1), 1e-300,
+	}
+	column := func(vals ...float64) [][]float64 {
+		X := make([][]float64, len(vals))
+		for i, v := range vals {
+			X[i] = []float64{v}
+		}
+		return X
+	}
+	for name, X := range map[string][][]float64{
+		"signed-zeros": column(0, negZero, 1, -1, negZero, 0),
+		"nan":          column(3, nan, 1, nan, 2),
+		"infinities":   column(inf, -inf, 0, math.MaxFloat64, -math.MaxFloat64),
+		"subnormals":   column(tiny, -tiny, 2*tiny, 0, -2*tiny, maxSub, -maxSub),
+		"low-bits":     column(up(1, 3), 1, up(1, 1), up(1, 2), up(-1, 1), -1, up(-1, 2)),
+		"one-row":      column(nan),
+	} {
+		t.Run(name, func(t *testing.T) { checkPresort(t, X) })
+	}
+	rng := rand.New(rand.NewSource(61))
+	for c := 0; c < 200; c++ {
+		X := make([][]float64, 1+rng.Intn(300))
+		for i := range X {
+			X[i] = make([]float64, 3)
+			X[i][0] = pool[rng.Intn(len(pool))]
+			X[i][1] = rng.NormFloat64() * math.Ldexp(1, rng.Intn(40)-20)
+			if rng.Intn(2) == 0 {
+				X[i][1] = -X[i][1]
+			}
+			X[i][2] = math.Float64frombits(math.Float64bits(1) + uint64(rng.Intn(5000)))
+		}
+		checkPresort(t, X)
+	}
+	// Distinct values take the integer-key path, even negatives, infinities
+	// and subnormals.
+	col := []float64{3, -inf, tiny, -1e-300, inf, -0.5, maxSub, 7}
+	for i := 0; i < 500; i++ {
+		col = append(col, rng.NormFloat64())
+	}
+	ord := make([]int32, len(col))
+	if !newStrictSorter(len(col)).sort(ord, col) {
+		t.Fatal("strictSorter rejected distinct values")
+	}
+	for k := 1; k < len(col); k++ {
+		if !(col[ord[k-1]] < col[ord[k]]) {
+			t.Fatalf("positions %d and %d out of order: %v, %v", k-1, k, col[ord[k-1]], col[ord[k]])
+		}
+	}
+}
+
+// TestIntegerWeightedTreesMatchReference fits with integer weights, zeros
+// included, which share node totals and (with two classes) take the
+// pruned integer scan, and requires the reference builder's tree on
+// quantised, tied and continuous features at every depth.
+func TestIntegerWeightedTreesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for c := 0; c < 150; c++ {
+		k := 2 + c%5/4 // mostly two classes
+		var X [][]float64
+		var y []int
+		if c%3 == 0 {
+			X, y = tiedData(rng, 20+rng.Intn(200), 1+rng.Intn(6), k)
+		} else {
+			X, y = blobs(k, 10+rng.Intn(100), 1+rng.Intn(8), 1, 1+rng.Float64()*2, int64(c))
+		}
+		w := make([]float64, len(X))
+		for i := range w {
+			w[i] = float64(rng.Intn(4))
+		}
+		if c%7 == 0 {
+			for i := range w {
+				w[i] = float64(1 + rng.Intn(1<<20))
+			}
+		}
+		cfg := DecisionTree{MaxDepth: rng.Intn(10), Seed: int64(c)}
+		got, ref := cfg, cfg
+		errGot, errRef := got.FitWeighted(X, y, w), ref.fitReference(X, y, w)
+		if (errGot == nil) != (errRef == nil) {
+			t.Fatalf("case %d: fit error %v, reference %v", c, errGot, errRef)
+		}
+		if d := treeDiff(got.root, ref.root, ""); d != "" {
+			t.Fatalf("case %d %+v on %d rows: %s", c, cfg, len(X), d)
+		}
+	}
+}
+
+// TestIntegerWeights: only non-negative integer weights summing below
+// 2^53, whose partial sums are exact in any order, share node totals.
+func TestIntegerWeights(t *testing.T) {
+	for _, tc := range []struct {
+		w    []float64
+		want bool
+	}{
+		{[]float64{1, 1, 1}, true},
+		{[]float64{0, 3, 7}, true},
+		{[]float64{1 << 52, 1<<52 - 1}, true},
+		{[]float64{1 << 52, 1 << 52}, false},
+		{[]float64{1, 0.5}, false},
+		{[]float64{1, -1}, false},
+		{[]float64{1, math.Inf(1)}, false},
+		{[]float64{1, math.NaN()}, false},
+	} {
+		if got := integerWeights(tc.w); got != tc.want {
+			t.Errorf("integerWeights(%v) = %v, want %v", tc.w, got, tc.want)
+		}
 	}
 }
 
@@ -296,6 +442,10 @@ func treeSeedCases() map[string][]byte {
 		"weighted-stump":    seed([]byte{1, 0, 0, 5, 0, 1, 7}, []byte{0, 1, 2, 0, 4, 0}, 150),
 		"weighted-quant":    seed([]byte{1, 0, 1, 2, 0, 1, 8}, []byte{1, 1, 7}, 70),
 		"single-row":        seed([]byte{3, 0, 0, 0, 0, 0, 9}, []byte{0}, 1),
+		// A three-row weighted stump whose split moves when one feature
+		// order's class sums are taken for another's: fractional weights
+		// must not share the node totals integer weights do.
+		"weighted-sum-order": []byte("000A0700000000000000000001\xa900000100000 0\"0000000000000\xab"),
 	}
 }
 

@@ -44,13 +44,19 @@ func reading(s *Sample, a int) float64 {
 // returned vector, its one allocation. An empty window yields all zeros.
 func Features(w Window) []float64 {
 	out := make([]float64, FeatureDim)
+	featuresInto(out, w)
+	return out
+}
+
+// featuresInto writes w's feature vector into out, FeatureDim long, which
+// an empty window leaves untouched.
+func featuresInto(out []float64, w Window) {
 	if len(w.Samples) == 0 {
-		return out
+		return
 	}
 	for a := 0; a < numAxes; a++ {
 		axisStats(out[a*len(statNames):(a+1)*len(statNames)], w.Samples, a)
 	}
-	return out
 }
 
 // axisStats writes axis a's eight statistics over the non-empty samples
@@ -58,7 +64,8 @@ func Features(w Window) []float64 {
 // squares and absolute first differences, the second the mean-dependent
 // variance and zero crossings. The accumulators are scalars, so they stay
 // in registers; a single sweep carrying all six axes' accumulators measured
-// slower, because those live in memory.
+// slower, because those live in memory. Reading each axis from a
+// contiguous copy did not measure faster either.
 func axisStats(o []float64, samples []Sample, a int) {
 	n := float64(len(samples))
 	var sum, sq, jerk, prev float64
@@ -80,20 +87,33 @@ func axisStats(o []float64, samples []Sample, a int) {
 		prev = v
 	}
 	mean := sum / n
-	var varSum, zc float64
+	// Zero crossings of the mean-removed signal, from below zero to at or
+	// above it or back, are counted from comparison bits rather than
+	// branched on: the sign changes at random, so a branch mispredicts. A
+	// value's two bits are exclusive unless it is NaN, which sets neither
+	// and so crosses nothing. The first value has no predecessor, so the
+	// bits start clear.
+	var varSum float64
+	zc, below, atOrAbove := 0, 0, 0
 	for i := range samples {
 		d := reading(&samples[i], a) - mean
 		varSum += d * d
-		// Zero-crossing rate of the mean-removed signal.
-		if i > 0 && ((prev < 0 && d >= 0) || (prev >= 0 && d < 0)) {
-			zc++
-		}
-		prev = d
+		lo, hi := bit(d < 0), bit(d >= 0)
+		zc += below&hi | atOrAbove&lo
+		below, atOrAbove = lo, hi
 	}
 	o[0], o[1] = mean, math.Sqrt(varSum/n)
 	o[2], o[3], o[4] = minV, maxV, maxV-minV
 	o[5] = math.Sqrt(sq / n)
 	if len(samples) > 1 {
-		o[6], o[7] = jerk/(n-1), zc/(n-1)
+		o[6], o[7] = jerk/(n-1), float64(zc)/(n-1)
 	}
+}
+
+// bit is 1 for true and 0 for false.
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

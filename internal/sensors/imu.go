@@ -77,12 +77,17 @@ func NewGenerator(rng *simclock.RNG) *Generator {
 	}
 }
 
-func (g *Generator) base() Window {
+// base draws a window of the sensor noise floor into buf, which it grows
+// only when too short; every field of every sample is overwritten.
+func (g *Generator) base(buf []Sample) Window {
 	n := int(g.WindowLen.Seconds() * SampleRate)
 	if n < 8 {
 		n = 8
 	}
-	w := Window{Samples: make([]Sample, n)}
+	if cap(buf) < n {
+		buf = make([]Sample, n)
+	}
+	w := Window{Samples: buf[:n]}
 	for i := range w.Samples {
 		s := &w.Samples[i]
 		s.T = time.Duration(i) * time.Second / SampleRate
@@ -131,8 +136,11 @@ func (g *Generator) addTap(w Window, at time.Duration, amp float64) {
 }
 
 // Human generates a window of a person touching the phone.
-func (g *Generator) Human() Window {
-	w := g.base()
+func (g *Generator) Human() Window { return g.human(nil) }
+
+// human is Human drawing into buf (see base).
+func (g *Generator) human(buf []Sample) Window {
+	w := g.base(buf)
 	amp := g.rng.LogNormal(0.1, 0.45) // median ~1.1 m/s² tap
 	if g.rng.Bernoulli(g.GentleTouchProb) {
 		amp = g.rng.Float64() * 0.03 // vanishes into the noise floor
@@ -151,8 +159,11 @@ func (g *Generator) Human() Window {
 // NonHuman generates a window with no human contact: the device rests on a
 // surface while software (an attacker's injected command, a bot) drives the
 // IoT app. Occasionally ambient vibration contaminates the window.
-func (g *Generator) NonHuman() Window {
-	w := g.base()
+func (g *Generator) NonHuman() Window { return g.nonHuman(nil) }
+
+// nonHuman is NonHuman drawing into buf (see base).
+func (g *Generator) nonHuman(buf []Sample) Window {
+	w := g.base(buf)
 	if g.rng.Bernoulli(g.BumpProb) {
 		// A bump looks much like a light tap.
 		at := time.Duration(g.rng.Float64() * 0.7 * float64(g.WindowLen))
@@ -169,7 +180,7 @@ func (g *Generator) NonHuman() Window {
 // holding the device shows. The validator's tremor-band features are what
 // separate this from Human windows.
 func (g *Generator) Robotic() Window {
-	w := g.base()
+	w := g.base(nil)
 	// Actuator repeatability is sub-percent; jitter only within it.
 	amp := g.rng.Jitter(1.0, 0.01)
 	g.addTap(w, g.WindowLen/4, amp)

@@ -25,30 +25,54 @@ func TrainValidator(gen *Generator, nPerClass int) (*Validator, error) {
 	if nPerClass < 10 {
 		return nil, fmt.Errorf("sensors: need at least 10 windows per class, got %d", nPerClass)
 	}
-	X := make([][]float64, 0, 2*nPerClass)
-	y := make([]int, 0, 2*nPerClass)
-	for i := 0; i < nPerClass; i++ {
-		X = append(X, Features(gen.Human()))
-		y = append(y, 1)
-		X = append(X, Features(gen.NonHuman()))
-		y = append(y, 0)
-	}
+	X, y := trainingSet(gen, nPerClass)
 	v := &Validator{tree: &ml.DecisionTree{MaxDepth: ValidatorDepth, Seed: 1}}
-	Xs, err := v.scaler.FitTransform(X)
-	if err != nil {
+	if err := v.scaler.Fit(X); err != nil {
 		return nil, err
 	}
-	if err := v.tree.Fit(Xs, y); err != nil {
+	for _, row := range X {
+		v.scaler.TransformInPlace(row)
+	}
+	if err := v.tree.Fit(X, y); err != nil {
 		return nil, err
 	}
 	return v, nil
 }
 
+// trainingSet draws nPerClass human and non-human windows from gen,
+// alternately and starting with a human one, and returns their feature
+// rows with labels (1 human, 0 not). Every window is drawn into one reused
+// sample buffer, and the rows share one backing array.
+func trainingSet(gen *Generator, nPerClass int) ([][]float64, []int) {
+	n := 2 * nPerClass
+	X, y := make([][]float64, n), make([]int, n)
+	feats := make([]float64, n*FeatureDim)
+	var w Window
+	for i := range X {
+		if i%2 == 0 {
+			w, y[i] = gen.human(w.Samples), 1
+		} else {
+			w = gen.nonHuman(w.Samples)
+		}
+		X[i] = feats[i*FeatureDim : (i+1)*FeatureDim : (i+1)*FeatureDim]
+		featuresInto(X[i], w)
+	}
+	return X, y
+}
+
 // Validate reports whether the feature vector looks human. Latency is a few
 // comparisons — the paper measures ~2 ms for the whole ML validation step
 // including marshalling.
+//
+// It allocates nothing: the vector is scaled in a stack copy. The tree
+// reads only the first FeatureDim entries, so a longer vector is cut
+// there. A shorter one keeps its length, so a walk that reaches a missing
+// feature panics.
 func (v *Validator) Validate(featureVec []float64) bool {
-	return ml.PredictOne(v.tree, v.scaler.Transform([][]float64{featureVec})[0]) == 1
+	var buf [FeatureDim]float64
+	x := buf[:copy(buf[:], featureVec)]
+	v.scaler.TransformInPlace(x)
+	return v.tree.PredictRow(x) == 1
 }
 
 // ValidateWindow extracts features and validates in one step.
